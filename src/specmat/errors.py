@@ -68,7 +68,8 @@ class NearSpectrum(NumericalFailure):
 
 
 class NonConverged(NumericalFailure):
-    """Dense eigenvalue extraction did not converge."""
+    """Eigenvalue extraction failed: the Arnoldi iteration did not
+    converge, or its low end could not be certified complete."""
 
 
 class NoSignChange(NumericalFailure):

@@ -1,7 +1,8 @@
-"""Independent verification by finite differences: a dense discretization
+"""Independent verification by finite differences: a sparse discretization
 of the operator with the mixed Dirichlet/Neumann boundary conditions,
-low-end eigenvalue extraction with two-resolution Richardson error bars,
-and smallest-singular-value resolvent probes.
+certified low-end eigenvalue extraction by shift-invert Arnoldi with
+two-resolution Richardson error bars, and smallest-singular-value
+resolvent probes.
 
 Unknown layout: the Dirichlet component at the n interior nodes (its
 endpoint values are known zeros) and the Neumann component at all n+2
@@ -9,6 +10,17 @@ nodes (endpoint values are genuine unknowns), total 2n+2.  Interior rows
 use the 3-point second difference; the Neumann condition enters through
 mirror ghost values (second order), and the Dirichlet component's second
 derivative at the boundary rows uses the one-sided second-order stencil.
+
+The low end comes from ARPACK's shift-invert mode (Lehoucq, Sorensen and
+Yang, ARPACK Users' Guide, 1998) on a sparse LU of ``M - sigma I``: it
+returns the m eigenvalues nearest a small shift sigma.  0 is an exact
+eigenvalue of every discretization, so sigma sits off it.  If R is the
+largest returned ``|mu - sigma|``, every eigenvalue left out has modulus
+at least ``R - |sigma|``; the k smallest moduli are certified once the
+k-th returned modulus plus ``|sigma|`` stays below R, and m doubles until
+it does.  m starts only 6 above k: the Arnoldi basis holds about 2m
+vectors, and at k = size/4 a start of 2k cost four times a dense solve of
+the whole grid.
 """
 
 from __future__ import annotations
@@ -21,19 +33,27 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import NearSpectrum, NonConverged, ResolutionTooLow
+from .errors import (InvalidInput, NearSpectrum, NonConverged,
+                     ResolutionTooLow)
 from .mat2 import CMatrix2
 from .rootfind import Spectrum
+
+# relative tolerance under which two moduli tie, or an eigenvalue counts as
+# real, in the canonical order; far above the eigensolver's rounding, far
+# below the grid's eigenvalue spacing
+_TIE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
 class Discretization:
-    """Dense matrix approximation of the operator at grid resolution n."""
+    """Matrix approximation of the operator at grid resolution n, dense
+    (``M``) and in compressed sparse columns (``S``)."""
 
     n: int
     h: float
     M: np.ndarray
     A: CMatrix2
+    S: scipy.sparse.csc_matrix
 
     @property
     def size(self) -> int:
@@ -45,49 +65,42 @@ class Discretization:
         return float(coeff * (2.0 / self.h ** 2) * (1.0 - np.cos(k * np.pi * self.h)))
 
 
-def _second_difference_dirichlet(n: int, h: float) -> np.ndarray:
-    """-u'' at interior nodes 1..n with u(0) = u(1) = 0."""
-    D = np.zeros((n, n))
-    ih2 = 1.0 / h ** 2
-    for i in range(n):
-        D[i, i] = 2.0 * ih2
-        if i > 0:
-            D[i, i - 1] = -ih2
-        if i < n - 1:
-            D[i, i + 1] = -ih2
-    return D
+def _three_point(rows: np.ndarray, centres: np.ndarray, ncols: int):
+    """Triplets of the stencil (-1, 2, -1) centred on ``centres[r]`` in row
+    ``rows[r]``; columns outside [0, ncols) are known zeros and dropped."""
+    r = np.repeat(rows, 3)
+    c = (centres[:, None] + np.array([-1, 0, 1])).ravel()
+    w = np.tile([-1.0, 2.0, -1.0], rows.size)
+    keep = (c >= 0) & (c < ncols)
+    return r[keep], c[keep], w[keep]
 
 
-def _second_difference_neumann(n: int, h: float) -> np.ndarray:
-    """-u'' at all nodes 0..n+1 with u'(0) = u'(1) = 0 by mirror ghosts."""
-    m = n + 2
-    D = np.zeros((m, m))
-    ih2 = 1.0 / h ** 2
-    for i in range(m):
-        D[i, i] = 2.0 * ih2
-        if i == 0:
-            D[i, i + 1] = -2.0 * ih2
-        elif i == m - 1:
-            D[i, i - 1] = -2.0 * ih2
-        else:
-            D[i, i - 1] = -ih2
-            D[i, i + 1] = -ih2
-    return D
+def _stencil_triplets(n: int):
+    """Rows, columns, weights (in units of 1/h^2) and which entry of A
+    (0..3 for a, b, c, d) scales each nonzero of the (2n+2)-square matrix.
 
-
-def _dirichlet_at_all_nodes(n: int, h: float) -> np.ndarray:
-    """-u'' of the Dirichlet component evaluated at all n+2 nodes: interior
-    rows are the 3-point stencil, boundary rows the one-sided second-order
-    stencil with the known zero endpoint dropped."""
-    m = n + 2
-    B = np.zeros((m, n))
-    ih2 = 1.0 / h ** 2
-    # -(2 u0 - 5 u1 + 4 u2 - u3)/h^2 with u0 = 0
-    B[0, 0], B[0, 1], B[0, 2] = 5.0 * ih2, -4.0 * ih2, 1.0 * ih2
-    B[m - 1, n - 1], B[m - 1, n - 2], B[m - 1, n - 3] = 5.0 * ih2, -4.0 * ih2, 1.0 * ih2
-    D = _second_difference_dirichlet(n, h)
-    B[1:n + 1, :] = D
-    return B
+    Rows and columns 0..n-1 are the Dirichlet component at nodes 1..n,
+    rows and columns n..2n+1 the Neumann component at nodes 0..n+1.
+    """
+    i = np.arange(n)
+    j = np.arange(n + 2)
+    # a, b: -phi'' and -gamma'' at the interior nodes
+    ra, ca, wa = _three_point(i, i, n)
+    rb, cb, wb = _three_point(i, i + 1, n + 2)
+    # c: -phi'' at every node; interior rows 3-point, boundary rows the
+    # one-sided -(2 u0 - 5 u1 + 4 u2 - u3)/h^2 with u0 = 0
+    rc, cc, wc = _three_point(j[1:-1], i, n)
+    rc = np.concatenate([rc, [0, 0, 0, n + 1, n + 1, n + 1]])
+    cc = np.concatenate([cc, [0, 1, 2, n - 1, n - 2, n - 3]])
+    wc = np.concatenate([wc, [5.0, -4.0, 1.0, 5.0, -4.0, 1.0]])
+    # d: -gamma'' at every node, gamma' = 0 by mirror ghosts
+    rd, cd, wd = _three_point(j, j, n + 2)
+    wd[((rd == 0) & (cd == 1)) | ((rd == n + 1) & (cd == n))] = -2.0
+    rows = np.concatenate([ra, rb, n + rc, n + rd])
+    cols = np.concatenate([ca, n + cb, cc, n + cd])
+    weights = np.concatenate([wa, wb, wc, wd])
+    slot = np.repeat([0, 1, 2, 3], [ra.size, rb.size, rc.size, rd.size])
+    return rows, cols, weights, slot
 
 
 def discretize(A: CMatrix2, n: int) -> Discretization:
@@ -99,40 +112,86 @@ def discretize(A: CMatrix2, n: int) -> Discretization:
     if n < 8:
         raise ResolutionTooLow(f"need n >= 8 grid intervals, got {n}")
     h = 1.0 / (n + 1)
-    Dphi = _second_difference_dirichlet(n, h)
-    Dgam = _second_difference_neumann(n, h)
-    Bphi = _dirichlet_at_all_nodes(n, h)
+    rows, cols, weights, slot = _stencil_triplets(n)
+    coeff = np.array([A.a, A.b, A.c, A.d], dtype=complex)
     N = 2 * n + 2
-    M = np.zeros((N, N), dtype=complex)
-    M[:n, :n] = A.a * Dphi
-    M[:n, n:] = A.b * Dgam[1:n + 1, :]
-    M[n:, :n] = A.c * Bphi
-    M[n:, n:] = A.d * Dgam
-    return Discretization(n=n, h=h, M=M, A=A)
+    S = scipy.sparse.csc_matrix((coeff[slot] * (weights * (1.0 / h ** 2)),
+                                 (rows, cols)), shape=(N, N))
+    return Discretization(n=n, h=h, M=S.toarray(), A=A, S=S)
 
 
-def _low_eigenvalues(A: CMatrix2, n: int, M: Optional[np.ndarray] = None) -> np.ndarray:
-    """All eigenvalues of the discretization, with the d = 0 degeneracy
-    handled by symmetric extrapolation.
+def _canonical_order(ev: np.ndarray) -> np.ndarray:
+    """Indices sorting ``ev`` by modulus, and ties (moduli equal to within
+    ``_TIE_RTOL``) by argument in (-pi, pi].
+
+    Values within ``_TIE_RTOL`` of the real axis count as real, so that
+    rounding noise cannot move an eigenvalue on the negative axis across
+    the branch cut from pi to -pi and reorder it against its tie partner.
+    """
+    mod = np.abs(ev)
+    by_mod = np.argsort(mod, kind="stable")
+    sorted_mod = mod[by_mod]
+    group = np.concatenate(([0], np.cumsum(
+        np.diff(sorted_mod) > _TIE_RTOL * sorted_mod[1:])))
+    real = np.abs(ev.imag) <= _TIE_RTOL * mod
+    arg = np.where(real, np.where(ev.real < 0, np.pi, 0.0), np.angle(ev))
+    return by_mod[np.lexsort((arg[by_mod], group))]
+
+
+def _low_end(disc: Discretization, count: int) -> np.ndarray:
+    """The eigenvalues nearest a small shift, in canonical order; the first
+    ``count`` are certified to be the ``count`` of smallest modulus (see
+    the module docstring)."""
+    N = disc.size
+    # off 0 (an exact eigenvalue) and off both axes, scaled with A
+    sigma = 1e-1 * disc.A.norm() * np.exp(1j)
+    v0 = np.random.default_rng(0).standard_normal(N).astype(complex)
+    m = min(count + 6, N - 2)
+    while True:
+        try:
+            mu = scipy.sparse.linalg.eigs(disc.S, k=m, sigma=sigma, v0=v0,
+                                          return_eigenvectors=False)
+        except (scipy.sparse.linalg.ArpackNoConvergence,
+                scipy.sparse.linalg.ArpackError) as exc:
+            raise NonConverged(
+                f"shift-invert Arnoldi failed at size {N}: {exc}") from exc
+        mu = mu[_canonical_order(mu)]
+        reach = float(np.max(np.abs(mu - sigma)))
+        if abs(mu[count - 1]) + abs(sigma) + 1e-6 * reach < reach:
+            return mu
+        if m == N - 2:
+            raise NonConverged(
+                f"the {count} smallest eigenvalues of a size-{N} grid are "
+                f"not separated from the rest")
+        m = min(2 * m, N - 2)
+
+
+def _low_eigenvalues(disc: Discretization, count: int) -> np.ndarray:
+    """The ``count`` low-end eigenvalues of the discretization, with the
+    d = 0 degeneracy handled by symmetric extrapolation.
 
     When the (2,2) entry vanishes, no equation row carries the second
     component's ghost stencil and the Neumann condition silently drops out
     of the discrete system (the continuum condition turns into a
     third-derivative constraint outside the stencil set).  Averaging the
     spectra at d = +-delta restores it to O(delta^2), far below the grid
-    error.
+    error.  Each low value at +delta is paired with its nearest unused
+    value at -delta; the pairing runs over the low ends only.
+
+    A singular A makes one block row of M repeat the other at the n
+    interior nodes, so 0 is an eigenvalue of multiplicity at least
+    n >= size // 4 >= count and the low end is exactly zero.  Arnoldi
+    cannot resolve a multiple eigenvalue that large, so the bound is used.
     """
-    if M is not None:
-        return scipy.linalg.eigvals(M)
+    A, n = disc.A, disc.n
+    if A.is_singular:
+        return np.zeros(count, dtype=complex)
     scale = 1.0 + A.norm()
     if abs(A.d) > 1e-9 * scale:
-        return scipy.linalg.eigvals(discretize(A, n).M)
+        return _low_end(disc, count)[:count]
     delta = 1e-3 * scale
-    up = CMatrix2(A.a, A.b, A.c, A.d + delta)
-    dn = CMatrix2(A.a, A.b, A.c, A.d - delta)
-    ev_up = scipy.linalg.eigvals(discretize(up, n).M)
-    ev_dn = scipy.linalg.eigvals(discretize(dn, n).M)
-    ev_up = ev_up[np.argsort(np.abs(ev_up))]
+    ev_up = _low_end(discretize(CMatrix2(A.a, A.b, A.c, A.d + delta), n), count)[:count]
+    ev_dn = _low_end(discretize(CMatrix2(A.a, A.b, A.c, A.d - delta), n), count)
     out = np.empty_like(ev_up)
     used = np.zeros(ev_dn.size, dtype=bool)
     for i, v in enumerate(ev_up):
@@ -148,44 +207,42 @@ def oracle_spectrum(disc: Discretization, k: int,
                     companion: Optional[Discretization] = None) -> Spectrum:
     """The k eigenvalues of smallest modulus, with Richardson error bars.
 
-    Only the resolved low end is trusted: k must not exceed a quarter of
-    the matrix size.  The companion (default: half resolution) provides a
-    two-resolution error estimate ``|nu_n - nu_{n/2}| / 3`` per eigenvalue
-    and a stabilisation check; wildly drifting eigenvalues mark the matrix
-    as not-closed (singular coefficient matrix).
+    Only the resolved low end is trusted: k must lie in 1..size//4.  The
+    companion (default: half resolution) provides a two-resolution error
+    estimate ``|nu_n - nu_{n/2}| / 3`` per eigenvalue and a stabilisation
+    check; wildly drifting eigenvalues mark the matrix as not-closed
+    (singular coefficient matrix).  Both resolutions are put in canonical
+    order (modulus, then argument, with ties and real values recognised up
+    to rounding) and paired by position.
     """
+    if k < 1:
+        raise InvalidInput(f"need at least one eigenvalue, got k = {k}")
     if k > disc.size // 4:
         raise ResolutionTooLow(
             f"requested {k} eigenvalues from a size-{disc.size} grid; only "
             f"the lowest quarter is resolved")
-    degenerate = abs(disc.A.d) <= 1e-9 * (1.0 + disc.A.norm())
-    try:
-        ev_fine = _low_eigenvalues(disc.A, disc.n,
-                                   M=None if degenerate else disc.M)
-        n_coarse = companion.n if companion is not None else max(disc.n // 2, 8)
-        ev_coarse = _low_eigenvalues(disc.A, n_coarse,
-                                     M=None if (degenerate or companion is None)
-                                     else companion.M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NonConverged(f"dense eigenvalue extraction failed: {exc}") from exc
+    if companion is None:
+        companion = discretize(disc.A, max(disc.n // 2, 8))
+    # three values decide the not-closed verdict below
+    count = max(k, 3)
+    ev_fine = _low_eigenvalues(disc, count)
+    ev_coarse = _low_eigenvalues(companion, count)
     # a singular coefficient matrix shows up as a fat near-zero cluster
     # (the operator is not closed; only one eigenvalue 0 is legitimate,
     # two when the zero branch is analytically degenerate)
-    zero_cluster = int(np.sum(np.abs(ev_fine) <= 1e-8 * np.linalg.norm(disc.M)))
-    # positional pairing after a canonical sort: greedy nearest matching
+    zero_cluster = int(np.sum(np.abs(ev_fine) <= 1e-8 * np.linalg.norm(disc.S.data)))
+    # positional pairing after the canonical sort: greedy nearest matching
     # crosses branches at collided double eigenvalues, which would fake a
     # near-zero two-resolution error estimate
-    order = np.lexsort((np.angle(ev_fine), np.round(np.abs(ev_fine), 8)))
-    ev_fine = ev_fine[order][:k]
-    order_c = np.lexsort((np.angle(ev_coarse), np.round(np.abs(ev_coarse), 8)))
-    ev_coarse = ev_coarse[order_c][:k]
+    ev_fine = ev_fine[_canonical_order(ev_fine)][:k]
+    ev_coarse = ev_coarse[_canonical_order(ev_coarse)][:k]
 
     errors = []
     drift = []
     for v, u in zip(ev_fine, ev_coarse):
         errors.append(float(abs(v - u)) / 3.0)
         drift.append(float(abs(v - u)) / (1.0 + abs(v)))
-    not_closed = zero_cluster >= 3 or (bool(np.median(drift) > 0.2) if drift else False)
+    not_closed = zero_cluster >= 3 or bool(np.median(drift) > 0.2)
 
     eigs = tuple((complex(v), 1) for v in ev_fine)
     notes = ("richardson-errors:" + ",".join(f"{e:.3e}" for e in errors),)

@@ -106,6 +106,22 @@ class TestOthers:
         assert doc["method"] == "oracle"
         assert len(doc["richardson_errors"]) == 4
 
+    def test_oracle_k_out_of_range_exit_code(self, capsys):
+        for k in ("-3", "0", "21"):
+            code, out, err = run(capsys, ["oracle", "--real", "1", "0", "1",
+                                          "4", "-n", "40", "-k", k])
+            assert code == 2 and out == "" and "specmat:" in err
+
+    def test_oracle_arpack_failure_exit_code(self, capsys, monkeypatch):
+        import scipy.sparse.linalg
+
+        def fail(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail)
+        code, out, _ = run(capsys, ["oracle", "--real", "1", "0", "1", "4",
+                                    "-n", "40", "-k", "4"])
+        assert code == 3 and out == ""
+
     def test_resolvent(self, capsys):
         code, out, _ = run(capsys, ["resolvent", "--real", "1", "0", "0", "1",
                                     "--z=-1,0", "-n", "100"])

@@ -2,16 +2,79 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specmat import (CMatrix2, NearSpectrum, ResolutionTooLow, discretize,
-                     growth_probe, oracle_spectrum, resolvent_norm, spectrum)
+from specmat import (CMatrix2, InvalidInput, NearSpectrum, NonConverged,
+                     ResolutionTooLow, discretize, growth_probe,
+                     oracle_spectrum, resolvent_norm, spectrum)
+from specmat.oracle import _canonical_order
 from conftest import EXAMPLE, a4
 
 import scipy.linalg
+import scipy.sparse.linalg
+
+# real a = -d ties: the discrete spectra are exactly +-(same moduli)
+TIES = [CMatrix2.real(1, 0, 1, -1), CMatrix2.real(2, 0, 1, -2),
+        CMatrix2.real(0.5, 1, 0, -0.5)]
 
 
 def lattice(coeffs, kmax=12):
     return sorted({c * k**2 * np.pi**2 for c in coeffs for k in range(kmax)},
                   key=abs)
+
+
+def loop_assembly(A, n):
+    """Reference dense matrix, assembled entry by entry."""
+    h = 1.0 / (n + 1)
+    ih2 = 1.0 / h ** 2
+    m = n + 2
+    Dphi = np.zeros((n, n))
+    for i in range(n):
+        Dphi[i, i] = 2.0 * ih2
+        if i > 0:
+            Dphi[i, i - 1] = -ih2
+        if i < n - 1:
+            Dphi[i, i + 1] = -ih2
+    Dgam = np.zeros((m, m))
+    for i in range(m):
+        Dgam[i, i] = 2.0 * ih2
+        if i == 0:
+            Dgam[i, i + 1] = -2.0 * ih2
+        elif i == m - 1:
+            Dgam[i, i - 1] = -2.0 * ih2
+        else:
+            Dgam[i, i - 1] = -ih2
+            Dgam[i, i + 1] = -ih2
+    Bphi = np.zeros((m, n))
+    Bphi[0, 0], Bphi[0, 1], Bphi[0, 2] = 5.0 * ih2, -4.0 * ih2, 1.0 * ih2
+    Bphi[m - 1, n - 1], Bphi[m - 1, n - 2], Bphi[m - 1, n - 3] = 5.0 * ih2, -4.0 * ih2, 1.0 * ih2
+    Bphi[1:n + 1, :] = Dphi
+    M = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
+    M[:n, :n] = A.a * Dphi
+    M[:n, n:] = A.b * Dgam[1:n + 1, :]
+    M[n:, :n] = A.c * Bphi
+    M[n:, n:] = A.d * Dgam
+    return M
+
+
+def dense_low_end(A, n):
+    """Reference low end from dense eigvals of the whole grid: for d = 0
+    the +-delta average, paired greedily over the whole spectrum."""
+    scale = 1.0 + A.norm()
+    if abs(A.d) > 1e-9 * scale:
+        ev = scipy.linalg.eigvals(discretize(A, n).M)
+    else:
+        delta = 1e-3 * scale
+        up = scipy.linalg.eigvals(discretize(CMatrix2(A.a, A.b, A.c, A.d + delta), n).M)
+        dn = scipy.linalg.eigvals(discretize(CMatrix2(A.a, A.b, A.c, A.d - delta), n).M)
+        up = up[np.argsort(np.abs(up))]
+        ev = np.empty_like(up)
+        used = np.zeros(dn.size, dtype=bool)
+        for i, v in enumerate(up):
+            dist = np.abs(dn - v)
+            dist[used] = np.inf
+            j = int(np.argmin(dist))
+            used[j] = True
+            ev[i] = 0.5 * (v + dn[j])
+    return ev[_canonical_order(ev)]
 
 
 class TestDiscretize:
@@ -48,6 +111,15 @@ class TestDiscretize:
             ec = np.min(np.abs(evc - target))
             ef = np.min(np.abs(evf - target))
             assert 3.5 <= ec / ef <= 4.5, (A, target, ec / ef)
+
+    @pytest.mark.parametrize("n", [8, 37])
+    @pytest.mark.parametrize("A", [EXAMPLE, CMatrix2.real(0.8, 1, 0, -2),
+                                   a4(0.5, 3.0)])
+    def test_assembly_matches_loop_reference(self, A, n):
+        disc = discretize(A, n)
+        ref = loop_assembly(A, n)
+        assert np.array_equal(disc.M, ref)
+        assert np.array_equal(disc.S.toarray(), ref)
 
     def test_resolution_floor(self):
         with pytest.raises(ResolutionTooLow):
@@ -97,6 +169,42 @@ class TestOracleSpectrum:
     def test_trust_radius(self):
         with pytest.raises(ResolutionTooLow):
             oracle_spectrum(discretize(CMatrix2.real(1, 0, 0, 1), 20), 40)
+        for k in (0, -3):
+            with pytest.raises(InvalidInput):
+                oracle_spectrum(discretize(CMatrix2.real(1, 0, 1, 4), 40), k)
+
+    @pytest.mark.parametrize("A", TIES + [EXAMPLE])
+    def test_diagonal_similarity_invariance(self, A):
+        # D A D^-1 with D = diag(1, e^{i phi}) discretizes to a similar
+        # matrix, so values and bars must not move.  At a = -d rounding
+        # noise puts the negative eigenvalues on either side of the branch
+        # cut of the argument.
+        ref = oracle_spectrum(discretize(A, 100), 8)
+        for phi in np.linspace(0.1, 3.0, 12):
+            B = CMatrix2(A.a, A.b * np.exp(-1j * phi), A.c * np.exp(1j * phi), A.d)
+            sp = oracle_spectrum(discretize(B, 100), 8)
+            assert_allclose(sp.values(), ref.values(), rtol=1e-8, atol=1e-6)
+            assert_allclose(sp.residuals, ref.residuals, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("error", [
+        scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                np.empty((0, 0))),
+        scipy.sparse.linalg.ArpackError(-9999)])
+    def test_arpack_failure_is_nonconverged(self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail)
+        with pytest.raises(NonConverged):
+            oracle_spectrum(discretize(CMatrix2.real(1, 0, 1, 4), 40), 4)
+
+    def test_singular_low_end_is_zero(self):
+        # rank(M) <= n + 2 for singular A: at least n zero eigenvalues
+        A = CMatrix2.real(1, 1, 1, 1)
+        sp = oracle_spectrum(discretize(A, 40), 6)
+        assert np.all(sp.values() == 0)
+        assert any("not-closed" in n for n in sp.notes)
+        ev = np.sort(np.abs(scipy.linalg.eigvals(discretize(A, 40).M)))
+        assert ev[39] <= 1e-8 * np.linalg.norm(discretize(A, 40).M)
 
     def test_conjugate_symmetry_real_matrix(self):
         M = discretize(a4(0.0, 2.5), 100).M
@@ -116,6 +224,43 @@ class TestOracleSpectrum:
             for v, err in zip(orc.values(), orc.residuals):
                 gap = np.min(np.abs(sec_vals - v))
                 assert gap <= 5 * err + 1e-4 * (1 + abs(v)), (A, v, gap, err)
+
+
+class TestShiftInvertAgainstDense:
+    """The certified low end equals the dense one in canonical order, for
+    k = 6 and for the whole resolved quarter, k = size // 4."""
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_low_end_matches_dense_eigvals(self, region_corpus, n):
+        mats = region_corpus + TIES + [CMatrix2(1, 0, np.exp(0.7j), -1),
+                                       CMatrix2.real(1, 0, 0, 1)]
+        for A in mats:
+            disc = discretize(A, n)
+            ref = dense_low_end(A, n)
+            # a defective zero is resolved only to O(sqrt(eps ||M||)) by
+            # either solver; those values are compared against that floor
+            zero = 10.0 * np.sqrt(np.finfo(float).eps * np.linalg.norm(disc.M))
+            for k in (6, disc.size // 4):
+                got = oracle_spectrum(disc, k).values()
+                want = ref[:k]
+                gap = np.abs(got - want)
+                both_zero = (np.abs(got) <= zero) & (np.abs(want) <= zero)
+                assert np.all(both_zero | (gap <= 1e-8 * (1 + np.abs(want)))), (A, n, k)
+
+    def test_doubling_until_certified(self, monkeypatch):
+        # a near-singular A puts a cluster of ~n tiny eigenvalues around 0:
+        # the first 2k values nearest the shift do not certify the low end
+        A = CMatrix2.real(1, 2, 2, 4.0001)
+        asked = []
+        eigs = scipy.sparse.linalg.eigs
+
+        def counting(*args, **kwargs):
+            asked.append(kwargs["k"])
+            return eigs(*args, **kwargs)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
+        got = oracle_spectrum(discretize(A, 100), 6).values()
+        assert asked[:3] == [12, 24, 48]
+        assert_allclose(got, dense_low_end(A, 100)[:6], rtol=1e-8, atol=1e-10)
 
 
 class TestResolventNorm:
