@@ -262,29 +262,29 @@ def resolvent_norm(disc: Discretization, z: complex, method: str = "auto") -> fl
     """
     if method == "auto":
         method = "svd" if disc.size <= 420 else "invit"
-    B = disc.M - z * np.eye(disc.size)
     if method == "svd":
-        smin = float(scipy.linalg.svdvals(B)[-1])
+        smin = float(scipy.linalg.svdvals(disc.M - z * np.eye(disc.size))[-1])
     else:
-        smin = _sigma_min_inverse_iteration(B)
+        shifted = (disc.S - z * scipy.sparse.identity(disc.size, format="csc")).tocsc()
+        smin = _sigma_min_inverse_iteration(shifted)
     if smin <= 1e-12 * max(1.0, float(np.linalg.norm(disc.M, ord="fro"))):
         raise NearSpectrum(f"z = {z} is numerically on the discrete spectrum")
     return 1.0 / smin
 
 
-def _sigma_min_inverse_iteration(B: np.ndarray, max_iter: int = 300) -> float:
-    S = scipy.sparse.csc_matrix(B)
+def _sigma_min_inverse_iteration(S, max_iter: int = 300) -> float:
+    """Smallest singular value of the sparse square ``S`` by inverse
+    iteration on ``S^H S``, from one LU factorisation of ``S``."""
     try:
         lu = scipy.sparse.linalg.splu(S)
-        luh = scipy.sparse.linalg.splu(S.conj().T.tocsc())
     except RuntimeError as exc:
         raise NearSpectrum(f"shifted matrix is numerically singular: {exc}") from exc
     rng = np.random.default_rng(7)
-    v = rng.standard_normal(B.shape[0]) + 1j * rng.standard_normal(B.shape[0])
+    v = rng.standard_normal(S.shape[0]) + 1j * rng.standard_normal(S.shape[0])
     v /= np.linalg.norm(v)
     s_prev = np.inf
     for _ in range(max_iter):
-        w = luh.solve(lu.solve(v))
+        w = lu.solve(lu.solve(v), trans="H")
         nw = np.linalg.norm(w)
         if not np.isfinite(nw) or nw == 0.0:
             raise NearSpectrum("inverse iteration diverged: z is on the spectrum")

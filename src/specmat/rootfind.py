@@ -6,6 +6,20 @@ The winding machinery consumes a *log-derivative protocol*: any object
 with vectorised ``logderiv(z)`` and ``logabs(z)`` methods.  The secular
 functions implement it natively (overflow-free); plain callables are
 adapted on the fly.
+
+Every contour integral (rectangle windings, cluster centroids, circle
+probes) goes through one primitive, :func:`_contour_moments`.  It returns
+the moments ``s0 = (1/2 pi i) contour integral of f'/f`` (the winding
+number) and ``s1 = (1/2 pi i) contour integral of z f'/f`` (the sum of
+the enclosed zeros) from the same samples.  The trapezoid rule is refined
+per edge and nested: each edge doubles only while the zeros near it are
+unresolved, a doubling evaluates only the new midpoints, and no point is
+evaluated twice within one integral.  A cell holding one zero starts
+Newton at its ``s1``.
+
+``spectrum`` grows its search box incrementally: the zeros already
+isolated are kept, only the strips the larger box adds are isolated, and
+one winding count of the larger box certifies the union.
 """
 
 from __future__ import annotations
@@ -15,12 +29,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BoundaryZero, DegreeTooHigh, NonConvergent
+from .errors import BoundaryZero, DegreeTooHigh, NonConvergent, NumericalFailure
 from .mat2 import CMatrix2
 from .secular import build
 
 _EDGE_START = 64
-_EDGE_CAP = 2 ** 18    # 4 edges -> 2**20 total sample cap
+_EDGE_CAP = 2 ** 18    # most intervals any one edge may refine to
 _WINDING_TOL = 1e-3
 
 
@@ -119,50 +133,145 @@ class _OriginDeflated:
         return self.base.logabs(z) - self.order * np.log(np.abs(z))
 
 
-def _integrate_polyline(fun, vertices, cap: int = _EDGE_CAP) -> float:
-    """(1/2 pi i) * contour integral of f'/f over the closed polyline.
+def _polygon(vertices):
+    """Closed polyline as a path: edge k runs from vertex k to vertex k+1."""
+    v = np.asarray(vertices, dtype=complex)
+    d = np.concatenate((v[1:], v[:1])) - v
+    return (lambda k, t: (v[k] + t * d[k], d[k])), np.abs(d)
 
-    Trapezoid rule per edge, doubling the sample count until two successive
-    refinements agree to 1e-3 and the total is that close to an integer.
-    Raises BoundaryZero when a zero sits within 1e-9 * diameter of the
-    contour (distance estimated from the log-derivative spike; the caller
-    may dilate and retry) and NonConvergent at the sample cap.
+
+def _circle(center: complex, radius: float):
+    """Circle as a path of one periodic edge that ends where it starts."""
+    def path(k, t):
+        u = radius * np.exp(2j * np.pi * t)
+        return center + u, 2j * np.pi * u
+    return path, np.array([2.0 * np.pi * radius])
+
+
+def _logderiv_finite(fun, z):
+    g = fun.logderiv(z)
+    if not np.all(np.isfinite(g)):
+        raise BoundaryZero("zero (numerically) on the contour")
+    return g
+
+
+def _contour_moments(fun, path, lengths, cap: int = _EDGE_CAP,
+                     tol1: Optional[float] = None):
+    """Moments ``s0 = (1/2 pi i) contour integral of g`` and
+    ``s1 = (1/2 pi i) contour integral of z g``, ``g = f'/f``, over a
+    closed path of edges.
+
+    ``path(k, t)`` returns ``(z, dz/dt)`` on edges ``k`` at parameters
+    ``t`` in [0, 1] (broadcast against each other); edge k ends where edge
+    k+1 starts, the last where the first starts.  Trapezoid rule with nested
+    refinement per edge: every vertex is evaluated once, a doubling
+    evaluates only the new midpoints, and all edges still refining share
+    one ``logderiv`` call (the first call also holds the first doubling,
+    which every edge needs).  An edge stops when it is resolved
+    (``length / m <= dist / 3``, ``dist = 1 / max|g|`` on that edge) at two
+    successive levels whose winding contributions agree to
+    ``_WINDING_TOL / n_edges`` (and, given ``tol1``, whose ``s1``
+    contributions agree to ``tol1 / n_edges``).  The winding ``Re s0`` must
+    also lie within ``_WINDING_TOL`` of an integer, else every edge refines
+    again.
+
+    Raises BoundaryZero for a non-finite sample or a zero within
+    ``1e-9 * diam`` of the path or too close to resolve below the cap
+    (``diam`` the longest edge; the caller may dilate and retry), and
+    NonConvergent when an edge would need more than ``cap`` intervals.
     """
-    edges = [(vertices[k], vertices[(k + 1) % len(vertices)])
-             for k in range(len(vertices))]
-    diam = max(abs(b - a) for a, b in edges)
-    za = np.array([a for a, _ in edges])
-    dz = np.array([b - a for a, b in edges])
-    prev = None
-    m = _EDGE_START
-    while m <= cap:
-        t = np.linspace(0.0, 1.0, m + 1)
-        z = za[:, None] + t[None, :] * dz[:, None]   # all edges in one batch
-        g = fun.logderiv(z.ravel()).reshape(z.shape)
-        if np.any(~np.isfinite(g)):
-            raise BoundaryZero("zero (numerically) on the contour")
-        spike = np.max(np.abs(g))
-        resolved = True
+    n = lengths.size
+    diam = float(lengths.max())
+    edges = np.arange(n)
+    m = np.full(n, _EDGE_START)
+    # one call for the start level (even samples; t = 0 is the edge's start
+    # vertex) and its first doubling (odd samples): every edge needs both
+    k = 2 * _EDGE_START
+    z, dz = path(edges[:, None], np.arange(k) / k)
+    z = np.broadcast_to(z, (n, k))
+    g = _logderiv_finite(fun, z.ravel()).reshape(n, k)
+    nxt = (edges + 1) % n
+    gv, zv = g[nxt, 0], z[nxt, 0]                       # each edge's end vertex
+    dz_end = path(edges, np.ones(n))[1]
+    gdz = g * dz
+    gdz[:, 0] *= 0.5
+    zgdz, absg = z * gdz, np.abs(g)
+    # running sums without the 1/m factor: a doubling only adds midpoints
+    s0 = gdz[:, ::2].sum(axis=1) + 0.5 * gv * dz_end
+    s1 = zgdz[:, ::2].sum(axis=1) + 0.5 * zv * gv * dz_end
+    gmax = np.maximum(absg[:, ::2].max(axis=1), np.abs(gv))
+    first = (gdz[:, 1::2].sum(axis=1), zgdz[:, 1::2].sum(axis=1),
+             absg[:, 1::2].max(axis=1))
+    # winding and s1 contributions at each edge's last resolved level
+    prev0 = np.full(n, np.nan)
+    prev1 = np.full(n, np.nan, dtype=complex)
+    todo = np.ones(n, dtype=bool)
+    fresh = todo.copy()             # edges sampled at a new level
+    while True:
+        spike = float(gmax.max())
         if spike > 0:
-            dist_est = 1.0 / spike
-            if dist_est < 1e-9 * diam:
+            dist = 1.0 / spike
+            if dist < 1e-9 * diam:
                 raise BoundaryZero("zero within 1e-9*diameter of the contour")
-            if dist_est < 4.0 * diam / cap:
+            if dist < 4.0 * diam / cap:
                 # a zero close enough to the contour that the trapezoid can
                 # never resolve it within the sample cap: bail out early so
                 # the caller can dilate or re-split
                 raise BoundaryZero("zero unresolvably close to the contour")
-            # two coarse levels can agree on a wrong integer before the
-            # nearest zero is even resolved by the sampling
-            resolved = diam / m <= dist_est / 3.0
-        total = np.sum(np.trapezoid(g * dz[:, None], dx=1.0 / m, axis=1))
-        w = float((total / (2j * np.pi)).real)
-        if resolved and prev is not None and abs(w - prev) <= _WINDING_TOL \
-                and abs(w - round(w)) <= _WINDING_TOL:
-            return w
-        prev = w if resolved else None
-        m *= 2
-    raise NonConvergent("winding integral did not stabilise below the sample cap")
+        w0 = (s0 / (2j * np.pi * m)).real
+        w1 = s1 / (2j * np.pi * m)
+        # two coarse levels can agree on a wrong value before the nearest
+        # zero is even resolved by the sampling
+        resolved = gmax * lengths <= m / 3.0
+        agree = resolved & (np.abs(w0 - prev0) <= _WINDING_TOL / n)
+        if tol1 is not None:
+            agree &= np.abs(w1 - prev1) <= tol1 / n
+        todo[fresh & agree] = False
+        prev0 = np.where(fresh, np.where(resolved, w0, np.nan), prev0)
+        prev1 = np.where(fresh, np.where(resolved, w1, np.nan), prev1)
+        if not todo.any():
+            w = float(np.sum(w0))
+            if abs(w - round(w)) <= _WINDING_TOL:
+                return complex(np.sum(s0 / m) / (2j * np.pi)), complex(np.sum(w1))
+            todo[:] = True
+        idx = np.flatnonzero(todo)
+        if np.any(2 * m[idx] > cap):
+            raise NonConvergent("contour integral did not stabilise below the sample cap")
+        if first is not None:
+            # the first doubling, of every edge (none can have converged
+            # at the start level), was sampled with the start level
+            add0, add1, addmax = first
+            first = None
+        else:
+            # one doubling of every edge still refining: the new midpoints only
+            counts = m[idx]
+            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            local = np.arange(counts.sum()) - np.repeat(starts, counts)
+            z, dz = path(np.repeat(idx, counts),
+                         (local + 0.5) / np.repeat(counts, counts))
+            g = _logderiv_finite(fun, z)
+            gdz = g * dz
+            add0 = np.add.reduceat(gdz, starts)
+            add1 = np.add.reduceat(z * gdz, starts)
+            addmax = np.maximum.reduceat(np.abs(g), starts)
+        s0[idx] += add0
+        s1[idx] += add1
+        gmax[idx] = np.maximum(gmax[idx], addmax)
+        m[idx] *= 2
+        fresh = todo.copy()
+
+
+def _integrate_polyline(fun, vertices, cap: int = _EDGE_CAP):
+    """Moments ``(s0, s1)`` of f'/f over the closed polyline:
+    ``s0 = (1/2 pi i) * contour integral of f'/f`` (its real part is the
+    winding number) and ``s1``, the sum of the enclosed zeros, from the same
+    samples.  Nested trapezoid refinement per edge (see
+    :func:`_contour_moments`): each edge is refined only as far as the zeros
+    near it demand.  Raises BoundaryZero when a zero sits on or too near
+    the contour (the caller may dilate and retry) and NonConvergent at the
+    sample cap.
+    """
+    return _contour_moments(fun, *_polygon(vertices), cap=cap)
 
 
 def winding_count(f, rect: Rect, fprime=None, rng=None, dilate: bool = True) -> int:
@@ -174,20 +283,20 @@ def winding_count(f, rect: Rect, fprime=None, rng=None, dilate: bool = True) -> 
     """
     fun = _as_protocol(f, fprime)
     rng = np.random.default_rng(0) if rng is None else rng
-    n, _ = _winding_with_rect(fun, rect, rng, dilate)
-    return n
+    return _winding_with_rect(fun, rect, rng, dilate)[0]
 
 
 def _winding_with_rect(fun, rect: Rect, rng, dilate: bool, cap: int = _EDGE_CAP):
-    """Winding count plus the (possibly dilated) rectangle actually used."""
+    """Winding count, the (possibly dilated) rectangle actually used and
+    the sum ``s1`` of the zeros inside it."""
     r = rect
     for attempt in range(6):
         try:
-            w = _integrate_polyline(fun, list(r.corners()), cap=cap)
-            n = int(round(w))
+            s0, s1 = _integrate_polyline(fun, r.corners(), cap=cap)
+            n = int(round(s0.real))
             if n < 0:
-                raise NonConvergent(f"negative winding {w}; derivative inconsistent?")
-            return n, r
+                raise NonConvergent(f"negative winding {s0.real}; derivative inconsistent?")
+            return n, r, s1
         except (BoundaryZero, NonConvergent):
             # either failure mode signals structure too close to the contour
             if not dilate or attempt == 5:
@@ -197,23 +306,9 @@ def _winding_with_rect(fun, rect: Rect, rng, dilate: bool, cap: int = _EDGE_CAP)
 
 
 def _winding_circle(fun, center: complex, radius: float) -> int:
-    """Winding of f'/f on a circle (periodic trapezoid, adaptive)."""
-    m = _EDGE_START
-    prev = None
-    while m <= _EDGE_CAP:
-        t = np.arange(m) * (2 * np.pi / m)
-        z = center + radius * np.exp(1j * t)
-        g0 = fun.logderiv(z)
-        if np.any(~np.isfinite(g0)):
-            raise BoundaryZero("zero on probe circle")
-        g = g0 * 1j * radius * np.exp(1j * t)
-        w = float((np.mean(g) * 2 * np.pi / (2j * np.pi)).real)
-        if prev is not None and abs(w - prev) <= _WINDING_TOL \
-                and abs(w - round(w)) <= _WINDING_TOL:
-            return int(round(w))
-        prev = w
-        m *= 2
-    raise NonConvergent("circle winding did not stabilise")
+    """Winding of f'/f on a circle (one periodic edge)."""
+    s0, _ = _contour_moments(fun, *_circle(center, radius))
+    return int(round(s0.real))
 
 
 def _newton(fun, z0: complex, mult: int, tol: float, max_iter: int = 80):
@@ -250,22 +345,30 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
     Quadtree subdivision (with jittered split lines when a zero falls on
     one) until each cell holds a single zero counting multiplicity;
     clusters are resolved by a two-radius circle probe and multiple zeros
-    kept only when both probe radii agree.  The multiplicity sum always
-    equals the top-level winding count.
+    kept only when both probe radii agree.  The multiplicity sum equals
+    the top-level winding count, else NumericalFailure is raised.
     """
     fun = _as_protocol(f, fprime)
     rng = np.random.default_rng(0) if rng is None else rng
-    total, rect = _winding_with_rect(fun, rect, rng, dilate=True)
+    total, rect, _ = _winding_with_rect(fun, rect, rng, dilate=True)
+    return _isolate_counted(fun, rect, total, tol, rng)
+
+
+def _isolate_counted(fun, rect: Rect, total: int, tol: float, rng):
+    """Quadtree isolation in a rectangle whose winding count ``total`` is
+    already known (``rect`` is the contour that count was taken on)."""
     if total == 0:
         return []
     results = []
-    stack = [(rect, total)]
+    # (cell, count, Newton start); a child's start is the sum of its zeros
+    # from its winding integral, which for a single zero is its location
+    stack = [(rect, total, rect.center)]
     while stack:
-        cell, cnt = stack.pop()
+        cell, cnt, start = stack.pop()
         c = cell.center
         probe_diam = 1e-4 * (1.0 + abs(c))
         if cnt == 1:
-            z, ok = _newton(fun, c, cnt, tol)
+            z, ok = _newton(fun, start if cell.contains(start) else c, cnt, tol)
             # strict containment: the counted zero is interior to the cell,
             # so a result outside it is a different zero reached by a basin
             # jump (accepting it would duplicate one zero and drop another)
@@ -296,37 +399,27 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
             results.append(hit)
             continue
         stack.extend(children)
-    assert sum(m for _, m in results) == total
+    found = sum(m for _, m in results)
+    if found != total:
+        raise NumericalFailure(
+            f"isolated {found} zeros counting multiplicity, winding count {total}")
     return sorted(results, key=lambda zm: (abs(zm[0]), np.angle(zm[0])))
 
 
 def _cluster_centroid(fun, cell: Rect, cnt: int):
-    """First moment of the zeros in a cell: (1/2 pi i cnt) contour integral
-    of z f'(z)/f(z), adaptive trapezoid on the boundary.
+    """First moment of the zeros in a cell: ``s1 / cnt`` from the boundary
+    moments, or None when the integral fails.
 
     Only needs to land well inside the cell (it seeds the circle probes),
     so the agreement criterion is relative to the cell size.
     """
-    edges = [(v, w) for v, w in zip(cell.corners(),
-                                    np.roll(cell.corners(), -1))]
-    prev = None
-    m = _EDGE_START
     tol = max(0.02 * cell.diameter, 1e-9 * (1.0 + abs(cell.center)))
-    while m <= 2 ** 14:
-        total = 0.0 + 0.0j
-        for za, zb in edges:
-            t = np.linspace(0.0, 1.0, m + 1)
-            z = za + t * (zb - za)
-            g = fun.logderiv(z)
-            if np.any(~np.isfinite(g)):
-                return None
-            total += np.trapezoid(z * g * (zb - za), dx=1.0 / m)
-        mu = total / (2j * np.pi * cnt)
-        if prev is not None and abs(mu - prev) <= tol:
-            return complex(mu)
-        prev = mu
-        m *= 2
-    return complex(prev)
+    try:
+        _, s1 = _contour_moments(fun, *_polygon(cell.corners()), cap=2 ** 14,
+                                 tol1=cnt * tol)
+    except (BoundaryZero, NonConvergent):
+        return None
+    return s1 / cnt
 
 
 def _try_cluster(fun, cell: Rect, cnt: int, tol: float):
@@ -381,27 +474,26 @@ def _split_cell(fun, cell: Rect, cnt: int, rng):
         # need more samples than a fresh jittered line would
         cap = (2 ** 12, 2 ** 15, 2 ** 18)[min(attempt // 3, 2)]
         children = cell.split(fx, fy)
-        counts = []
+        found = []
         try:
             for ch in children[:3]:
-                counts.append(_winding_with_rect(fun, ch, rng, dilate=False,
-                                                 cap=cap)[0])
+                found.append(_winding_with_rect(fun, ch, rng, dilate=False,
+                                                cap=cap))
         except (BoundaryZero, NonConvergent):
             continue
-        rest = cnt - sum(counts)
+        rest = cnt - sum(k for k, _, _ in found)
         if rest < 0:
             continue
         if rest > 0:
             # the inferred fourth count is validated before being trusted
             try:
-                w4 = _winding_with_rect(fun, children[3], rng, dilate=False,
-                                        cap=cap)[0]
+                found.append(_winding_with_rect(fun, children[3], rng,
+                                                dilate=False, cap=cap))
             except (BoundaryZero, NonConvergent):
                 continue
-            if w4 != rest:
+            if found[3][0] != rest:
                 continue
-        counts.append(rest)
-        return [(ch, k) for ch, k in zip(children, counts) if k > 0]
+        return [(ch, k, s1) for ch, (k, _, s1) in zip(children, found) if k > 0]
     raise NonConvergent(f"could not split cell {cell} conservatively")
 
 
@@ -467,6 +559,36 @@ def _merge_values(pairs, rel_tol: float = 1e-8):
     return merged
 
 
+def _grow_zeros(fun, zeros, done: Rect, box: Rect, tol: float, rng):
+    """Extend the zeros isolated in ``done`` to the hull of ``done`` and
+    ``box``, whose left edge is ``done``'s.
+
+    Only the strips the hull adds are isolated: at most three rectangles
+    bordering ``done`` (right, then above and below).  One winding count of
+    the hull certifies the union: it must equal the zeros in hand plus the
+    strips' (all inside the contour counted).  Returns
+    ``(zeros or None, counted rect, count)``; None means the certificate
+    failed, and the count is then the one to isolate the hull on.
+    """
+    hull = Rect(done.re_min, max(done.re_max, box.re_max),
+                min(done.im_min, box.im_min), max(done.im_max, box.im_max))
+    strips = []
+    if hull.re_max > done.re_max:
+        strips.append(Rect(done.re_max, hull.re_max, hull.im_min, hull.im_max))
+    if hull.im_max > done.im_max:
+        strips.append(Rect(done.re_min, done.re_max, done.im_max, hull.im_max))
+    if hull.im_min < done.im_min:
+        strips.append(Rect(done.re_min, done.re_max, hull.im_min, done.im_min))
+    found = list(zeros)
+    for strip in strips:
+        found.extend(isolate_zeros(fun, strip, tol=tol, rng=rng))
+    total, rect, _ = _winding_with_rect(fun, hull, rng, dilate=True)
+    inside = all(rect.contains(z, slack=1e-7 * (1.0 + abs(z))) for z, _ in found)
+    if not inside or sum(m for _, m in found) != total:
+        return None, rect, total
+    return found, rect, total
+
+
 def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10,
              count: Optional[int] = None, rng=None) -> Spectrum:
     """Eigenvalues ``lambda^2`` from the secular zeros in a rectangle.
@@ -507,27 +629,47 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
     else:
         want = 12 if count is None else int(count)
         L, H = 4.0 * scale, 3.0 * scale
-        # cheap pre-pass: grow by winding count alone before isolating
-        for _ in range(14):
-            box = Rect(-margin, L, -1.031731 * H, 0.968413 * H)
-            if winding_count(fun, box, rng=rng) >= want + 1:
+
+        def grow_box():
+            return Rect(-margin, L, -1.031731 * H, 0.968413 * H)
+
+        # cheap pre-pass: grow by winding count alone before isolating; the
+        # last count is the first isolation's certificate
+        total, done, _ = _winding_with_rect(fun, grow_box(), rng, dilate=True)
+        for _ in range(13):
+            if total >= want + 1:
                 break
             L *= 1.45
             H *= 1.2
-        kept = []
+            total, done, _ = _winding_with_rect(fun, grow_box(), rng, dilate=True)
+        # `zeros` are all the zeros inside `done`, the contour last counted
+        zeros = None
         ok = False
         last_n, stall = -1, 0
         for _ in range(16):
-            box = Rect(-margin, L, -1.031731 * H, 0.968413 * H)
             try:
-                kept = _canonical_zeros(isolate_zeros(fun, box, tol=tol, rng=rng))
-                ok = True
+                if zeros is None:
+                    if done is None:
+                        total, done, _ = _winding_with_rect(fun, grow_box(),
+                                                            rng, dilate=True)
+                    zeros = _isolate_counted(fun, done, total, tol, rng)
+                else:
+                    zeros, done, total = _grow_zeros(fun, zeros, done, grow_box(),
+                                                     tol, rng)
             except (BoundaryZero, NonConvergent):
                 # a box edge landed too close to spectral structure: nudge
+                # and isolate the whole box again
+                zeros = done = None
                 ok = False
                 L *= 1.0489
                 H *= 1.0171
                 continue
+            ok = zeros is not None
+            if not ok:
+                # the strips did not add up to the grown box's count: the
+                # next round isolates the whole box on that count
+                continue
+            kept = _canonical_zeros(zeros)
             merged = sorted(_merge_values([(z * z, m) for z, m in kept]),
                             key=lambda p: abs(p[0]))
             n_eigs = 1 + len(merged)
@@ -535,7 +677,7 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
                 # completeness: the smallest `want` eigenvalues must come
                 # from the disc the box fully covers, else an off-axis
                 # direction may still hide smaller ones
-                coverage = 0.95 * min(L, 0.968413 * H)
+                coverage = 0.95 * min(done.re_max, done.im_max, -done.im_min)
                 need = float(np.sqrt(abs(merged[want - 1][0])))
                 if need <= coverage:
                     break
@@ -553,8 +695,8 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
             H *= 1.3
         if not ok:
             raise NonConvergent(
-                f"could not isolate eigenvalues; last box {box}")
-        lambda_rect = box
+                f"could not isolate eigenvalues; last box {grow_box()}")
+        lambda_rect = done
 
     eigs = _merge_values([(z * z, m) for z, m in kept])
     eigs = [(complex(0.0), 1)] + eigs

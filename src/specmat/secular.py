@@ -29,15 +29,16 @@ All square roots are principal.  ``EV`` is actually invariant under
 flipping the branch of either ``sqrt(a+-)`` because every branch-affected
 factor appears an even number of times; the test suite asserts this.
 
-Trigonometric factors of complex argument are evaluated through scaled
-exponentials with the dominant real exponent factored out, so that the
-log-derivative (what contour integration consumes) never overflows even
-hundreds of units away from the real axis.
+Trigonometric factors of complex argument are evaluated in real arithmetic
+with the dominant real exponent factored out, so that the log-derivative
+(what contour integration consumes) never overflows even hundreds of
+units away from the real axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,14 +52,25 @@ def _scaled_trig(w):
     """Return (cos_m, sin_m, e) with cos w = cos_m * exp(e), sin w = sin_m * exp(e).
 
     ``e = |Im w| >= 0`` and the mantissas are O(1), so products of several
-    factors can be combined without intermediate overflow.
+    factors can be combined without intermediate overflow.  Real arithmetic
+    throughout: with ``w = a + ib``, ``cos w = cos a cosh b - i sin a sinh b``
+    and ``sin w = sin a cosh b + i cos a sinh b``, where ``cosh b e^{-|b|}``
+    and ``sinh b e^{-|b|}`` come from one ``expm1(-2|b|)``.
     """
     w = np.asarray(w, dtype=complex)
-    e = np.abs(w.imag)
-    up = np.exp(1j * w.real - (w.imag + e))    # e^{iw} * e^{-e}
-    dn = np.exp(-1j * w.real + (w.imag - e))   # e^{-iw} * e^{-e}
-    cos_m = 0.5 * (up + dn)
-    sin_m = (up - dn) / 2j
+    a, b = w.real, w.imag
+    e = np.abs(b)
+    sh = np.expm1(-2.0 * e)
+    sh *= -0.5                        # sinh|b| e^{-|b|}, accurate at small |b|
+    ch = 1.0 - sh                     # cosh b e^{-|b|}
+    np.copysign(sh, b, out=sh)
+    ca, sa = np.cos(a), np.sin(a)
+    cos_m = np.empty(w.shape, dtype=complex)
+    sin_m = np.empty(w.shape, dtype=complex)
+    np.multiply(ca, ch, out=cos_m.real)
+    np.multiply(sa, -sh, out=cos_m.imag)
+    np.multiply(sa, ch, out=sin_m.real)
+    np.multiply(ca, sh, out=sin_m.imag)
     return cos_m, sin_m, e
 
 
@@ -103,13 +115,9 @@ class SecularFn:
     c2: complex = 0.0
     f1: complex = 0.0
     f2: complex = 0.0
-    # conventional coefficients, kept for gauge work and the polynomial path
+    # principal square roots of the eigenvalues of A
     sqrt_a_plus: complex = 0.0
     sqrt_a_minus: complex = 0.0
-    coeff_prod: complex = 0.0   # K1 = 2 v1 v2 v3 v4
-    coeff_cross: complex = 0.0  # K2, coefficient of the sin*sin term
-    coeff_x2: complex = 0.0     # defective: v2^2 v4^2 / (4 a+^3)
-    coeff_sin2: complex = 0.0   # defective: (det V + v2 v4 / (2 a+))^2
 
     # -- evaluation -----------------------------------------------------
 
@@ -167,26 +175,39 @@ class SecularFn:
         m, e = self.deriv_scaled(x)
         return _recombine(m, e)
 
+    @cached_property
+    def _cosine_terms(self):
+        """Coefficients ``c`` and ``-c f`` of the cosine terms present, and
+        their frequencies ``f`` as a column (derived once per function)."""
+        keep = [(c, f) for c, f in ((self.c1, self.f1), (self.c2, self.f2)) if c != 0]
+        c = np.array([c for c, _ in keep], dtype=complex)
+        f = np.array([f for _, f in keep], dtype=complex)
+        return c, -c * f, f.reshape(-1, 1)
+
     def logderiv(self, x):
-        """EV'(x)/EV(x), single pass over the shared trig factors."""
+        """EV'(x)/EV(x), one pass over the stacked trig factors."""
         x = np.asarray(x, dtype=complex)
-        parts = []
-        for c, f in ((self.c1, self.f1), (self.c2, self.f2)):
-            if c != 0:
-                cm, sm, e = _scaled_trig(f * x)
-                parts.append((c, f, cm, sm, e))
-        e = np.zeros_like(x, dtype=float)
-        for _, _, _, _, ei in parts:
-            e = np.maximum(e, ei)
-        poly = np.exp(-e)
-        val = (self.q * x * x + self.c0) * poly
-        der = 2.0 * self.q * x * poly
-        for c, f, cm, sm, ei in parts:
-            w = np.exp(ei - e)
-            val = val + c * cm * w
-            der = der - c * f * sm * w
+        shape = x.shape
+        x = x.reshape(-1)
+        c, cf, f = self._cosine_terms
+        if c.size:
+            cm, sm, e = _scaled_trig(f * x)     # one row per cosine term
+            top = e.max(axis=0)
+            w = np.exp(e - top)
+            cm *= w
+            sm *= w
+            val = c @ cm
+            der = cf @ sm
+        else:
+            top, val, der = np.zeros(x.shape), 0.0, 0.0
+        poly = np.exp(-top)
+        if self.q == 0:
+            val = val + self.c0 * poly
+        else:
+            val = val + (self.q * x * x + self.c0) * poly
+            der = der + 2.0 * self.q * x * poly
         with np.errstate(divide="ignore", invalid="ignore"):
-            return der / val
+            return (der / val).reshape(shape)
 
     def polish_multiple(self, z0: complex, mult: int, max_iter: int = 60) -> complex:
         """Machine-precision location of an m-fold zero near z0: simple
@@ -271,8 +292,6 @@ def _build_diagonalizable(A: CMatrix2, e: Eigen2) -> SecularFn:
     v3, v4 = e.V[1, 0], e.V[1, 1]
     sp = np.sqrt(complex(e.a_plus))
     sm = np.sqrt(complex(e.a_minus))
-    k1 = 2.0 * v1 * v2 * v3 * v4
-    k2 = v1 ** 2 * v4 ** 2 * (sp / sm) + v2 ** 2 * v3 ** 2 * (sm / sp)
     rho = np.sqrt(sp / sm)
     t1 = v1 * v4 * rho
     t2 = v2 * v3 / rho
@@ -287,8 +306,7 @@ def _build_diagonalizable(A: CMatrix2, e: Eigen2) -> SecularFn:
                      matrix=A, eigen=e,
                      q=0.0, c0=-(c1 + c2), c1=c1, c2=c2,
                      f1=1.0 / sp + 1.0 / sm, f2=1.0 / sp - 1.0 / sm,
-                     sqrt_a_plus=sp, sqrt_a_minus=sm,
-                     coeff_prod=k1, coeff_cross=k2)
+                     sqrt_a_plus=sp, sqrt_a_minus=sm)
 
 
 def _build_defective(A: CMatrix2, e: Eigen2) -> SecularFn:
@@ -304,9 +322,7 @@ def _build_defective(A: CMatrix2, e: Eigen2) -> SecularFn:
                      q=v2 ** 2 * v4 ** 2 / (4.0 * ap ** 3),
                      c0=-0.5 * big_r, c1=0.0, c2=0.5 * big_r,
                      f1=0.0, f2=2.0 / sp,
-                     sqrt_a_plus=sp,
-                     coeff_x2=v2 ** 2 * v4 ** 2 / (4.0 * ap ** 3),
-                     coeff_sin2=big_r)
+                     sqrt_a_plus=sp)
 
 
 def build(A: CMatrix2, check_margin: bool = True) -> SecularFn:

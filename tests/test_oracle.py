@@ -279,6 +279,20 @@ class TestResolventNorm:
         n_it = resolvent_norm(disc, z, method="invit")
         assert_allclose(n_it, n_svd, rtol=1e-6)
 
+    def test_invit_factors_once(self, monkeypatch):
+        disc = discretize(CMatrix2.real(1, 0, 1, 1), 150)
+        calls = []
+        real_splu = scipy.sparse.linalg.splu
+
+        def counting(S, *args, **kw):
+            calls.append(S.shape)
+            return real_splu(S, *args, **kw)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        for z in (30 + 1j, -4.0, 60.0 + 2j):
+            resolvent_norm(disc, z, method="invit")
+        assert calls == [(disc.size, disc.size)] * 3
+
     def test_near_spectrum_guard(self):
         disc = discretize(CMatrix2.real(1, 0, 0, 1), 100)
         ev = scipy.linalg.eigvals(disc.M)

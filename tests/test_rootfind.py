@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specmat import (CMatrix2, DegreeTooHigh, Rect, SingularMatrix, build,
-                     cluster_roots, isolate_zeros, polyroots, spectrum,
-                     winding_count)
+from specmat import (BoundaryZero, CMatrix2, DegreeTooHigh, NonConvergent,
+                     NumericalFailure, Rect, SingularMatrix, build,
+                     cluster_roots, isolate_zeros, polyroots, rootfind,
+                     spectrum, winding_count)
 from conftest import EXAMPLE
 
 
@@ -198,3 +199,131 @@ class TestPolyroots:
     def test_leading_zero_rejected(self):
         with pytest.raises(ValueError):
             polyroots([0, 1, 1])
+
+
+# -- nested per-edge quadrature -------------------------------------------
+
+
+class _Recorder:
+    """Log-derivative protocol around a polynomial that records every point
+    at which it is evaluated."""
+
+    def __init__(self, zeros):
+        self.zeros = np.asarray(zeros, dtype=complex)
+        self.points = []
+
+    def logderiv(self, z):
+        z = np.asarray(z, dtype=complex)
+        self.points.extend(z.ravel().tolist())
+        return np.sum(1.0 / (z[..., None] - self.zeros), axis=-1)
+
+    def logabs(self, z):
+        z = np.asarray(z, dtype=complex)
+        return np.sum(np.log(np.abs(z[..., None] - self.zeros)), axis=-1)
+
+
+def _poly_pair(zeros):
+    zeros = np.asarray(zeros, dtype=complex)
+    f = lambda z: np.prod(np.asarray(z)[..., None] - zeros, axis=-1)
+    fp = lambda z: f(z) * np.sum(1.0 / (np.asarray(z)[..., None] - zeros), axis=-1)
+    return f, fp
+
+
+class TestEdgeQuadrature:
+    def test_only_the_edge_near_a_zero_refines(self):
+        # unit square, one simple zero 0.02 from the right edge
+        rec = _Recorder([0.98 + 0.43j])
+        assert winding_count(rec, Rect(0.0, 1.0, 0.0, 1.0), dilate=False) == 1
+        pts = rec.points
+        assert len(set(pts)) == len(pts)          # no point evaluated twice
+        corners = {0j, 1 + 0j, 1 + 1j, 1j}
+        side = lambda on: sum(1 for z in pts if on(z) and z not in corners)
+        per_edge = {
+            "bottom": side(lambda z: z.imag == 0.0),
+            "right": side(lambda z: z.real == 1.0),
+            "top": side(lambda z: z.imag == 1.0),
+            "left": side(lambda z: z.real == 0.0),
+        }
+        # far edges stop at the first doubling that confirms the start level
+        for side in ("bottom", "top", "left"):
+            assert per_edge[side] == 2 * rootfind._EDGE_START - 1, per_edge
+        assert per_edge["right"] >= 8 * rootfind._EDGE_START - 1, per_edge
+        assert len(pts) == sum(per_edge.values()) + 4    # plus the corners
+
+    def test_moments_of_known_zeros(self):
+        zeros = [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.35j]
+        s0, s1 = rootfind._integrate_polyline(_Recorder(zeros),
+                                              Rect(-1, 1, -1, 1).corners())
+        # second order on a polygon: the winding's tolerance, not machine accuracy
+        assert abs(s0 - 3) <= rootfind._WINDING_TOL
+        assert abs(s1 - sum(zeros)) <= 1e-4
+
+    @pytest.mark.parametrize("zeros, rect, expected", [
+        ([0.5, 1.5 + 0.2j, 3.0], Rect(0.0, 2.0, -1.0, 1.0), 2),
+        ([1.0, 1.0, 1.0, -0.5], Rect(-2.0, 2.0, -1.3, 1.1), 4),
+        ([2.0 + 2.0j, -1.0], Rect(0.0, 1.0, 0.0, 1.0), 0),
+        ([0.1j, -0.1j, 0.2, 0.2, 5.0], Rect(-0.5, 0.7, -0.3, 0.4), 4),
+        (np.exp(2j * np.pi * np.arange(12) / 12), Rect(-1.3, 1.2, -1.1, 1.4), 12),
+    ])
+    def test_polynomial_counts(self, zeros, rect, expected):
+        f, fp = _poly_pair(zeros)
+        assert winding_count(f, rect, fprime=fp, dilate=False) == expected
+
+    def test_zero_on_contour_raises(self):
+        f, fp = _poly_pair([0.3, 2.0])       # 0.3 is on the bottom edge
+        with pytest.raises(BoundaryZero):
+            winding_count(f, Rect(0.0, 1.0, 0.0, 1.0), fprime=fp, dilate=False)
+        f, fp = _poly_pair([1.0 + 1.0j])     # a corner
+        with pytest.raises(BoundaryZero):
+            winding_count(f, Rect(0.0, 1.0, 0.0, 1.0), fprime=fp, dilate=False)
+
+    def test_tiny_cap_raises(self):
+        rec = _Recorder([0.5 + 0.5j])
+        with pytest.raises(NonConvergent):
+            rootfind._integrate_polyline(rec, Rect(0, 1, 0, 1).corners(),
+                                         cap=rootfind._EDGE_START)
+
+    def test_circle_and_centroid(self):
+        rec = _Recorder([0.2 + 0.1j, 0.25 + 0.1j, 3.0])
+        assert rootfind._winding_circle(rec, 0.2 + 0.1j, 0.5) == 2
+        assert rootfind._winding_circle(rec, 0.2 + 0.1j, 5.0) == 3
+        mu = rootfind._cluster_centroid(rec, Rect(0.0, 0.5, -0.1, 0.3), 2)
+        assert abs(mu - (0.225 + 0.1j)) <= 0.02 * Rect(0.0, 0.5, -0.1, 0.3).diameter
+
+
+class TestIsolationInvariant:
+    def test_count_mismatch_raises_numerical_failure(self, monkeypatch):
+        real_split = rootfind._split_cell
+
+        def lossy(*args, **kw):
+            return real_split(*args, **kw)[:-1]     # loses a child's zeros
+
+        monkeypatch.setattr(rootfind, "_split_cell", lossy)
+        f, fp = _poly_pair([1.0, 2.0, 3.0])
+        with pytest.raises(NumericalFailure):
+            isolate_zeros(f, Rect(0.5, 3.5, -0.5, 0.6), fprime=fp)
+
+
+class TestIncrementalGrowth:
+    @pytest.mark.parametrize("A, count", [(CMatrix2.real(1, 0, 1, 4), 12),
+                                          (CMatrix2.real(1, 0, 0, -1), 24)])
+    def test_matches_one_isolation_of_the_final_box(self, monkeypatch, A, count):
+        rounds = []
+        real_grow = rootfind._grow_zeros
+
+        def counting(*args, **kw):
+            out = real_grow(*args, **kw)
+            rounds.append(out[0] is not None)
+            return out
+
+        monkeypatch.setattr(rootfind, "_grow_zeros", counting)
+        sp = spectrum(A, count=count)
+        assert sum(rounds) >= 2
+        S = build(A)
+        fun = rootfind._OriginDeflated(S, S.order_at_origin())
+        zeros = rootfind._canonical_zeros(isolate_zeros(fun, sp.search_region))
+        once = rootfind._merge_values([(0j, 1)] + [(z * z, m) for z, m in zeros])
+        once = once[:count]
+        assert len(once) == len(sp.eigenvalues)
+        for (v, m), (u, k) in zip(sp.eigenvalues, once):
+            assert abs(v - u) <= 1e-9 * (1 + abs(v)) and m == k

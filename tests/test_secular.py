@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from specmat import (CMatrix2, EigKind, Rect, SingularMatrix, build,
                      boundary_determinant, fundamental_matrix, winding_count)
+from specmat.secular import _scaled_trig
 from conftest import EXAMPLE, EXAMPLE_V, STREATER
 
 
@@ -155,6 +156,26 @@ class TestOverflowSafety:
         assert np.isfinite(v.real) and np.isfinite(v.imag)
         assert_allclose(v, -np.sin(complex(x[0])) ** 2 * S.gauge_to(np.eye(2)),
                         rtol=1e-10)
+
+
+class TestScaledTrig:
+    def test_matches_complex_cos_sin(self):
+        rng = np.random.default_rng(5)
+        w = np.concatenate([rng.uniform(-40, 40, 400) + 1j * rng.uniform(-30, 30, 400),
+                            rng.uniform(-3, 3, 50) + 1j * rng.uniform(-1e-9, 1e-9, 50),
+                            [0.0, 2.5, 1e-300j, -1e-300j, 4.0 - 0.0j]])
+        cm, sm, e = _scaled_trig(w)
+        assert_allclose(e, np.abs(w.imag), rtol=0, atol=0)
+        scale = np.exp(e)
+        assert_allclose(cm * scale, np.cos(w), rtol=1e-13, atol=1e-15)
+        assert_allclose(sm * scale, np.sin(w), rtol=1e-13, atol=1e-15)
+
+    def test_mantissas_bounded_far_from_the_axis(self):
+        w = np.array([1.0 + 800.0j, -2.0 - 900.0j])
+        cm, sm, e = _scaled_trig(w)
+        assert np.all(np.abs(cm) <= 1.0) and np.all(np.abs(sm) <= 1.0)
+        assert_allclose(np.abs(cm), 0.5, rtol=1e-15)
+        assert_allclose(np.abs(sm), 0.5, rtol=1e-15)
 
 
 class TestOrderAtOrigin:
