@@ -3,21 +3,18 @@ ratio inside the band region, via Chebyshev polynomials.
 
 For the family ``(a, -1; 1, d)`` with both eigenvalues ``b+ > b- > 0``,
 the curves ``d = d_pm(a)`` on which ``sqrt(b+/b-) = alpha`` foliate the
-region; when ``alpha = p/q`` is rational the secular function becomes,
-after ``z = x / (q sqrt(b+))``,
+region.  The secular function is kept in its cosine-sum form
+``EV(x) = c0 + c1 cos(f1 x) + c2 cos(f2 x)`` (:class:`specmat.secular.SecularFn`),
+with ``f1, f2 = 1/sqrt(b+) +- 1/sqrt(b-)`` up to sign.  When ``alpha = p/q``
+is rational, ``z = x / (q sqrt(b+))`` gives ``f1 x = (p+q) z`` and
+``f2 x = +-(p-q) z``, and since cosine is even
 
-    k1 [1 - cos(p z) cos(q z)] - k2 sin(p z) sin(q z)
-        = k1 + (k2 - k1)/2 T_{p+q}(cos z) - (k2 + k1)/2 T_{p-q}(cos z)
+    EV(x) = G(cos z),    G(w) = c0 + c1 T_{p+q}(w) + c2 T_{p-q}(w),
 
-so its zero set is generated by the roots of a degree p+q polynomial
-G(w) through ``w = cos z``.  The two real constants come from evaluating
-the generic secular form on the explicit eigenvectors ``(1, a - b+-)``:
-
-    k1 = 2 (a - b+)(a - b-) = 2        (since b+ b- = ad + 1)
-    k2 = (a - b-)^2 sqrt(b+/b-) + (a - b+)^2 sqrt(b-/b+)
-
-(see docs/chebyshev_reduction.md for the full derivation and the sampled
-identity test that pins it against the direct secular evaluation).
+so the whole zero set is generated by the roots of the degree p+q
+polynomial G, in the same gauge as the secular function itself (see
+docs/chebyshev_reduction.md and the sampled identity test that pins it).
+``G(1) = c0 + c1 + c2 = 0`` is the structural zero at the origin.
 """
 
 from __future__ import annotations
@@ -30,6 +27,7 @@ import numpy as np
 
 from .canonical import Family, RegionTag, classify_region, family_matrix
 from .errors import DegreeTooHigh, OutOfDomain
+from . import secular
 from .mat2 import CMatrix2
 from .rootfind import Spectrum, cluster_roots, polyroots
 
@@ -126,13 +124,10 @@ def chebyshev_t(m: int, max_degree: int = 64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GPoly:
-    """Degree p+q polynomial whose roots generate the whole spectrum."""
+    """Polynomial of degree p+q (p-q on the real-spectrum curve) whose roots
+    generate the whole spectrum: ``secular(x) = G(cos(x / (q sqrt(b+))))``."""
 
     coeffs: np.ndarray      # monomial basis, highest degree first
-    k1: float
-    k2: float
-    point: ChebPoint
-    scale: complex          # gauge: secular(x) = scale * G(cos(x / (q sqrt(b+))))
 
     @property
     def degree(self) -> int:
@@ -143,36 +138,24 @@ class GPoly:
 
 
 def build_g(pt: ChebPoint) -> GPoly:
-    """Assemble G(w) = k1 + (k2-k1)/2 T_{p+q}(w) - (k2+k1)/2 T_{p-q}(w)."""
-    a, bp, bm = pt.a, pt.b_plus, pt.b_minus
-    alpha = pt.alpha
-    k1 = 2.0 * (a - bp) * (a - bm)   # identically 2: (a-b+)(a-b-) = a^2-a(a+d)+ad+1
-    k2 = (a - bm) ** 2 * alpha + (a - bp) ** 2 / alpha
-    n = pt.p + pt.q
-    coeffs = np.zeros(n + 1)
-    coeffs[-1] = k1
-    coeffs[-(n + 1):] += 0.5 * (k2 - k1) * chebyshev_t(n)
+    """Assemble G(w) = c0 + c1 T_{p+q}(w) + c2 T_{p-q}(w) from the
+    cosine-sum coefficients of the secular function of the curve point."""
+    S = secular.build(pt.matrix())
+    coeffs = S.c1 * chebyshev_t(pt.p + pt.q).astype(complex)
+    coeffs[-1] += S.c0
     tlow = chebyshev_t(pt.p - pt.q)
-    coeffs[-tlow.size:] -= 0.5 * (k2 + k1) * tlow
-    scale = _gauge_vs_secular(pt, k1)
-    return GPoly(coeffs=coeffs, k1=float(k1), k2=float(k2), point=pt, scale=scale)
-
-
-def _gauge_vs_secular(pt: ChebPoint, k1: float) -> complex:
-    """Constant relating the normalised secular function to the k-form."""
-    from .secular import build
-    S = build(pt.matrix())
-    V_ref = np.array([[1.0, 1.0],
-                      [pt.a - pt.b_plus, pt.a - pt.b_minus]], dtype=complex)
-    return S.gauge_to(V_ref)
+    coeffs[-tlow.size:] += S.c2 * tlow
+    # on the real-spectrum curve a^2 - ad - 1 = 0 secular.build cancels c1
+    # exactly and G drops to degree p-q
+    return GPoly(coeffs=np.trim_zeros(coeffs, "f"))
 
 
 def _polish_root(coeffs: np.ndarray, w0: complex, mult: int) -> complex:
     """Multiplicity-aware Newton polish of a root cluster centre, followed
     by snapping to the structural roots +-1 and to the real axis.
 
-    Simultaneous iteration resolves an m-fold root only to O(eps^(1/m));
-    Newton with the known multiplicity restores full precision.
+    The companion-matrix eigenvalues resolve an m-fold root only to
+    O(eps^(1/m)); Newton with the known multiplicity restores full precision.
     """
     w = complex(w0)
     dcoeffs = np.polyder(coeffs)
@@ -194,15 +177,14 @@ def _polish_root(coeffs: np.ndarray, w0: complex, mult: int) -> complex:
     return w
 
 
-def cheb_spectrum(pt: ChebPoint, n_max: int, degree_cap: int = DEGREE_CAP_DEFAULT,
-                  lambda2_max: Optional[float] = None) -> Spectrum:
-    """Exact spectrum on a rational curve point: every zero of the secular
-    function is ``(+-arccos(w0) + 2 n pi) q sqrt(b+)`` for a root w0 of G.
+def root_lattices(pt: ChebPoint, n_max: int,
+                  degree_cap: int = DEGREE_CAP_DEFAULT):
+    """One ``(multiplicity, lambda2)`` pair per root w0 of G: ``lambda2``
+    holds the eigenvalues ``((+-arccos(w0) + 2 n pi) q sqrt(b+))^2`` for
+    ``-n_max <= n <= n_max``, the + branch first.
 
-    Eigenvalue multiplicity is the root multiplicity of G (root clusters
-    of the simultaneous iteration are merged); at ``w0 = +-1`` the two
-    arccos branches coincide and the secular zero order doubles, which is
-    recorded in the notes rather than in the multiplicity.
+    Multiplicity is the root multiplicity of G (root clusters are merged,
+    then polished to full precision by :func:`_polish_root`).
     """
     if pt.p + pt.q > degree_cap:
         raise DegreeTooHigh(
@@ -211,16 +193,28 @@ def cheb_spectrum(pt: ChebPoint, n_max: int, degree_cap: int = DEGREE_CAP_DEFAUL
     if n_max < 0 or n_max > 10_000:
         raise ValueError("n_max out of range")
     g = build_g(pt)
-    roots = cluster_roots(polyroots(g.coeffs), rel_tol=1e-5)
-    roots = [(_polish_root(g.coeffs, w0, m), m) for w0, m in roots]
     step = pt.q * math.sqrt(pt.b_plus)
-    raw = []
-    for w0, mult in roots:
+    shifts = 2.0 * np.pi * np.arange(-n_max, n_max + 1)
+    out = []
+    for w0, mult in cluster_roots(polyroots(g.coeffs), rel_tol=1e-5):
+        w0 = _polish_root(g.coeffs, w0, mult)
         z0 = complex(np.arccos(w0 + 0j))
-        n = np.arange(-n_max, n_max + 1)
-        for lam in ((z0 + 2.0 * np.pi * n) * step, (-z0 + 2.0 * np.pi * n) * step):
-            vals = lam * lam
-            raw.extend((complex(v), mult) for v in vals)
+        lam = np.concatenate([(z0 + shifts) * step, (-z0 + shifts) * step])
+        out.append((mult, lam * lam))
+    return out
+
+
+def cheb_spectrum(pt: ChebPoint, n_max: int, degree_cap: int = DEGREE_CAP_DEFAULT,
+                  lambda2_max: Optional[float] = None) -> Spectrum:
+    """Exact spectrum on a rational curve point: every zero of the secular
+    function is ``(+-arccos(w0) + 2 n pi) q sqrt(b+)`` for a root w0 of G.
+
+    Eigenvalue multiplicity is the root multiplicity of G; at ``w0 = +-1``
+    the two arccos branches coincide and the secular zero order doubles,
+    which is recorded in the notes rather than in the multiplicity.
+    """
+    raw = [(complex(v), mult)
+           for mult, lam2 in root_lattices(pt, n_max, degree_cap) for v in lam2]
     # sorted merge: equal eigenvalues land adjacently in (modulus, angle) order
     raw.sort(key=lambda pm: (abs(pm[0]), np.angle(pm[0])))
     merged = []

@@ -179,17 +179,10 @@ def _cmd_cheb(args) -> int:
         lines = ["a,d,re_lambda2,im_lambda2,root_index"]
         for a in np.linspace(a0, a1, steps):
             pt = chebpath.lambda_curve(frac.numerator, frac.denominator, sign, float(a))
-            g = chebpath.build_g(pt)
-            roots = rootfind.cluster_roots(rootfind.polyroots(g.coeffs))
-            step = pt.q * np.sqrt(pt.b_plus)
-            for idx, (w0, _) in enumerate(roots):
-                z0 = complex(np.arccos(w0 + 0j))
-                for n in range(-args.nmax, args.nmax + 1):
-                    for sgn in (+1, -1):
-                        lam = (sgn * z0 + 2 * np.pi * n) * step
-                        v = lam * lam
-                        lines.append(f"{a:.17g},{pt.d:.17g},{v.real:.17g},"
-                                     f"{v.imag:.17g},{idx}")
+            for idx, (_, lam2) in enumerate(
+                    chebpath.root_lattices(pt, args.nmax, args.degree_cap)):
+                lines.extend(f"{a:.17g},{pt.d:.17g},{v.real:.17g},{v.imag:.17g},{idx}"
+                             for v in lam2)
         _write_or_print("\n".join(lines) + "\n", args, "cheb_sweep.csv")
         return 0
     if args.a is None:

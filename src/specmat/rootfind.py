@@ -1,6 +1,6 @@
 """Zeros of entire functions in rectangles by argument-principle counting,
 adaptive quadtree subdivision and Newton refinement; eigenvalue assembly
-(zeros are square roots of eigenvalues); Aberth-Ehrlich polynomial roots.
+(zeros are square roots of eigenvalues); companion-matrix polynomial roots.
 
 The winding machinery consumes a *log-derivative protocol*: any object
 with vectorised ``logderiv(z)`` and ``logabs(z)`` methods.  The secular
@@ -722,8 +722,8 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
 
 def polyroots(coeffs, max_degree: int = 64) -> np.ndarray:
     """All roots of a complex polynomial (coefficients highest degree
-    first), by Aberth-Ehrlich simultaneous iteration with a companion
-    matrix fallback.  Residuals are verified against
+    first), as the eigenvalues of its companion matrix (``np.roots``),
+    sorted by modulus.  Residuals are verified against
     ``|p(w)| <= 1e-10 * ||p|| * max(1, |w|)^deg``.
     """
     c = np.asarray(coeffs, dtype=complex)
@@ -734,50 +734,18 @@ def polyroots(coeffs, max_degree: int = 64) -> np.ndarray:
     deg = c.size - 1
     if deg > max_degree:
         raise DegreeTooHigh(
-            f"degree {deg} > {max_degree}: simultaneous root iteration is "
-            "unstable at high degree")
+            f"degree {deg} > {max_degree}: polynomial rooting is unstable "
+            "at high degree")
     c = c / c[0]
-    roots = _aberth(c)
-    if roots is None or not _residuals_ok(c, roots):
-        roots = np.roots(c)
-        if not _residuals_ok(c, roots):
-            raise NonConvergent("polynomial roots failed the residual check")
+    roots = np.roots(c)
+    if not _residuals_ok(c, roots):
+        raise NonConvergent("polynomial roots failed the residual check")
     return roots[np.argsort(np.abs(roots))]
-
-
-def _poly_val_der(c, z):
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for ck in c:
-        dp = dp * z + p
-        p = p * z + ck
-    return p, dp
-
-
-def _aberth(c, max_iter: int = 200):
-    deg = c.size - 1
-    centroid = -c[1] / deg
-    radius = 1.0 + float(np.max(np.abs(c[1:]) ** (1.0 / np.arange(1, deg + 1))))
-    k = np.arange(deg)
-    z = centroid + 0.5 * radius * np.exp(2j * np.pi * (k + 0.35) / deg)
-    for _ in range(max_iter):
-        p, dp = _poly_val_der(c, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(dp != 0, p / dp, 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            sums = np.sum(1.0 / diff, axis=1)
-            step = newton / (1.0 - newton * sums)
-        step = np.where(np.isfinite(step), step, newton)
-        z = z - step
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(z))):
-            return z
-    return None
 
 
 def _residuals_ok(c, roots, rtol: float = 1e-10) -> bool:
     deg = c.size - 1
-    p, _ = _poly_val_der(c, roots)
+    p = np.polyval(c, roots)
     bound = rtol * np.linalg.norm(c) * np.maximum(1.0, np.abs(roots)) ** deg
     return bool(np.all(np.abs(p) <= bound))
 

@@ -115,54 +115,73 @@ class SecularFn:
     c2: complex = 0.0
     f1: complex = 0.0
     f2: complex = 0.0
-    # principal square roots of the eigenvalues of A
-    sqrt_a_plus: complex = 0.0
-    sqrt_a_minus: complex = 0.0
 
     # -- evaluation -----------------------------------------------------
 
-    def _terms_scaled(self, x, order: int):
-        """(mantissa, logscale) of the order-th derivative of the cosine-sum
-        form.  The shared exponent only ranges over terms with nonzero
-        coefficient: dropped (cancelled) terms must not deflate the rest.
+    @cached_property
+    def _cosine_terms(self):
+        """Coefficients ``c`` of the cosine terms present, their frequencies
+        ``f`` as a column, and a memo of the per-order weights (derived once
+        per function).  Dropped (cancelled) terms must not enter the shared
+        exponent, where they would deflate the rest."""
+        keep = [(c, f) for c, f in ((self.c1, self.f1), (self.c2, self.f2)) if c != 0]
+        c = np.array([c for c, _ in keep], dtype=complex)
+        f = np.array([f for _, f in keep], dtype=complex)
+        return c, f.reshape(-1, 1), {}
+
+    def _derivs_scaled(self, x, orders):
+        """Mantissas of the derivatives of the given orders and their one
+        shared logscale: ``EV^(k)(x) = mantissa_k * exp(logscale)``.
+
+        One stacked :func:`_scaled_trig` pass serves every order.  Order k
+        weights the cosine terms by ``c f^k`` with the
+        ``(cos, -sin, -cos, sin)[k % 4]`` mantissa and adds the k-th
+        derivative of the polynomial part ``q x^2 + c0``.
         """
         x = np.asarray(x, dtype=complex)
-        zero = np.zeros_like(x)
-        parts = []   # (coefficient, mantissa array, exponent array)
-        if order == 0:
-            parts.append((1.0, self.q * x * x + self.c0, zero.real))
-        elif order == 1:
-            parts.append((1.0, 2.0 * self.q * x, zero.real))
-        elif order == 2:
-            parts.append((1.0, 2.0 * self.q + zero, zero.real))
-        for c, f in ((self.c1, self.f1), (self.c2, self.f2)):
-            if c == 0:
-                continue
-            cm, sm, e = _scaled_trig(f * x)
-            cyc = order % 4
-            tm = (cm, -sm, -cm, sm)[cyc]
-            parts.append((c * f ** order, tm, e))
-        if not parts:
-            return zero, zero.real
-        e = parts[0][2]
-        for _, _, ei in parts[1:]:
-            e = np.maximum(e, ei)
-        mant = np.zeros_like(x)
-        for coef, tm, ei in parts:
-            mant = mant + coef * tm * np.exp(ei - e)
-        if order <= 1:
-            # the function is even with a structural zero at the origin:
-            # the value and slope there are exactly zero
-            mant = np.where(x == 0, 0.0, mant)
-        return mant, e
+        flat = x.reshape(-1)
+        c, f, weights = self._cosine_terms
+        if c.size:
+            cm, sm, e = _scaled_trig(f * flat)   # one row per cosine term
+            top = e.max(axis=0)
+            w = np.exp(e - top)
+            cm *= w
+            sm *= w
+        else:
+            top = np.zeros(flat.shape)
+        poly = np.exp(-top)
+        mants = []
+        for k in orders:
+            if c.size:
+                if k not in weights:
+                    weights[k] = (1, -1, -1, 1)[k % 4] * c * f[:, 0] ** k
+                m = weights[k] @ (sm if k % 2 else cm)
+            else:
+                m = np.zeros(flat.shape, dtype=complex)
+            if k == 0:
+                m = m + (self.c0 * poly if self.q == 0
+                         else (self.q * flat * flat + self.c0) * poly)
+            elif k <= 2 and self.q != 0:
+                m = m + 2.0 * self.q * (flat if k == 1 else 1.0) * poly
+            mants.append(m)
+        if x.ndim == 1:     # the contour hot path: no reshapes
+            return mants, top
+        return [m.reshape(x.shape) for m in mants], top.reshape(x.shape)
+
+    def _scaled_exact_origin(self, x, order: int):
+        """(mantissa, logscale) of one derivative order; the function is even
+        with a structural zero at the origin, so the value and slope there
+        are exactly zero."""
+        (m,), e = self._derivs_scaled(x, (order,))
+        return np.where(np.asarray(x) == 0, 0.0, m), e
 
     def eval_scaled(self, x):
         """Return (mantissa, logscale) with EV(x) = mantissa * exp(logscale)."""
-        return self._terms_scaled(x, 0)
+        return self._scaled_exact_origin(x, 0)
 
     def deriv_scaled(self, x):
         """Return (mantissa, logscale) for EV'(x)."""
-        return self._terms_scaled(x, 1)
+        return self._scaled_exact_origin(x, 1)
 
     def value(self, x):
         """EV(x); overflows to inf only when the value itself exceeds the
@@ -175,39 +194,11 @@ class SecularFn:
         m, e = self.deriv_scaled(x)
         return _recombine(m, e)
 
-    @cached_property
-    def _cosine_terms(self):
-        """Coefficients ``c`` and ``-c f`` of the cosine terms present, and
-        their frequencies ``f`` as a column (derived once per function)."""
-        keep = [(c, f) for c, f in ((self.c1, self.f1), (self.c2, self.f2)) if c != 0]
-        c = np.array([c for c, _ in keep], dtype=complex)
-        f = np.array([f for _, f in keep], dtype=complex)
-        return c, -c * f, f.reshape(-1, 1)
-
     def logderiv(self, x):
         """EV'(x)/EV(x), one pass over the stacked trig factors."""
-        x = np.asarray(x, dtype=complex)
-        shape = x.shape
-        x = x.reshape(-1)
-        c, cf, f = self._cosine_terms
-        if c.size:
-            cm, sm, e = _scaled_trig(f * x)     # one row per cosine term
-            top = e.max(axis=0)
-            w = np.exp(e - top)
-            cm *= w
-            sm *= w
-            val = c @ cm
-            der = cf @ sm
-        else:
-            top, val, der = np.zeros(x.shape), 0.0, 0.0
-        poly = np.exp(-top)
-        if self.q == 0:
-            val = val + self.c0 * poly
-        else:
-            val = val + (self.q * x * x + self.c0) * poly
-            der = der + 2.0 * self.q * x * poly
+        (val, der), _ = self._derivs_scaled(x, (0, 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (der / val).reshape(shape)
+            return der / val
 
     def polish_multiple(self, z0: complex, mult: int, max_iter: int = 60) -> complex:
         """Machine-precision location of an m-fold zero near z0: simple
@@ -217,11 +208,10 @@ class SecularFn:
         k = mult - 1
         z = complex(z0)
         for _ in range(max_iter):
-            num, en = self._terms_scaled(np.array([z]), k)
-            den, ed = self._terms_scaled(np.array([z]), k + 1)
-            if den[0] == 0 or not np.isfinite(den[0]):
+            (num, den), _ = self._derivs_scaled(z, (k, k + 1))
+            if den == 0 or not np.isfinite(den):
                 return complex(z0)
-            step = complex((num[0] / den[0]) * np.exp(en[0] - ed[0]))
+            step = complex(num / den)
             z -= step
             if abs(z - z0) > 0.1 * (1.0 + abs(z0)):
                 return complex(z0)
@@ -305,8 +295,7 @@ def _build_diagonalizable(A: CMatrix2, e: Eigen2) -> SecularFn:
     return SecularFn(kind=EigKind.DISTINCT if e.kind is not EigKind.SCALAR else EigKind.SCALAR,
                      matrix=A, eigen=e,
                      q=0.0, c0=-(c1 + c2), c1=c1, c2=c2,
-                     f1=1.0 / sp + 1.0 / sm, f2=1.0 / sp - 1.0 / sm,
-                     sqrt_a_plus=sp, sqrt_a_minus=sm)
+                     f1=1.0 / sp + 1.0 / sm, f2=1.0 / sp - 1.0 / sm)
 
 
 def _build_defective(A: CMatrix2, e: Eigen2) -> SecularFn:
@@ -321,8 +310,7 @@ def _build_defective(A: CMatrix2, e: Eigen2) -> SecularFn:
     return SecularFn(kind=EigKind.DEFECTIVE, matrix=A, eigen=e,
                      q=v2 ** 2 * v4 ** 2 / (4.0 * ap ** 3),
                      c0=-0.5 * big_r, c1=0.0, c2=0.5 * big_r,
-                     f1=0.0, f2=2.0 / sp,
-                     sqrt_a_plus=sp)
+                     f1=0.0, f2=2.0 / sp)
 
 
 def build(A: CMatrix2, check_margin: bool = True) -> SecularFn:

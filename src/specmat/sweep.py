@@ -21,6 +21,7 @@ from .chebpath import cheb_spectrum, lambda_curve, level_curve_d
 from .errors import InvalidInput, NoSignChange
 from .oracle import discretize, oracle_spectrum
 from .rootfind import spectrum
+from .secular import build
 
 
 @dataclass(frozen=True)
@@ -193,46 +194,34 @@ def verify_against_secular(records, spec: SweepSpec, rtol: float = 1e-6):
 # -- negative-eigenvalue tracking ----------------------------------------
 
 
-def _imag_axis_secular(a: float, d: float):
-    """Real-valued function t -> EV(i t) for the antisymmetric family in
-    the split-positive-eigenvalue region, in the two-constant gauge."""
-    bp, bm = a4_eigs(a, d)
-    if abs(bp.imag) > 1e-12 or bp.real <= 0 or bm.real <= 0:
-        raise InvalidInput(f"(a, d) = ({a}, {d}) is outside the band region")
-    alpha = float(np.sqrt(bp.real / bm.real))
-    k1 = 2.0
-    k2 = (a - bm.real) ** 2 * alpha + (a - bp.real) ** 2 / alpha
-    mu_p = 1.0 / math.sqrt(bp.real)
-    mu_m = 1.0 / math.sqrt(bm.real)
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return (k1 * (1.0 - np.cosh(mu_p * t) * np.cosh(mu_m * t))
-                + k2 * np.sinh(mu_p * t) * np.sinh(mu_m * t))
-
-    t_cap = 180.0 / (mu_p + mu_m)   # keep cosh within double range
-    return f, t_cap
-
-
 def track_negative_eigenvalue(a: float, d_lo: float, d_hi: float, steps: int):
     """Per d on the segment, the unique secular zero on the positive
-    imaginary axis, reported as the negative eigenvalue lambda^2 = -t^2.
+    imaginary axis, reported as the negative eigenvalue lambda^2 = -t^2,
+    with the residual |EV(i t)| relative to the exponential scale.
 
-    Raises NoSignChange when no bracketing is found on the axis segment.
+    ``EV(i t)`` is real there; its sign is read from the overflow-free
+    mantissa of :meth:`SecularFn.eval_scaled`, so no cancellation grows
+    with t.  Raises NoSignChange when no bracketing is found on the axis
+    segment ``0 < t <= 180 / (1/sqrt(b+) + 1/sqrt(b-))``.
     """
     rows = []
     for d in np.linspace(d_lo, d_hi, steps):
-        f, t_cap = _imag_axis_secular(a, float(d))
-        grid = np.geomspace(1e-4, t_cap, 600)
-        vals = f(grid)
-        sign_flip = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+        bp, bm = a4_eigs(a, float(d))
+        if abs(bp.imag) > 1e-12 or bp.real <= 0 or bm.real <= 0:
+            raise InvalidInput(f"(a, d) = ({a}, {d}) is outside the band region")
+        S = build(family_matrix(Family.A4, a, float(d)))
+
+        def f(t):
+            return S.eval_scaled(1j * t)[0].real
+
+        grid = np.geomspace(1e-4, 180.0 / abs(S.f1), 600)
+        sign_flip = np.nonzero(np.diff(np.sign(f(grid))) != 0)[0]
         if sign_flip.size == 0:
             raise NoSignChange(
                 f"no negative eigenvalue located on the axis for d = {d}")
         i = int(sign_flip[0])
-        t_star = scipy.optimize.brentq(f, grid[i], grid[i + 1],
-                                       xtol=1e-13, rtol=1e-14)
-        t_star = float(t_star)
+        t_star = float(scipy.optimize.brentq(f, grid[i], grid[i + 1],
+                                             xtol=1e-13, rtol=1e-14))
         rows.append((float(d), -t_star * t_star, abs(float(f(t_star)))))
     return rows
 

@@ -68,24 +68,27 @@ class TestBuildG:
     def test_cubic_at_origin_point(self):
         g = build_g(lambda_curve(2, 1, +1, 0.0))
         assert g.degree == 3
-        assert_allclose(g.coeffs, [1, 0, -3, 2], atol=1e-12)   # (w-1)^2 (w+2)
-        assert_allclose((g.k1, g.k2), (2.0, 2.5), rtol=1e-12)
+        # (w-1)^2 (w+2), in the gauge of the secular function
+        assert_allclose(g.coeffs / g.coeffs[0], [1, 0, -3, 2], atol=1e-12)
 
     def test_g_at_one_always_zero(self):
         for p, q, a in [(2, 1, 0.3), (3, 2, -0.4), (5, 4, 1.7), (7, 2, 0.0)]:
             g = build_g(lambda_curve(p, q, +1, a))
             assert abs(g(1.0)) <= 1e-10 * np.linalg.norm(g.coeffs)
 
-    @pytest.mark.parametrize("p,q,a", [(2, 1, 0.6), (3, 2, -0.5), (5, 2, 1.2)])
-    def test_secular_identity_sampled(self, p, q, a):
-        pt = lambda_curve(p, q, +1, a)
+    @pytest.mark.parametrize("p,q,sign,a", [(2, 1, +1, 0.6), (3, 2, +1, -0.5),
+                                            (5, 2, +1, 1.2), (4, 1, -1, 2.0)],
+                             ids=["2-1-0.6", "3-2--0.5", "5-2-1.2", "4-1-lower-2.0"])
+    def test_secular_identity_sampled(self, p, q, sign, a):
+        # gauge-free: G is built from the secular function's own coefficients
+        pt = lambda_curve(p, q, sign, a)
         g = build_g(pt)
         S = build(pt.matrix())
         rng = np.random.default_rng(61)
         xs = rng.uniform(0.3, 12, 50) + 1j * rng.uniform(-1, 1, 50)
         lhs = S.value(xs)
-        rhs = g.scale * g(np.cos(xs / (pt.q * np.sqrt(pt.b_plus))))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.max(np.abs(lhs))
+        rhs = g(np.cos(xs / (pt.q * np.sqrt(pt.b_plus))))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
     def test_degree_is_p_plus_q(self):
         assert build_g(lambda_curve(3, 2, +1, -0.5)).degree == 5
@@ -127,6 +130,26 @@ class TestChebSpectrum:
             for v in r_vals:
                 assert np.min(np.abs(c_vals - v)) <= 1e-7 * (1 + abs(v))
             count += 1
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (3, 2)])
+    def test_on_the_real_spectrum_curve(self, p, q):
+        # where the level curve meets a^2 - ad - 1 = 0 the leading
+        # coefficient c1 cancels exactly and G has degree p - q
+        import scipy.optimize
+
+        def off_curve(a):
+            pt = lambda_curve(p, q, +1, a)
+            return pt.a ** 2 - pt.a * pt.d - 1.0
+        a = scipy.optimize.brentq(off_curve, -0.9, 0.0, xtol=1e-16)
+        pt = lambda_curve(p, q, +1, a)
+        assert build_g(pt).degree == p - q
+        c_vals = np.array([v for v, _ in cheb_spectrum(pt, 6).eigenvalues
+                           if abs(v) <= 1000])
+        r_vals = spectrum(pt.matrix(), count=6).values()
+        r_vals = r_vals[np.abs(r_vals) <= 1000]
+        assert c_vals.size == r_vals.size >= 3
+        for v in r_vals:
+            assert np.min(np.abs(c_vals - v)) <= 1e-9 * (1 + abs(v))
 
     def test_contains_zero_and_n_max_zero(self):
         pt = lambda_curve(3, 2, +1, -0.3)

@@ -99,6 +99,24 @@ class TestOthers:
         assert lines[0] == "a,d,re_lambda2,im_lambda2,root_index"
         assert len(lines) > 3
 
+    def test_cheb_sweep_rows_are_polished_spectra(self, capsys):
+        # at a = 0 the real lattice comes from a double root of G at w = 1:
+        # unpolished, 8 pi^2 splits into a complex pair
+        from specmat import cheb_spectrum, lambda_curve
+        code, out, _ = run(capsys, ["cheb", "--alpha", "2", "--sweep",
+                                    "0.0:0.4:3", "--nmax", "2"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert {float(r[0]) for r in rows} == {0.0, 0.2, 0.4}
+        for a in (0.0, 0.2, 0.4):
+            ref = cheb_spectrum(lambda_curve(2, 1, +1, a), 2).values()
+            for r in rows:
+                if float(r[0]) == a:
+                    v = complex(float(r[2]), float(r[3]))
+                    assert np.min(np.abs(ref - v)) <= 1e-10 * abs(v), (a, v)
+        assert any(abs(complex(float(r[2]), float(r[3])) - 8 * np.pi ** 2) <= 1e-10
+                   for r in rows if float(r[0]) == 0.0)
+
     def test_oracle_json(self, capsys):
         code, out, _ = run(capsys, ["oracle", "--real", "1", "0", "0", "4",
                                     "-n", "60", "-k", "4"])

@@ -139,6 +139,37 @@ class TestDerivative:
         assert abs(S.deriv(np.array([np.pi / 2]))[0] / g) <= 1e-13
 
 
+    @pytest.mark.parametrize("A", [EXAMPLE, CMatrix2.real(0, -1, 1, 2)])
+    def test_higher_orders_differentiate_each_other(self, A):
+        # polish_multiple runs Newton on orders k and k + 1 of the kernel
+        S = build(A)
+        xs = np.array([0.7 + 0.2j, 2.9 - 0.4j, 5.1 + 0.1j])
+        h = 1e-5
+        for k in range(1, 4):
+            (lo,), e_lo = S._derivs_scaled(xs - h, (k,))
+            (hi,), e_hi = S._derivs_scaled(xs + h, (k,))
+            (mid,), e = S._derivs_scaled(xs, (k + 1,))
+            fd = (hi * np.exp(e_hi) - lo * np.exp(e_lo)) / (2 * h)
+            assert_allclose(mid * np.exp(e), fd, rtol=1e-6,
+                            atol=1e-8 * np.max(np.abs(mid * np.exp(e))))
+        (val, der), _ = S._derivs_scaled(xs, (0, 1))
+        assert_allclose(S.logderiv(xs), der / val, rtol=1e-14)
+
+
+class TestScalarInput:
+    @pytest.mark.parametrize("A", [EXAMPLE, CMatrix2.real(0, -1, 1, 2)])
+    @pytest.mark.parametrize("x", [3.0, 2.3 + 0.4j])
+    def test_scalar_matches_one_element_array(self, A, x):
+        S = build(A)
+        for fn in (S.value, S.deriv, S.logabs, S.logderiv):
+            got = fn(x)
+            assert np.ndim(got) == 0
+            assert got == fn(np.array([x]))[0]
+        for fn in (S.eval_scaled, S.deriv_scaled):
+            (m, e), (m1, e1) = fn(x), fn(np.array([x]))
+            assert np.ndim(m) == 0 and (m, e) == (m1[0], e1[0])
+
+
 class TestOverflowSafety:
     def test_scaled_evaluation_deep_in_the_plane(self):
         S = build(CMatrix2.real(1, 0, 0, 1))

@@ -94,6 +94,15 @@ class TestTrackNegative:
             assert negs.size == 1
             assert abs(negs[0].real - lam2) <= 1e-7 * (1 + abs(lam2))
 
+    def test_matches_contour_search_near_the_critical_point(self):
+        # t grows as d -> 3/2; the axis root must not lose digits with it
+        from specmat import CMatrix2, spectrum
+        (d_val, lam2, _), = track_negative_eigenvalue(-0.5, 1.5012, 1.5012, 1)
+        vals = spectrum(CMatrix2.real(-0.5, -1, 1, d_val), count=10).values()
+        negs = vals[(vals.real < -1e-9) & (abs(vals.imag) < 1e-9)]
+        assert negs.size == 1
+        assert abs(negs[0].real - lam2) <= 1e-10 * abs(lam2)
+
     def test_no_negative_eigenvalue_in_sector_regime(self):
         with pytest.raises(NoSignChange):
             track_negative_eigenvalue(1.0, 4.0, 4.1, 2)
