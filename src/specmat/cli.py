@@ -48,6 +48,24 @@ def _parse_range(text: str, what: str):
         raise InvalidInput(f"bad {what} range {text!r}, expected lo:hi:steps") from exc
 
 
+def _parse_ratio(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"bad {what} {text!r}, expected a ratio P/Q") from exc
+
+
+def _parse_point(text: str, what: str) -> complex:
+    try:
+        re, im = (float(t) for t in text.split(","))
+    except ValueError as exc:
+        raise InvalidInput(f"bad {what} {text!r}, expected RE,IM") from exc
+    z = complex(re, im)
+    if not np.isfinite(z):
+        raise InvalidInput(f"{what} is not finite: {text!r}")
+    return z
+
+
 def _write_or_print(text: str, args, name: str):
     if args.out:
         out_dir = Path(args.out)
@@ -124,10 +142,10 @@ def _cmd_ev(args) -> int:
                 lines.append(f"{z.real:.17g},{z.imag:.17g},{abs(v):.17g},{l10:.17g}")
         _write_or_print("\n".join(lines) + "\n", args, "ev_grid.csv")
         return 0
-    re, im = (float(t) for t in args.at.split(","))
-    val = complex(S.value(np.array([complex(re, im)]))[0])
-    print(json.dumps({"x": [re, im], "value": [val.real, val.imag],
-                      "log10_abs": float(S.logabs(np.array([complex(re, im)]))[0]
+    x = _parse_point(args.at, "--at")
+    val = complex(S.value(np.array([x]))[0])
+    print(json.dumps({"x": [x.real, x.imag], "value": [val.real, val.imag],
+                      "log10_abs": float(S.logabs(np.array([x]))[0]
                                          / np.log(10.0))}))
     return 0
 
@@ -172,7 +190,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_cheb(args) -> int:
-    frac = Fraction(args.alpha)
+    frac = _parse_ratio(args.alpha, "--alpha")
     sign = +1 if args.sign == "+" else -1
     if args.sweep:
         a0, a1, steps = _parse_range(args.sweep, "a")
@@ -209,10 +227,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_resolvent(args) -> int:
     A = _parse_matrix(args)
-    re, im = (float(t) for t in args.z.split(","))
+    z = _parse_point(args.z, "--z")
     disc = oracle.discretize(A, args.n)
-    norm = oracle.resolvent_norm(disc, complex(re, im))
-    print(json.dumps({"z": [re, im], "n": args.n, "norm": norm,
+    norm = oracle.resolvent_norm(disc, z)
+    print(json.dumps({"z": [z.real, z.imag], "n": args.n, "norm": norm,
                       "caveat": "discretization proxy"}))
     return 0
 
@@ -241,14 +259,16 @@ def _cmd_sweep(args) -> int:
                                count=args.count, tol=args.tol,
                                start=(a0, d0), stop=(a1, d1), steps=args.steps)
     elif args.curve:
+        if args.arange is None:
+            raise InvalidInput("--curve needs --arange A0:A1:STEPS")
         a0, a1, steps = _parse_range(args.arange, "a")
         spec = sweep.SweepSpec(kind="curve", method=args.method,
                                count=args.count, tol=args.tol,
-                               ratio=Fraction(args.curve),
+                               ratio=_parse_ratio(args.curve, "--curve"),
                                sign=+1 if args.sign == "+" else -1,
                                a_range=(a0, a1), steps=steps, n_max=args.nmax)
     elif args.alphas:
-        ratios = tuple(Fraction(t) for t in args.alphas.split(","))
+        ratios = tuple(_parse_ratio(t, "--alphas") for t in args.alphas.split(","))
         spec = sweep.SweepSpec(kind="alphas", method=args.method,
                                count=args.count, tol=args.tol,
                                a_fixed=args.fixed_a, alphas=ratios,

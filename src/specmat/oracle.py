@@ -21,6 +21,9 @@ k-th returned modulus plus ``|sigma|`` stays below R, and m doubles until
 it does.  m starts only 6 above k: the Arnoldi basis holds about 2m
 vectors, and at k = size/4 a start of 2k cost four times a dense solve of
 the whole grid.
+
+scipy is loaded on first use, inside the functions that call it, so that
+importing specmat does not load it.
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (InvalidInput, NearSpectrum, NonConverged,
                      ResolutionTooLow)
@@ -109,6 +109,8 @@ def discretize(A: CMatrix2, n: int) -> Discretization:
     Singular A is allowed: the resulting matrix exhibits the degeneracy
     empirically (its low eigenvalues do not stabilise with n).
     """
+    import scipy.sparse
+
     if n < 8:
         raise ResolutionTooLow(f"need n >= 8 grid intervals, got {n}")
     h = 1.0 / (n + 1)
@@ -142,6 +144,8 @@ def _low_end(disc: Discretization, count: int) -> np.ndarray:
     """The eigenvalues nearest a small shift, in canonical order; the first
     ``count`` are certified to be the ``count`` of smallest modulus (see
     the module docstring)."""
+    import scipy.sparse.linalg
+
     N = disc.size
     # off 0 (an exact eigenvalue) and off both axes, scaled with A
     sigma = 1e-1 * disc.A.norm() * np.exp(1j)
@@ -260,6 +264,9 @@ def resolvent_norm(disc: Discretization, z: complex, method: str = "auto") -> fl
     scales to large grids) or "auto".  The proxy bounds neither side of
     the operator norm for non-normal problems; use trends, not constants.
     """
+    import scipy.linalg
+    import scipy.sparse
+
     if method == "auto":
         method = "svd" if disc.size <= 420 else "invit"
     if method == "svd":
@@ -275,6 +282,8 @@ def resolvent_norm(disc: Discretization, z: complex, method: str = "auto") -> fl
 def _sigma_min_inverse_iteration(S, max_iter: int = 300) -> float:
     """Smallest singular value of the sparse square ``S`` by inverse
     iteration on ``S^H S``, from one LU factorisation of ``S``."""
+    import scipy.sparse.linalg
+
     try:
         lu = scipy.sparse.linalg.splu(S)
     except RuntimeError as exc:

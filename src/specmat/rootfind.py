@@ -29,7 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BoundaryZero, DegreeTooHigh, NonConvergent, NumericalFailure
+from .errors import (BoundaryZero, DegreeTooHigh, InvalidInput, NonConvergent,
+                     NumericalFailure)
 from .mat2 import CMatrix2
 from .secular import build
 
@@ -599,6 +600,8 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
     the square roots of negative eigenvalues) are interior points;
     mirror images are removed afterwards.
     """
+    if count is not None and count < 1:
+        raise InvalidInput(f"need at least one eigenvalue, got count = {count}")
     A.require_nonsingular()
     rng = np.random.default_rng(0) if rng is None else rng
     S = build(A)

@@ -1,6 +1,9 @@
 """Parameter sweeps along paths in the (a, d) plane of the
 antisymmetric-off-diagonal family, eigenvalue-track matching across
 steps, and CSV/JSON/SVG emission.
+
+scipy is loaded on first use: by :func:`track_negative_eigenvalue`, and by
+the oracle method through :mod:`specmat.oracle`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .canonical import (BOUNDARY_TOL, Family, a4_eigs, classify_region,
                         family_matrix)
@@ -204,6 +206,8 @@ def track_negative_eigenvalue(a: float, d_lo: float, d_hi: float, steps: int):
     with t.  Raises NoSignChange when no bracketing is found on the axis
     segment ``0 < t <= 180 / (1/sqrt(b+) + 1/sqrt(b-))``.
     """
+    import scipy.optimize
+
     rows = []
     for d in np.linspace(d_lo, d_hi, steps):
         bp, bm = a4_eigs(a, float(d))

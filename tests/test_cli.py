@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from specmat.cli import main
 
@@ -195,3 +196,21 @@ class TestOthers:
         assert code == 0
         doc = json.loads(out)
         assert doc["method"] == "chebyshev"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cheb", "--alpha", "1/0", "--a", "0.5"],
+    ["sweep", "--curve", "1/0", "--arange", "0:0.5:2", "--method", "chebyshev"],
+    ["sweep", "--alphas", "3/2,1/0", "--method", "chebyshev"],
+    ["sweep", "--curve", "3/2"],
+    ["spectrum", "--real", "1", "0", "0", "1", "--count", "-3"],
+    ["spectrum", "--real", "1", "0", "0", "1", "--count", "0"],
+    ["ev", "--real", "1", "0", "0", "1", "--at=1e400,0"],
+    ["ev", "--real", "1", "0", "0", "1", "--at=0,nan"],
+    ["resolvent", "--real", "1", "0", "0", "1", "--z=-inf,0", "-n", "20"],
+], ids=" ".join)
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("specmat:") and "Traceback" not in err
