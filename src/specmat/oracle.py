@@ -28,6 +28,7 @@ importing specmat does not load it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,18 +47,22 @@ _TIE_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class Discretization:
-    """Matrix approximation of the operator at grid resolution n, dense
-    (``M``) and in compressed sparse columns (``S``)."""
+    """Matrix approximation of the operator at grid resolution n, in
+    compressed sparse columns (``S``); the dense copy ``M`` is built on
+    first access."""
 
     n: int
     h: float
-    M: np.ndarray
     A: CMatrix2
     S: scipy.sparse.csc_matrix
 
+    @functools.cached_property
+    def M(self) -> np.ndarray:
+        return self.S.toarray()
+
     @property
     def size(self) -> int:
-        return self.M.shape[0]
+        return self.S.shape[0]
 
     def lattice_value(self, coeff: float, k: int) -> float:
         """The discretization's own image of ``coeff * pi^2 k^2``: the
@@ -119,7 +124,7 @@ def discretize(A: CMatrix2, n: int) -> Discretization:
     N = 2 * n + 2
     S = scipy.sparse.csc_matrix((coeff[slot] * (weights * (1.0 / h ** 2)),
                                  (rows, cols)), shape=(N, N))
-    return Discretization(n=n, h=h, M=S.toarray(), A=A, S=S)
+    return Discretization(n=n, h=h, A=A, S=S)
 
 
 def _canonical_order(ev: np.ndarray) -> np.ndarray:
@@ -274,7 +279,8 @@ def resolvent_norm(disc: Discretization, z: complex, method: str = "auto") -> fl
     else:
         shifted = (disc.S - z * scipy.sparse.identity(disc.size, format="csc")).tocsc()
         smin = _sigma_min_inverse_iteration(shifted)
-    if smin <= 1e-12 * max(1.0, float(np.linalg.norm(disc.M, ord="fro"))):
+    # the Frobenius norm of S is the 2-norm of its stored entries
+    if smin <= 1e-12 * max(1.0, float(np.linalg.norm(disc.S.data))):
         raise NearSpectrum(f"z = {z} is numerically on the discrete spectrum")
     return 1.0 / smin
 

@@ -7,15 +7,20 @@ with vectorised ``logderiv(z)`` and ``logabs(z)`` methods.  The secular
 functions implement it natively (overflow-free); plain callables are
 adapted on the fly.
 
-Every contour integral (rectangle windings, cluster centroids, circle
-probes) goes through one primitive, :func:`_contour_moments`.  It returns
-the moments ``s0 = (1/2 pi i) contour integral of f'/f`` (the winding
-number) and ``s1 = (1/2 pi i) contour integral of z f'/f`` (the sum of
-the enclosed zeros) from the same samples.  The trapezoid rule is refined
-per edge and nested: each edge doubles only while the zeros near it are
-unresolved, a doubling evaluates only the new midpoints, and no point is
-evaluated twice within one integral.  A cell holding one zero starts
-Newton at its ``s1``.
+Every contour integral (rectangle windings, quadtree splits, cluster
+centroids, circle probes) goes through one primitive,
+:func:`_contour_moments`.  Its input is a set of segments between
+numbered vertices and a signed incidence matrix with one row per closed
+contour: a rectangle is one row of four segments, a circle one periodic
+segment, and a quadtree split four rows over 12 segments, so the two
+split lines are integrated once for the cells on both sides.  It returns,
+per contour, the moments ``s0 = (1/2 pi i) contour integral of f'/f``
+(the winding number) and ``s1 = (1/2 pi i) contour integral of z f'/f``
+(the sum of the enclosed zeros) from the same samples.  The trapezoid
+rule is refined per segment and nested: each segment doubles only while
+the zeros near it are unresolved, a doubling evaluates only the new
+midpoints, and no point is evaluated twice within one call.  A cell
+holding one zero starts Newton at its ``s1``.
 
 ``spectrum`` grows its search box incrementally: the zeros already
 isolated are kept, only the strips the larger box adds are isolated, and
@@ -25,7 +30,7 @@ one winding count of the larger box certifies the union.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -134,19 +139,68 @@ class _OriginDeflated:
         return self.base.logabs(z) - self.order * np.log(np.abs(z))
 
 
-def _polygon(vertices):
-    """Closed polyline as a path: edge k runs from vertex k to vertex k+1."""
+class _Segments(NamedTuple):
+    """Closed contours assembled from shared segments.
+
+    Segment k runs along ``path(k, t)``, which returns ``(z, dz/dt)`` at
+    parameters ``t`` in [0, 1] (broadcast against ``k``), from vertex
+    ``ends[k, 0]`` to vertex ``ends[k, 1]``; ``lengths[k]`` is its length.
+    Row c of ``incidence`` describes contour c: +1 for a segment it
+    traverses forwards, -1 backwards, 0 for one it does not use.
+    """
+
+    vertices: np.ndarray
+    ends: np.ndarray
+    path: Callable
+    lengths: np.ndarray
+    incidence: np.ndarray
+
+
+def _straight(vertices, ends, incidence) -> _Segments:
+    """Straight segments between the given vertices."""
     v = np.asarray(vertices, dtype=complex)
-    d = np.concatenate((v[1:], v[:1])) - v
-    return (lambda k, t: (v[k] + t * d[k], d[k])), np.abs(d)
+    ends = np.asarray(ends)
+    a = v[ends[:, 0]]
+    d = v[ends[:, 1]] - a
+    return _Segments(v, ends, lambda k, t: (a[k] + t * d[k], d[k]), np.abs(d),
+                     np.asarray(incidence, dtype=float))
 
 
-def _circle(center: complex, radius: float):
-    """Circle as a path of one periodic edge that ends where it starts."""
+def _polygon(vertices) -> _Segments:
+    """One closed polyline: segment k runs from vertex k to vertex k+1."""
+    n = len(vertices)
+    return _straight(vertices, [(k, (k + 1) % n) for k in range(n)], np.ones((1, n)))
+
+
+def _circle(center: complex, radius: float) -> _Segments:
+    """Circle as one periodic segment whose two ends are the same vertex."""
     def path(k, t):
         u = radius * np.exp(2j * np.pi * t)
         return center + u, 2j * np.pi * u
-    return path, np.array([2.0 * np.pi * radius])
+    return _Segments(np.array([center + radius]), np.array([[0, 0]]), path,
+                     np.array([2.0 * np.pi * radius]), np.ones((1, 1)))
+
+
+def _quadrants(children) -> _Segments:
+    """The four children of :meth:`Rect.split` as four counter-clockwise
+    contours over 12 segments: the 8 halves of the parent's edges and the
+    4 halves of the two split lines, between the 9 vertices of the 3x3
+    grid (vertex ``i + 3j`` at column i, row j)."""
+    ll, lr, ul, _ = children
+    xs = (ll.re_min, ll.re_max, lr.re_max)
+    ys = (ll.im_min, ll.im_max, ul.im_max)
+    grid = [complex(x, y) for y in ys for x in xs]
+    # segments 0..5 run rightwards (column i to i+1 in row j), 6..11 upwards
+    # (row j to j+1 in column i)
+    horiz = [(i + 3 * j, i + 1 + 3 * j) for j in range(3) for i in range(2)]
+    vert = [(i + 3 * j, i + 3 * (j + 1)) for i in range(3) for j in range(2)]
+    incidence = np.zeros((4, 12))
+    for c, (i, j) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        incidence[c, i + 2 * j] = 1.0                # bottom, rightwards
+        incidence[c, 6 + 2 * (i + 1) + j] = 1.0      # right, upwards
+        incidence[c, i + 2 * (j + 1)] = -1.0         # top, leftwards
+        incidence[c, 6 + 2 * i + j] = -1.0           # left, downwards
+    return _straight(grid, horiz + vert, incidence)
 
 
 def _logderiv_finite(fun, z):
@@ -156,95 +210,101 @@ def _logderiv_finite(fun, z):
     return g
 
 
-def _contour_moments(fun, path, lengths, cap: int = _EDGE_CAP,
+def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP,
                      tol1: Optional[float] = None):
     """Moments ``s0 = (1/2 pi i) contour integral of g`` and
-    ``s1 = (1/2 pi i) contour integral of z g``, ``g = f'/f``, over a
-    closed path of edges.
+    ``s1 = (1/2 pi i) contour integral of z g``, ``g = f'/f``, over each
+    closed contour of ``segs`` (one entry per row of its incidence matrix).
 
-    ``path(k, t)`` returns ``(z, dz/dt)`` on edges ``k`` at parameters
-    ``t`` in [0, 1] (broadcast against each other); edge k ends where edge
-    k+1 starts, the last where the first starts.  Trapezoid rule with nested
-    refinement per edge: every vertex is evaluated once, a doubling
-    evaluates only the new midpoints, and all edges still refining share
-    one ``logderiv`` call (the first call also holds the first doubling,
-    which every edge needs).  An edge stops when it is resolved
-    (``length / m <= dist / 3``, ``dist = 1 / max|g|`` on that edge) at two
-    successive levels whose winding contributions agree to
-    ``_WINDING_TOL / n_edges`` (and, given ``tol1``, whose ``s1``
-    contributions agree to ``tol1 / n_edges``).  The winding ``Re s0`` must
-    also lie within ``_WINDING_TOL`` of an integer, else every edge refines
+    Contours that share a segment share its samples: every vertex and
+    every segment is evaluated once per call, whichever contours use it.
+    Trapezoid rule with nested refinement per segment: a doubling
+    evaluates only the new midpoints, and all segments still refining
+    share one ``logderiv`` call (the first call also holds the vertices
+    and the first doubling, which every segment needs).  A segment stops
+    when it is resolved (``length / m <= dist / 3``, ``dist = 1 / max|g|``
+    on that segment) at two successive levels whose winding contributions
+    agree to ``_WINDING_TOL / e`` (and, given ``tol1``, whose ``s1``
+    contributions agree to ``tol1 / e``), ``e`` the most segments any one
+    contour has.  Each contour's winding ``Re s0`` must also lie within
+    ``_WINDING_TOL`` of an integer, else that contour's segments refine
     again.
 
     Raises BoundaryZero for a non-finite sample or a zero within
-    ``1e-9 * diam`` of the path or too close to resolve below the cap
-    (``diam`` the longest edge; the caller may dilate and retry), and
-    NonConvergent when an edge would need more than ``cap`` intervals.
+    ``1e-9 * diam`` of a contour or too close to resolve below the cap
+    (``diam`` that contour's longest segment; the caller may dilate and
+    retry), and NonConvergent when a segment would need more than ``cap``
+    intervals.
     """
+    path, lengths, inc = segs.path, segs.lengths, segs.incidence
+    member = inc != 0
     n = lengths.size
-    diam = float(lengths.max())
+    e = int(member.sum(axis=1).max())
+    diam = np.where(member, lengths, 0.0).max(axis=1)
     edges = np.arange(n)
     m = np.full(n, _EDGE_START)
-    # one call for the start level (even samples; t = 0 is the edge's start
-    # vertex) and its first doubling (odd samples): every edge needs both
+    # one call for the vertices, the start level's interior samples (even
+    # j of t = j/k, j = 1..k-1) and its first doubling (odd j): every
+    # segment needs all of them
     k = 2 * _EDGE_START
-    z, dz = path(edges[:, None], np.arange(k) / k)
-    z = np.broadcast_to(z, (n, k))
-    g = _logderiv_finite(fun, z.ravel()).reshape(n, k)
-    nxt = (edges + 1) % n
-    gv, zv = g[nxt, 0], z[nxt, 0]                       # each edge's end vertex
-    dz_end = path(edges, np.ones(n))[1]
+    nv = segs.vertices.size
+    z, dz = path(edges[:, None], np.arange(1, k) / k)
+    z = np.broadcast_to(z, (n, k - 1))
+    g = _logderiv_finite(fun, np.concatenate((segs.vertices, z.ravel())))
+    ga, gb = g[segs.ends[:, 0]], g[segs.ends[:, 1]]
+    za, zb = segs.vertices[segs.ends[:, 0]], segs.vertices[segs.ends[:, 1]]
+    dza, dzb = path(edges, np.zeros(n))[1], path(edges, np.ones(n))[1]
+    g = g[nv:].reshape(n, k - 1)
     gdz = g * dz
-    gdz[:, 0] *= 0.5
     zgdz, absg = z * gdz, np.abs(g)
     # running sums without the 1/m factor: a doubling only adds midpoints
-    s0 = gdz[:, ::2].sum(axis=1) + 0.5 * gv * dz_end
-    s1 = zgdz[:, ::2].sum(axis=1) + 0.5 * zv * gv * dz_end
-    gmax = np.maximum(absg[:, ::2].max(axis=1), np.abs(gv))
-    first = (gdz[:, 1::2].sum(axis=1), zgdz[:, 1::2].sum(axis=1),
-             absg[:, 1::2].max(axis=1))
-    # winding and s1 contributions at each edge's last resolved level
+    s0 = gdz[:, 1::2].sum(axis=1) + 0.5 * (ga * dza + gb * dzb)
+    s1 = zgdz[:, 1::2].sum(axis=1) + 0.5 * (za * ga * dza + zb * gb * dzb)
+    gmax = np.maximum(absg[:, 1::2].max(axis=1), np.maximum(np.abs(ga), np.abs(gb)))
+    first = (gdz[:, ::2].sum(axis=1), zgdz[:, ::2].sum(axis=1),
+             absg[:, ::2].max(axis=1))
+    # winding and s1 contributions at each segment's last resolved level
     prev0 = np.full(n, np.nan)
     prev1 = np.full(n, np.nan, dtype=complex)
     todo = np.ones(n, dtype=bool)
-    fresh = todo.copy()             # edges sampled at a new level
+    fresh = todo.copy()             # segments sampled at a new level
     while True:
-        spike = float(gmax.max())
-        if spike > 0:
-            dist = 1.0 / spike
-            if dist < 1e-9 * diam:
-                raise BoundaryZero("zero within 1e-9*diameter of the contour")
-            if dist < 4.0 * diam / cap:
-                # a zero close enough to the contour that the trapezoid can
-                # never resolve it within the sample cap: bail out early so
-                # the caller can dilate or re-split
-                raise BoundaryZero("zero unresolvably close to the contour")
+        # diam / dist per contour, dist = 1 / max|g| on its segments
+        reach = np.where(member, gmax, 0.0).max(axis=1) * diam
+        if np.any(reach > 1e9):
+            raise BoundaryZero("zero within 1e-9*diameter of the contour")
+        if np.any(reach > cap / 4.0):
+            # a zero close enough to the contour that the trapezoid can
+            # never resolve it within the sample cap: bail out early so
+            # the caller can dilate or re-split
+            raise BoundaryZero("zero unresolvably close to the contour")
         w0 = (s0 / (2j * np.pi * m)).real
         w1 = s1 / (2j * np.pi * m)
         # two coarse levels can agree on a wrong value before the nearest
         # zero is even resolved by the sampling
         resolved = gmax * lengths <= m / 3.0
-        agree = resolved & (np.abs(w0 - prev0) <= _WINDING_TOL / n)
+        agree = resolved & (np.abs(w0 - prev0) <= _WINDING_TOL / e)
         if tol1 is not None:
-            agree &= np.abs(w1 - prev1) <= tol1 / n
+            agree &= np.abs(w1 - prev1) <= tol1 / e
         todo[fresh & agree] = False
         prev0 = np.where(fresh, np.where(resolved, w0, np.nan), prev0)
         prev1 = np.where(fresh, np.where(resolved, w1, np.nan), prev1)
         if not todo.any():
-            w = float(np.sum(w0))
-            if abs(w - round(w)) <= _WINDING_TOL:
-                return complex(np.sum(s0 / m) / (2j * np.pi)), complex(np.sum(w1))
-            todo[:] = True
+            w = inc @ w0
+            off = np.abs(w - np.round(w)) > _WINDING_TOL
+            if not off.any():
+                return inc @ (s0 / m) / (2j * np.pi), inc @ w1
+            todo = member[off].any(axis=0)
         idx = np.flatnonzero(todo)
         if np.any(2 * m[idx] > cap):
             raise NonConvergent("contour integral did not stabilise below the sample cap")
         if first is not None:
-            # the first doubling, of every edge (none can have converged
+            # the first doubling, of every segment (none can have converged
             # at the start level), was sampled with the start level
             add0, add1, addmax = first
             first = None
         else:
-            # one doubling of every edge still refining: the new midpoints only
+            # one doubling of every segment still refining: the new midpoints only
             counts = m[idx]
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
             local = np.arange(counts.sum()) - np.repeat(starts, counts)
@@ -272,7 +332,8 @@ def _integrate_polyline(fun, vertices, cap: int = _EDGE_CAP):
     the contour (the caller may dilate and retry) and NonConvergent at the
     sample cap.
     """
-    return _contour_moments(fun, *_polygon(vertices), cap=cap)
+    s0, s1 = _contour_moments(fun, _polygon(vertices), cap=cap)
+    return complex(s0[0]), complex(s1[0])
 
 
 def winding_count(f, rect: Rect, fprime=None, rng=None, dilate: bool = True) -> int:
@@ -308,8 +369,8 @@ def _winding_with_rect(fun, rect: Rect, rng, dilate: bool, cap: int = _EDGE_CAP)
 
 def _winding_circle(fun, center: complex, radius: float) -> int:
     """Winding of f'/f on a circle (one periodic edge)."""
-    s0, _ = _contour_moments(fun, *_circle(center, radius))
-    return int(round(s0.real))
+    s0, _ = _contour_moments(fun, _circle(center, radius))
+    return int(round(s0[0].real))
 
 
 def _newton(fun, z0: complex, mult: int, tol: float, max_iter: int = 80):
@@ -416,11 +477,11 @@ def _cluster_centroid(fun, cell: Rect, cnt: int):
     """
     tol = max(0.02 * cell.diameter, 1e-9 * (1.0 + abs(cell.center)))
     try:
-        _, s1 = _contour_moments(fun, *_polygon(cell.corners()), cap=2 ** 14,
+        _, s1 = _contour_moments(fun, _polygon(cell.corners()), cap=2 ** 14,
                                  tol1=cnt * tol)
     except (BoundaryZero, NonConvergent):
         return None
-    return s1 / cnt
+    return complex(s1[0]) / cnt
 
 
 def _try_cluster(fun, cell: Rect, cnt: int, tol: float):
@@ -461,6 +522,11 @@ def _try_cluster(fun, cell: Rect, cnt: int, tol: float):
 def _split_cell(fun, cell: Rect, cnt: int, rng):
     """Split a cell into 4 children whose counts add up to the parent's.
 
+    All four children are counted in one :func:`_contour_moments` call
+    over the 12 segments of the split (see :func:`_quadrants`), so each
+    half of a split line is integrated once for both cells it borders.
+    The split is accepted only when every count is non-negative and the
+    four sum to ``cnt``; otherwise the next attempt jitters the lines.
     Split fractions are deliberately off-centre: the secular functions are
     even, so symmetric lines pass straight through axis zeros, where the
     principal-value winding is silently integer for even-order zeros.
@@ -475,26 +541,15 @@ def _split_cell(fun, cell: Rect, cnt: int, rng):
         # need more samples than a fresh jittered line would
         cap = (2 ** 12, 2 ** 15, 2 ** 18)[min(attempt // 3, 2)]
         children = cell.split(fx, fy)
-        found = []
         try:
-            for ch in children[:3]:
-                found.append(_winding_with_rect(fun, ch, rng, dilate=False,
-                                                cap=cap))
+            s0, s1 = _contour_moments(fun, _quadrants(children), cap=cap)
         except (BoundaryZero, NonConvergent):
             continue
-        rest = cnt - sum(k for k, _, _ in found)
-        if rest < 0:
+        counts = [int(round(w)) for w in s0.real]
+        if min(counts) < 0 or sum(counts) != cnt:
             continue
-        if rest > 0:
-            # the inferred fourth count is validated before being trusted
-            try:
-                found.append(_winding_with_rect(fun, children[3], rng,
-                                                dilate=False, cap=cap))
-            except (BoundaryZero, NonConvergent):
-                continue
-            if found[3][0] != rest:
-                continue
-        return [(ch, k, s1) for ch, (k, _, s1) in zip(children, found) if k > 0]
+        return [(ch, k, complex(s)) for ch, k, s in zip(children, counts, s1)
+                if k > 0]
     raise NonConvergent(f"could not split cell {cell} conservatively")
 
 

@@ -293,6 +293,13 @@ class TestResolventNorm:
             resolvent_norm(disc, z, method="invit")
         assert calls == [(disc.size, disc.size)] * 3
 
+    def test_sparse_paths_leave_dense_matrix_unbuilt(self):
+        disc = discretize(EXAMPLE, 120)
+        oracle_spectrum(disc, 6)
+        resolvent_norm(disc, 30 + 1j, method="invit")
+        assert "M" not in vars(disc)
+        assert_allclose(disc.M, disc.S.toarray())     # built on first access
+
     def test_near_spectrum_guard(self):
         disc = discretize(CMatrix2.real(1, 0, 0, 1), 100)
         ev = scipy.linalg.eigvals(disc.M)

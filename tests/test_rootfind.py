@@ -291,6 +291,49 @@ class TestEdgeQuadrature:
         assert abs(mu - (0.225 + 0.1j)) <= 0.02 * Rect(0.0, 0.5, -0.1, 0.3).diameter
 
 
+class TestSharedSegments:
+    def test_split_evaluates_each_point_once(self):
+        zeros = [0.2 + 0.3j, 0.7 + 0.8j, 0.8 + 0.1j, 0.3 + 0.75j]
+        rec = _Recorder(zeros)
+        cell = Rect(0.0, 1.0, 0.0, 1.0)
+        found = rootfind._split_cell(rec, cell, len(zeros),
+                                     np.random.default_rng(0))
+        pts = rec.points
+        assert len(set(pts)) == len(pts)          # no point evaluated twice
+        ll, lr, ul, _ = cell.split(0.513137, 0.4870113)
+        grid = [complex(x, y) for x in (ll.re_min, ll.re_max, lr.re_max)
+                for y in (ll.im_min, ll.im_max, ul.im_max)]
+        for v in grid:
+            assert pts.count(v) == 1, v
+        assert sum(k for _, k, _ in found) == len(zeros)
+        for ch, k, s1 in found:
+            inside = [z for z in zeros if ch.contains(z)]
+            assert k == len(inside)
+            assert abs(s1 - sum(inside)) <= 1e-4
+
+    def test_zero_on_the_first_split_line_retries(self, monkeypatch):
+        # the first split of the unit square puts its vertical line at
+        # x = 0.513137, straight through the first zero
+        zeros = [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j]
+        failed = []
+        real = rootfind._contour_moments
+
+        def watching(fun, segs, *args, **kw):
+            try:
+                return real(fun, segs, *args, **kw)
+            except (BoundaryZero, NonConvergent):
+                failed.append(segs.incidence.shape[0])
+                raise
+
+        monkeypatch.setattr(rootfind, "_contour_moments", watching)
+        f, fp = _poly_pair(zeros)
+        found = isolate_zeros(f, Rect(0.0, 1.0, 0.0, 1.0), fprime=fp)
+        assert 4 in failed                        # a split attempt was refused
+        assert sorted(m for _, m in found) == [1, 1, 1]
+        for z in zeros:
+            assert min(abs(w - z) for w, _ in found) <= 1e-10
+
+
 class TestIsolationInvariant:
     def test_count_mismatch_raises_numerical_failure(self, monkeypatch):
         real_split = rootfind._split_cell
