@@ -22,11 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonRealInput
-from .mat2 import CMatrix2
+from .errors import InvalidInput, NonRealInput
+from .mat2 import CMatrix2, enclosing_sector, numerical_range
 
 BOUNDARY_TOL = 1e-9      # absolute fuzz for the region-defining equalities
 LAMBDA_MAX_DEFAULT = 400.0 * np.pi ** 2
+TRIANGULAR_OFFDIAG = 1e-3  # triangular A: A(r)'s off-diagonal entry over min(|a|, |d|)
 
 
 # -- canonical reduction -------------------------------------------------
@@ -395,6 +396,8 @@ def predict(A: CMatrix2, lambda_max: float = LAMBDA_MAX_DEFAULT) -> SpectralPred
     input matrix.
     """
     _require_real(A)
+    if not 0.0 <= lambda_max < np.inf:
+        raise InvalidInput(f"lambda_max must be finite and >= 0, got {lambda_max!r}")
     if A.is_singular:
         return SpectralPrediction(Locus(LocusKind.WHOLE_PLANE),
                                   ("singular-not-closed",))
@@ -481,7 +484,8 @@ def perturbation_coeffs(A: CMatrix2):
 
 @dataclass(frozen=True)
 class Certificate:
-    """A numerically verified sufficient condition for spectral control."""
+    """A numerically verified sufficient condition for spectral control.
+    ``similarity_r`` is r in ``A(r) = diag(1, r) A diag(1, 1/r)``, as ``CanonicalForm.r``."""
 
     kind: str                     # DiagonalSymmetrizable | SectorBound | NearReal
     B: Optional[np.ndarray]      # the diagonal matrix of the certificate
@@ -490,6 +494,16 @@ class Certificate:
     similarity_r: Optional[float] = None
     residual: float = 0.0
     detail: str = ""
+
+
+def _balancing_r(A: CMatrix2, weight: float = 1.0) -> float:
+    """The r with ``weight |b| / r = |c| r``, balancing the off-diagonal entries
+    of ``A(r)``; 1 for diagonal A, and ``TRIANGULAR_OFFDIAG`` for triangular A."""
+    b, c = abs(A.b), abs(A.c)
+    if b and c:
+        return float(np.sqrt(weight * b / c))
+    floor = TRIANGULAR_OFFDIAG * min(abs(A.a), abs(A.d))
+    return b / floor if b else (floor / c if c else 1.0)
 
 
 def _diagonal_symmetrizable(A: CMatrix2) -> Optional[Certificate]:
@@ -518,22 +532,12 @@ def _diagonal_symmetrizable(A: CMatrix2) -> Optional[Certificate]:
 
 
 def _sector_bound(A: CMatrix2) -> Optional[Certificate]:
-    from .mat2 import enclosing_sector, numerical_range
-    best = None
-    for r in np.logspace(-3, 3, 200):
-        B = np.diag([1.0, r])
-        M = CMatrix2.from_array(np.linalg.inv(B) @ A.as_array() @ B)
-        sec = enclosing_sector(numerical_range(M))
-        if sec is None:
-            continue
-        aperture = sec[1] - sec[0]
-        if aperture < np.pi and (best is None or aperture < best[0]):
-            best = (aperture, sec, r)
-    if best is None:
+    # the A(r) are confocal; the balanced one has the least minor axis and sector
+    r = _balancing_r(A)
+    sec = enclosing_sector(numerical_range(CMatrix2(A.a, A.b / r, A.c * r, A.d)))
+    if sec is None:
         return None
-    aperture, sec, r = best
-    return Certificate("SectorBound", np.diag([1.0, r]), sector=sec,
-                       similarity_r=float(r),
+    return Certificate("SectorBound", np.diag([1.0, 1.0 / r]), sector=sec, similarity_r=r,
                        detail=f"numerical range of the r={r:.4g} conjugate "
                               f"inside S({sec[0]:.4f}, {sec[1]:.4f})")
 
@@ -545,19 +549,14 @@ def _near_real(A: CMatrix2) -> Optional[Certificate]:
     a, d = A.a.real, A.d.real
     if a == 0.0 or d == 0.0:
         return None
-    B0 = np.diag([1.0 / a, 1.0 / d])
-    best = None
-    for r in np.logspace(-3, 3, 200):
-        Ar = np.diag([1.0, r]) @ A.as_array() @ np.diag([1.0, 1.0 / r])
-        nrm = float(np.linalg.norm(Ar @ B0 - np.eye(2), 2))
-        if nrm < 1.0 and (best is None or nrm < best[0]):
-            best = (nrm, r)
-    if best is None:
+    # ||A(r) diag(1/a, 1/d) - I||_2 = max(|b|/(r|d|), |c| r/|a|): sqrt|bc/ad| at the balance
+    r = _balancing_r(A, abs(a / d))
+    nrm = max(abs(A.b / (r * d)), abs(A.c * r / a))
+    if nrm >= 1.0:
         return None
-    nrm, r = best
     omega = float(np.arcsin(nrm))
-    return Certificate("NearReal", B0, omega=omega, similarity_r=float(r),
-                       residual=nrm,
+    return Certificate("NearReal", np.diag([1.0 / a, 1.0 / d]), omega=omega,
+                       similarity_r=r, residual=nrm,
                        detail=f"||A(r) B - I|| = {nrm:.4g} at r = {r:.4g}; "
                               f"spectrum inside the double sector of half-angle {omega:.4g}")
 

@@ -134,16 +134,6 @@ class Ellipse:
     def center(self) -> complex:
         return 0.5 * (self.focus1 + self.focus2)
 
-    def boundary(self, n: int = 512) -> np.ndarray:
-        """Sampled boundary points (a segment or point when degenerate)."""
-        c = self.center
-        df = self.focus2 - self.focus1
-        half_major = 0.5 * self.major_axis_length
-        half_minor = 0.5 * self.minor_axis_length
-        rot = np.exp(1j * np.angle(df)) if abs(df) > 0 else 1.0
-        t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        return c + rot * (half_major * np.cos(t) + 1j * half_minor * np.sin(t))
-
 
 def _gauge_normalize(v: np.ndarray) -> np.ndarray:
     """Unit Euclidean norm, first nonzero component rotated real positive."""
@@ -232,13 +222,17 @@ def adjoint_projection(A: CMatrix2) -> np.ndarray:
 
 
 def numerical_range(A: CMatrix2) -> Ellipse:
-    """Numerical-range ellipse: foci at the eigenvalues, minor axis
-    ``sqrt(tr(A*A) - |a+|^2 - |a-|^2)`` (elliptical range theorem)."""
+    """Numerical-range ellipse: foci at the eigenvalues, minor axis the Schur
+    off-diagonal ``|w|`` (elliptical range theorem), taken from ``C = N*N - NN*``
+    (N the traceless part, delta = a+ - a-) as ``||C||_F^2 / |w|^2 = |delta|^2
+    + sqrt(|delta|^4 + 2 ||C||_F^2)``; the trace formula cancels near normal A."""
     e = eig2(A)
-    M = A.as_array()
-    tr_gram = float(np.real(np.trace(M.conj().T @ M)))
-    minor_sq = tr_gram - abs(e.a_plus) ** 2 - abs(e.a_minus) ** 2
-    minor = float(np.sqrt(max(minor_sq, 0.0)))
+    N = A.as_array() - 0.5 * A.trace * np.eye(2)
+    s = float(np.max(np.abs(N))) or 1.0  # unit scale: cc is quartic in N
+    N = N / s
+    cc = float(np.sum(np.abs(N.conj().T @ N - N @ N.conj().T) ** 2))
+    dd = abs((N[0, 0] - N[1, 1]) ** 2 + 4.0 * N[0, 1] * N[1, 0])
+    minor = s * float(np.sqrt(cc / (dd + np.sqrt(dd * dd + 2.0 * cc)))) if cc else 0.0
     dist_foci = abs(e.a_plus - e.a_minus)
     major = float(np.hypot(minor, dist_foci))
     # origin lies inside iff |0-f1| + |0-f2| <= major axis length
@@ -247,20 +241,27 @@ def numerical_range(A: CMatrix2) -> Ellipse:
 
 
 def enclosing_sector(ell: Ellipse, tol: float = 1e-12):
-    """Minimal sector {alpha <= arg z <= beta} containing the ellipse.
-
-    Returns ``(alpha, beta)`` with ``beta - alpha < pi``, or None when no
-    such sector exists (the origin lies in the ellipse, or the angular
-    span is too wide).
+    """Minimal sector {alpha <= arg z <= beta} containing the ellipse, from
+    the tangents through the origin: the affine map onto the unit circle keeps
+    tangency, and there they touch at ``arg p +- arccos(1/|p|)`` for the image
+    p of the origin.  Returns ``(alpha, beta)`` with ``beta - alpha < pi``, or
+    None when the origin lies in the ellipse or within ``tol`` of it.
     """
     if ell.contains_origin:
         return None
-    pts = ell.boundary(2048)
+    c, rot = ell.center, np.exp(1j * np.angle(ell.focus2 - ell.focus1))
+    ha, hb = 0.5 * ell.major_axis_length, 0.5 * ell.minor_axis_length
+    t = np.array([0.0, np.pi])  # a segment is bounded by its endpoints
+    if hb > 0.0:
+        u = -c / rot  # the origin in the ellipse's own axes
+        p = complex(u.real / ha, u.imag / hb)
+        if abs(p) <= 1.0:
+            return None
+        t = np.angle(p) + np.array([1.0, -1.0]) * np.arccos(1.0 / abs(p))
+    pts = c + rot * (ha * np.cos(t) + 1j * hb * np.sin(t))
     if np.any(np.abs(pts) <= tol):
         return None
-    ref = np.angle(ell.center if abs(ell.center) > tol else pts[0])
-    # unwrap all boundary angles about the reference direction
-    rel = np.angle(pts * np.exp(-1j * ref))
+    rel = np.angle(pts / c)
     if np.max(rel) - np.min(rel) >= np.pi:
         return None
-    return float(ref + np.min(rel)), float(ref + np.max(rel))
+    return float(np.angle(c) + np.min(rel)), float(np.angle(c) + np.max(rel))

@@ -256,3 +256,57 @@ class TestCertificates:
     def test_singular_refused(self):
         with pytest.raises(SingularMatrix):
             similarity_certificates(CMatrix2.real(1, 1, 1, 1))
+
+
+def _range_boundary(M, n):
+    """n points on the boundary of the numerical range of the 2x2 array M:
+    for each direction t, ``x* M x`` at the top eigenvector x of the
+    Hermitian part of ``exp(-it) M`` (closed form for 2x2)."""
+    e = np.exp(-1j * np.linspace(0.0, 2 * np.pi, n, endpoint=False))
+    p, s = (e * M[0, 0]).real, (e * M[1, 1]).real
+    q = 0.5 * (e * M[0, 1] + np.conj(e * M[1, 0]))
+    lam = 0.5 * (p + s) + np.hypot(0.5 * (p - s), np.abs(q))
+    x1, x2 = np.stack([q, lam - p]), np.stack([lam - s, np.conj(q)])
+    x = np.where(np.sum(np.abs(x1) ** 2, 0) >= np.sum(np.abs(x2) ** 2, 0), x1, x2)
+    return np.sum(x.conj() * (M @ x), 0) / np.sum(np.abs(x) ** 2, 0)
+
+
+def _sector_corpus(n=60, seed=20261018):
+    """Seeded real and complex matrices whose balanced conjugate keeps the
+    origin outside its numerical range: diagonal entries in a right-half
+    sector, off-diagonal product a fraction of ``|ad|``."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for k in range(n):
+        diag, off = rng.uniform(0.5, 3.0, 2), rng.standard_normal(2)
+        if k % 2:
+            diag = diag * np.exp(1j * rng.uniform(-0.7, 0.7, 2))
+            off = off * np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
+        off = off * rng.uniform(0.1, 0.6) * np.sqrt(abs(diag[0] * diag[1] / (off[0] * off[1])))
+        mats.append(CMatrix2(diag[0], off[0], off[1], diag[1]))
+    return mats
+
+
+class TestExactCertificates:
+    def test_sector_contains_sampled_numerical_range(self):
+        for A in _sector_corpus():
+            cert = {c.kind: c for c in similarity_certificates(A)}["SectorBound"]
+            M = np.linalg.inv(cert.B) @ A.as_array() @ cert.B
+            z = _range_boundary(M, 100_000)
+            alpha, beta = cert.sector
+            excess = np.abs(np.angle(z * np.exp(-0.5j * (alpha + beta)))) - 0.5 * (beta - alpha)
+            assert np.max(excess) <= 1e-12, (A, np.max(excess))
+
+    @pytest.mark.parametrize("a,d", [(3.0, 1.0), (4.0, 1.0), (0.5, 3.0), (1.0, 1.0),
+                                     (2.0, 0.1), (0.2, 5.0)])
+    def test_a4_sector_half_angle(self, a, d):
+        cert = {c.kind: c for c in similarity_certificates(a4(a, d))}["SectorBound"]
+        omega = np.arcsin(1.0 / np.sqrt(a * d + 1.0))
+        assert_allclose(cert.sector, (-omega, omega), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b", [1.0, 1e-2, 1e-4])
+    def test_near_real_optimum(self, b):
+        A = CMatrix2(1.0, b, 0.3 * np.exp(0.4j) / b, 1.0)
+        certs = {c.kind: c for c in similarity_certificates(A)}
+        assert {"SectorBound", "NearReal"} <= set(certs)
+        assert_allclose(certs["NearReal"].residual, np.sqrt(0.3), rtol=0, atol=1e-12)

@@ -208,6 +208,9 @@ class TestOthers:
     ["ev", "--real", "1", "0", "0", "1", "--at=1e400,0"],
     ["ev", "--real", "1", "0", "0", "1", "--at=0,nan"],
     ["resolvent", "--real", "1", "0", "0", "1", "--z=-inf,0", "-n", "20"],
+    ["classify", "--real", "1", "0", "0", "2", "--lambda-max", "inf"],
+    ["classify", "--real", "1", "0", "0", "2", "--lambda-max", "nan"],
+    ["classify", "--real", "1", "0", "0", "2", "--lambda-max=-1"],
 ], ids=" ".join)
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code, out, err = run(capsys, argv)

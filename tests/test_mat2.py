@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -176,3 +177,39 @@ class TestNumericalRange:
                 swapped = max(abs(foci[0] - prev[1]), abs(foci[1] - prev[0]))
                 assert min(direct, swapped) < 0.05
             prev = foci
+
+
+def _minor_axis_mp(A: CMatrix2) -> float:
+    """``sqrt(tr(A*A) - |a+|^2 - |a-|^2)`` in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a, b, c, d = (mpmath.mpc(v.real, v.imag) for v in (A.a, A.b, A.c, A.d))
+        sq = mpmath.sqrt((a - d) ** 2 + 4 * b * c)
+        gram = sum(abs(v) ** 2 for v in (a, b, c, d))
+        w2 = gram - abs((a + d + sq) / 2) ** 2 - abs((a + d - sq) / 2) ** 2
+        return float(mpmath.sqrt(max(w2, 0)))
+
+
+def _near_normal_matrices(seed=5):
+    """Seeded general matrices, plus near-symmetric, near-Hermitian and
+    near-normal ones on which the trace formula for the minor axis cancels."""
+    rng = np.random.default_rng(seed)
+    mats = list(random_matrices(10, seed=seed)) + list(random_matrices(10, seed=seed, real=True))
+    for k in range(30):
+        eps = 10.0 ** rng.uniform(-12, -4)
+        x = rng.standard_normal(4) * rng.choice([0.1, 1.0, 10.0])
+        y = rng.standard_normal(4)
+        if k % 3 == 0:    # real symmetric plus eps
+            M = [[x[0], x[1]], [x[1] + eps * y[0], x[2]]]
+        elif k % 3 == 1:  # Hermitian plus eps
+            M = [[x[0], complex(x[1], x[3])], [complex(x[1], -x[3] + eps * y[1]), x[2]]]
+        else:             # normal (scaled rotation) plus eps
+            M = [[x[0], -x[1]], [x[1], x[0] + eps * y[2]]]
+        mats.append(CMatrix2.from_array(np.array(M, dtype=complex)))
+    return mats
+
+
+class TestMinorAxisAccuracy:
+    def test_minor_axis_matches_mpmath(self):
+        for A in _near_normal_matrices():
+            got = numerical_range(A).minor_axis_length
+            assert abs(got - _minor_axis_mp(A)) <= 1e-14 * A.norm(), A

@@ -1,10 +1,12 @@
-"""Metamorphic checks of spectrum(): exact symmetries of the eigenvalue
-problem that every route must respect, on a small seeded corpus."""
+"""Metamorphic checks of spectrum() and of the similarity certificates:
+exact symmetries of the eigenvalue problem that every route must respect,
+on a small seeded corpus."""
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from specmat import CMatrix2, spectrum
+from specmat import CMatrix2, similarity_certificates, spectrum
 from conftest import EXAMPLE, STREATER, a4
 
 CORPUS = {
@@ -64,3 +66,39 @@ def test_conjugation(base, name):
     A = CORPUS[name]
     conj = CMatrix2(np.conj(A.a), np.conj(A.b), np.conj(A.c), np.conj(A.d))
     _assert_same(_spec(conj), [(np.conj(v), m) for v, m in base[name]])
+
+
+# one matrix up to diagonal similarity, at three scales of b
+CERT_CORPUS = {f"family_b={b:g}": CMatrix2(1.0, b, 0.3 * np.exp(0.4j) / b, 1.0)
+               for b in (1.0, 1e-2, 1e-4)}
+CERT_CORPUS.update({
+    "a4(3,1)": a4(3.0, 1.0),
+    "streater": STREATER,
+    "triangular": CMatrix2.real(1, 0, 1, 2),
+    # complex off-diagonal entries with bc > 0: similar to a Hermitian
+    # matrix, whose numerical-range minor axis is 0
+    "complex": CMatrix2(2.0, 0.3 * np.exp(0.5j), 0.6 * np.exp(-0.5j), 1.5),
+})
+
+
+def _certs(A):
+    return {c.kind: c for c in similarity_certificates(A)}
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("name", sorted(CERT_CORPUS))
+def test_certificates_diagonal_similarity(name, s):
+    """A(s) = diag(1, s) A diag(1, 1/s) gets the same certificates."""
+    A = CERT_CORPUS[name]
+    similar = CMatrix2(A.a, A.b / s, A.c * s, A.d)
+    if similar.is_singular:
+        pytest.skip("conjugate is singular at working precision")
+    want, got = _certs(A), _certs(similar)
+    assert sorted(got) == sorted(want)
+    if "SectorBound" in want:
+        assert_allclose(got["SectorBound"].sector, want["SectorBound"].sector,
+                        rtol=0, atol=1e-12)
+    if "NearReal" in want:
+        for field in ("residual", "omega"):
+            assert_allclose(getattr(got["NearReal"], field),
+                            getattr(want["NearReal"], field), rtol=1e-12)
