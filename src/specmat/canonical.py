@@ -28,6 +28,7 @@ from .mat2 import CMatrix2, enclosing_sector, numerical_range
 BOUNDARY_TOL = 1e-9      # absolute fuzz for the region-defining equalities
 LAMBDA_MAX_DEFAULT = 400.0 * np.pi ** 2
 TRIANGULAR_OFFDIAG = 1e-3  # triangular A: A(r)'s off-diagonal entry over min(|a|, |d|)
+LATTICE_CAP = 10 ** 6     # most lattice values a prediction enumerates
 
 
 # -- canonical reduction -------------------------------------------------
@@ -283,51 +284,40 @@ class SpectralPrediction:
     theorems: tuple
     sector: Optional[Locus] = None        # extra sector constraint, if any
     resolvent_bound: tuple = ()           # sectors outside which k/|z| decay holds
-    alternatives: tuple = ()              # neighbouring regimes at Boundary points
     region: Optional[Region] = None
     canonical: Optional[CanonicalForm] = None
-    notes: tuple = ()
 
     def distance(self, z: complex) -> float:
-        if self.alternatives:
-            return min(p.distance(z) for p in self.alternatives)
         d = self.locus.distance(z)
         if self.sector is not None:
             d = max(d, self.sector.distance(z))
         return d
 
 
-def _lattice_values(coeffs, lambda_max: float):
-    vals = {0.0 + 0.0j}
-    for c in coeffs:
-        if c == 0:
+def _lattice_values(units, lambda_max: float):
+    """0 and ``u k^2`` for every nonzero unit u and k >= 1 with
+    ``|u| k^2 <= lambda_max``, without repeats, sorted by modulus then real
+    part.  Raises InvalidInput when that would be more than
+    ``LATTICE_CAP`` values, at the default ``lambda_max`` too: a unit near
+    0 (a tiny diagonal entry, or a canonical root near an axis) makes the
+    lattice too dense to list."""
+    parts = [np.zeros(1)]
+    total = 0.0
+    for u in units:
+        if u == 0:
             continue
-        k = 1
-        while abs(c) * np.pi ** 2 * k * k <= lambda_max:
-            vals.add(complex(c * np.pi ** 2 * k * k))
-            k += 1
-    return tuple(sorted(vals, key=lambda v: (abs(v), v.real)))
-
-
-def _curve_values(b_plus: complex, branch: str, lambda_max: float):
-    """Real spectrum on the curve a^2 - ad - 1 = 0 inside the oscillatory
-    region: ``-k^2 pi^2 / Im(b+^{-1/2})^2`` on the lower branch and
-    ``+k^2 pi^2 / Re(b+^{-1/2})^2`` on the upper one.  The squared real or
-    imaginary part makes the value independent of the square-root branch.
-    """
-    root = 1.0 / np.sqrt(b_plus)
-    if branch == "negative":
-        denom = root.imag ** 2
-        unit = -np.pi ** 2 / denom
-    else:
-        denom = root.real ** 2
-        unit = np.pi ** 2 / denom
-    vals = [0.0 + 0.0j]
-    k = 1
-    while abs(unit) * k * k <= lambda_max:
-        vals.append(complex(unit * k * k))
-        k += 1
-    return tuple(vals)
+        kmax = float(np.sqrt(lambda_max / abs(u)))
+        total += kmax
+        if total > LATTICE_CAP:
+            raise InvalidInput(
+                f"lambda_max / |lattice unit| = {lambda_max / abs(u):.3g} gives more than "
+                f"{LATTICE_CAP} lattice values: the unit is too small for the bound; "
+                "pass a smaller lambda_max")
+        k = np.arange(1, int(kmax) + 2)
+        k = k[abs(u) * k * k <= lambda_max]
+        parts.append(u * k * k)
+    vals = np.unique(np.concatenate(parts).astype(complex))
+    return tuple(complex(v) for v in vals[np.lexsort((vals.real, np.abs(vals)))])
 
 
 def _a4_prediction(a: float, d: float, region: Region,
@@ -344,15 +334,17 @@ def _a4_prediction(a: float, d: float, region: Region,
         bounds = ((-0.0, 0.0), (np.pi, np.pi))
     elif tag is RegionTag.R5:
         curve = a * a - a * d - 1.0
-        bp, _ = a4_eigs(a, d)
+        # the real spectrum on the curve a^2 - ad - 1 = 0: the squared real
+        # or imaginary part of b+^{-1/2} does not depend on the root's branch
+        root = 1.0 / np.sqrt(a4_eigs(a, d)[0])
         if abs(curve) <= BOUNDARY_TOL and -2.0 < a - d < 0.0:
             locus = Locus(LocusKind.REAL_WITH_FORMULA,
-                          values=_curve_values(bp, "negative", lambda_max),
+                          values=_lattice_values((-np.pi ** 2 / root.imag ** 2,), lambda_max),
                           description="-k^2 pi^2 / Im(b+^{-1/2})^2")
             theorems.append("real-curve-nonpositive-lattice")
         elif abs(curve) <= BOUNDARY_TOL and 0.0 < a - d < 2.0:
             locus = Locus(LocusKind.REAL_WITH_FORMULA,
-                          values=_curve_values(bp, "positive", lambda_max),
+                          values=_lattice_values((np.pi ** 2 / root.real ** 2,), lambda_max),
                           description="+k^2 pi^2 / Re(b+^{-1/2})^2")
             theorems.append("real-curve-nonnegative-lattice")
         else:
@@ -410,7 +402,8 @@ def predict(A: CMatrix2, lambda_max: float = LAMBDA_MAX_DEFAULT) -> SpectralPred
     region = None
 
     if form.family is Family.A0:
-        locus = Locus(LocusKind.LATTICE, values=_lattice_values((a, d), lambda_max))
+        locus = Locus(LocusKind.LATTICE,
+                      values=_lattice_values((a * np.pi ** 2, d * np.pi ** 2), lambda_max))
         theorems.append("diagonal-lattice")
         if a > 0 and d > 0:
             bounds = ((0.0, 0.0),)
@@ -432,7 +425,8 @@ def predict(A: CMatrix2, lambda_max: float = LAMBDA_MAX_DEFAULT) -> SpectralPred
             locus = Locus(LocusKind.REAL_LINE)
             theorems.append("real-line-by-continuity")
     elif form.family in (Family.A2, Family.A3):
-        locus = Locus(LocusKind.LATTICE, values=_lattice_values((a, d), lambda_max))
+        locus = Locus(LocusKind.LATTICE,
+                      values=_lattice_values((a * np.pi ** 2, d * np.pi ** 2), lambda_max))
         theorems.append("triangular-lattice")
         if a * d > 0:
             bounds = ((0.0, 0.0),) if a > 0 else ((np.pi, np.pi),)
@@ -507,7 +501,7 @@ def _balancing_r(A: CMatrix2, weight: float = 1.0) -> float:
 
 
 def _diagonal_symmetrizable(A: CMatrix2) -> Optional[Certificate]:
-    tol = 1e-12 * (1.0 + A.norm())
+    tol = 1e-12 * (1.0 + A.balanced_norm())
     if abs(A.a.imag) > tol or abs(A.d.imag) > tol:
         return None
     a, d = A.a.real, A.d.real
@@ -543,7 +537,7 @@ def _sector_bound(A: CMatrix2) -> Optional[Certificate]:
 
 
 def _near_real(A: CMatrix2) -> Optional[Certificate]:
-    tol = 1e-12 * (1.0 + A.norm())
+    tol = 1e-12 * (1.0 + A.balanced_norm())
     if abs(A.a.imag) > tol or abs(A.d.imag) > tol:
         return None
     a, d = A.a.real, A.d.real

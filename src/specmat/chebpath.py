@@ -29,9 +29,10 @@ from .canonical import Family, RegionTag, classify_region, family_matrix
 from .errors import DegreeTooHigh, OutOfDomain
 from . import secular
 from .mat2 import CMatrix2
-from .rootfind import Spectrum, cluster_roots, polyroots
+from .rootfind import Spectrum, _canonical_sorted, cluster_roots, polyroots
 
 DEGREE_CAP_DEFAULT = 20   # polynomial rooting is unstable past this
+_G_CLUSTER_REL = 1e-5      # G roots closer than this, over 1 + |w|, form one cluster
 
 
 @dataclass(frozen=True)
@@ -151,12 +152,29 @@ def build_g(pt: ChebPoint) -> GPoly:
 
 
 def _polish_root(coeffs: np.ndarray, w0: complex, mult: int) -> complex:
-    """Multiplicity-aware Newton polish of a root cluster centre, followed
-    by snapping to the structural roots +-1 and to the real axis.
+    """Full-precision root from a root cluster centre.
 
-    The companion-matrix eigenvalues resolve an m-fold root only to
-    O(eps^(1/m)); Newton with the known multiplicity restores full precision.
+    A multiple cluster within the clustering radius of a structural root
+    +-1 where G vanishes to rounding is that root: at a = 0 the root 1 is
+    double, and Newton from its cluster divides rounding noise by rounding
+    noise.  Every other centre takes multiplicity-aware Newton: the
+    companion-matrix eigenvalues resolve an m-fold root only to
+    O(eps^(1/m)), and Newton with the known multiplicity restores full
+    precision.  A result within 1e-6 of +-1 where G vanishes is snapped to
+    it, and one within rounding of the real axis to the real axis.
     """
+    scale = float(np.linalg.norm(coeffs))
+
+    def structural(w: complex, radius: float) -> Optional[complex]:
+        for target in (1.0, -1.0):
+            if abs(w - target) <= radius and abs(np.polyval(coeffs, target)) <= 1e-10 * scale:
+                return complex(target)
+        return None
+
+    if mult >= 2:
+        snapped = structural(w0, _G_CLUSTER_REL * 2.0)
+        if snapped is not None:
+            return snapped
     w = complex(w0)
     dcoeffs = np.polyder(coeffs)
     for _ in range(60):
@@ -168,10 +186,9 @@ def _polish_root(coeffs: np.ndarray, w0: complex, mult: int) -> complex:
         w -= delta
         if abs(delta) <= 1e-15 * (1.0 + abs(w)):
             break
-    scale = float(np.linalg.norm(coeffs))
-    for target in (1.0, -1.0):
-        if abs(w - target) <= 1e-6 and abs(np.polyval(coeffs, target)) <= 1e-10 * scale:
-            return complex(target)
+    snapped = structural(w, 1e-6)
+    if snapped is not None:
+        return snapped
     if abs(w.imag) <= 1e-10 * (1.0 + abs(w)):
         return complex(w.real, 0.0)
     return w
@@ -196,7 +213,7 @@ def root_lattices(pt: ChebPoint, n_max: int,
     step = pt.q * math.sqrt(pt.b_plus)
     shifts = 2.0 * np.pi * np.arange(-n_max, n_max + 1)
     out = []
-    for w0, mult in cluster_roots(polyroots(g.coeffs), rel_tol=1e-5):
+    for w0, mult in cluster_roots(polyroots(g.coeffs), rel_tol=_G_CLUSTER_REL):
         w0 = _polish_root(g.coeffs, w0, mult)
         z0 = complex(np.arccos(w0 + 0j))
         lam = np.concatenate([(z0 + shifts) * step, (-z0 + shifts) * step])
@@ -215,10 +232,9 @@ def cheb_spectrum(pt: ChebPoint, n_max: int, degree_cap: int = DEGREE_CAP_DEFAUL
     """
     raw = [(complex(v), mult)
            for mult, lam2 in root_lattices(pt, n_max, degree_cap) for v in lam2]
-    # sorted merge: equal eigenvalues land adjacently in (modulus, angle) order
-    raw.sort(key=lambda pm: (abs(pm[0]), np.angle(pm[0])))
+    # sorted merge: equal eigenvalues land adjacently in canonical order
     merged = []
-    for v, m in raw:
+    for v, m in _canonical_sorted(raw):
         if lambda2_max is not None and abs(v) > lambda2_max:
             continue
         for i in range(len(merged) - 1, max(len(merged) - 6, -1), -1):
@@ -229,9 +245,7 @@ def cheb_spectrum(pt: ChebPoint, n_max: int, degree_cap: int = DEGREE_CAP_DEFAUL
         else:
             merged.append((v, m))
     order0 = 2 * max([m for v, m in merged if abs(v) <= 1e-9], default=1)
-    eigs = [(v, m) for v, m in merged if abs(v) > 1e-9]
-    eigs.append((0.0 + 0.0j, 1))
-    eigs.sort(key=lambda pm: (abs(pm[0]), np.angle(pm[0])))
+    eigs = _canonical_sorted([(0j, 1)] + [(v, m) for v, m in merged if abs(v) > 1e-9])
     notes = ("multiplicity = G-root multiplicity; the secular zero order "
              "doubles at w0 = +-1",)
     return Spectrum(eigenvalues=tuple(eigs), method="chebyshev",

@@ -73,6 +73,11 @@ class CMatrix2:
         """Frobenius norm."""
         return float(np.linalg.norm(self.as_array()))
 
+    def balanced_norm(self) -> float:
+        """``sqrt(|a|^2 + |d|^2 + 2|bc|)``, the Frobenius norm of the balanced
+        conjugate: the same for every ``diag(1, r) A diag(1, 1/r)``."""
+        return float(np.sqrt(abs(self.a) ** 2 + abs(self.d) ** 2 + 2.0 * abs(self.b * self.c)))
+
     @property
     def is_real(self) -> bool:
         return all(abs(v.imag) == 0.0 for v in (self.a, self.b, self.c, self.d))
@@ -80,8 +85,9 @@ class CMatrix2:
     @property
     def is_singular(self) -> bool:
         """Singularity at working precision: below this the operator is not
-        closed and downstream modules must refuse."""
-        return abs(self.det) <= SINGULAR_TOL * max(self.norm(), 1e-300) ** 2
+        closed and downstream modules must refuse.  Scaled by the balanced
+        norm, so the verdict is the same for every diagonal conjugate."""
+        return abs(self.det) <= SINGULAR_TOL * max(self.balanced_norm(), 1e-300) ** 2
 
     def require_nonsingular(self) -> None:
         if self.is_singular:

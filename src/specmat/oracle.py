@@ -37,12 +37,7 @@ import numpy as np
 from .errors import (InvalidInput, NearSpectrum, NonConverged,
                      ResolutionTooLow)
 from .mat2 import CMatrix2
-from .rootfind import Spectrum
-
-# relative tolerance under which two moduli tie, or an eigenvalue counts as
-# real, in the canonical order; far above the eigensolver's rounding, far
-# below the grid's eigenvalue spacing
-_TIE_RTOL = 1e-8
+from .rootfind import Spectrum, _canonical_order
 
 
 @dataclass(frozen=True)
@@ -125,24 +120,6 @@ def discretize(A: CMatrix2, n: int) -> Discretization:
     S = scipy.sparse.csc_matrix((coeff[slot] * (weights * (1.0 / h ** 2)),
                                  (rows, cols)), shape=(N, N))
     return Discretization(n=n, h=h, A=A, S=S)
-
-
-def _canonical_order(ev: np.ndarray) -> np.ndarray:
-    """Indices sorting ``ev`` by modulus, and ties (moduli equal to within
-    ``_TIE_RTOL``) by argument in (-pi, pi].
-
-    Values within ``_TIE_RTOL`` of the real axis count as real, so that
-    rounding noise cannot move an eigenvalue on the negative axis across
-    the branch cut from pi to -pi and reorder it against its tie partner.
-    """
-    mod = np.abs(ev)
-    by_mod = np.argsort(mod, kind="stable")
-    sorted_mod = mod[by_mod]
-    group = np.concatenate(([0], np.cumsum(
-        np.diff(sorted_mod) > _TIE_RTOL * sorted_mod[1:])))
-    real = np.abs(ev.imag) <= _TIE_RTOL * mod
-    arg = np.where(real, np.where(ev.real < 0, np.pi, 0.0), np.angle(ev))
-    return by_mod[np.lexsort((arg[by_mod], group))]
 
 
 def _low_end(disc: Discretization, count: int) -> np.ndarray:

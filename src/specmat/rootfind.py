@@ -7,20 +7,30 @@ with vectorised ``logderiv(z)`` and ``logabs(z)`` methods.  The secular
 functions implement it natively (overflow-free); plain callables are
 adapted on the fly.
 
-Every contour integral (rectangle windings, quadtree splits, cluster
-centroids, circle probes) goes through one primitive,
-:func:`_contour_moments`.  Its input is a set of segments between
-numbered vertices and a signed incidence matrix with one row per closed
-contour: a rectangle is one row of four segments, a circle one periodic
-segment, and a quadtree split four rows over 12 segments, so the two
-split lines are integrated once for the cells on both sides.  It returns,
-per contour, the moments ``s0 = (1/2 pi i) contour integral of f'/f``
-(the winding number) and ``s1 = (1/2 pi i) contour integral of z f'/f``
-(the sum of the enclosed zeros) from the same samples.  The trapezoid
-rule is refined per segment and nested: each segment doubles only while
-the zeros near it are unresolved, a doubling evaluates only the new
-midpoints, and no point is evaluated twice within one call.  A cell
-holding one zero starts Newton at its ``s1``.
+Every contour integral (rectangle windings and quadtree splits) goes
+through one primitive, :func:`_contour_moments`.  Its input is a set of
+straight segments between numbered vertices and a signed incidence matrix
+with one row per closed contour: a rectangle is one row of four segments,
+and a quadtree split four rows over 12 segments, so the two split lines
+are integrated once for the cells on both sides.  It returns, per
+contour, the moments ``s0 = (1/2 pi i) contour integral of f'/f`` (the
+winding number) and ``s1 = (1/2 pi i) contour integral of z f'/f`` (the
+sum of the enclosed zeros) from the same samples.  The trapezoid rule is
+refined per segment and nested: each segment doubles only while the zeros
+near it are unresolved, a doubling evaluates only the new midpoints, and
+no point is evaluated twice within one call.
+
+Every cell of the quadtree carries its count ``m`` and its ``s1``, and one
+rule accepts it as a single m-fold zero: ``m = 1``, or ``m >= 2`` in a cell
+no wider than the cluster size ``_CLUSTER_REL * (1 + |centre|)``.  The
+polish starts at the centroid ``s1 / m`` and must converge inside the
+cell; otherwise the cell is split.  The count is the certificate: the m
+zeros lie within one cell diameter of the reported point.  An order-m zero
+is resolved only to O(eps^(1/m)) by any contour, so m simple zeros closer
+than the cluster size are reported as one m-fold zero.  Where a split
+integral cannot converge (its lines cross the noise floor of a high-order
+zero), a cell up to ``_FALLBACK_CELLS`` cluster sizes wide is tried once
+by the same polish; its certificate is only its own diameter.
 
 ``spectrum`` grows its search box incrementally: the zeros already
 isolated are kept, only the strips the larger box adds are isolated, and
@@ -42,6 +52,8 @@ from .secular import build
 _EDGE_START = 64
 _EDGE_CAP = 2 ** 18    # most intervals any one edge may refine to
 _WINDING_TOL = 1e-3
+_CLUSTER_REL = 1e-4    # largest cell accepted as one multiple zero, over 1 + |centre|
+_FALLBACK_CELLS = 32   # widest unsplittable cell, in cluster sizes (18 seen at a = 0)
 
 
 @dataclass(frozen=True)
@@ -108,9 +120,6 @@ class _CallableAdapter:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.f(z)))
 
-    def value(self, z):
-        return self.f(z)
-
 
 def _as_protocol(f, fprime=None):
     if hasattr(f, "logderiv") and hasattr(f, "logabs"):
@@ -140,45 +149,23 @@ class _OriginDeflated:
 
 
 class _Segments(NamedTuple):
-    """Closed contours assembled from shared segments.
+    """Closed contours assembled from shared straight segments.
 
-    Segment k runs along ``path(k, t)``, which returns ``(z, dz/dt)`` at
-    parameters ``t`` in [0, 1] (broadcast against ``k``), from vertex
-    ``ends[k, 0]`` to vertex ``ends[k, 1]``; ``lengths[k]`` is its length.
+    Segment k runs from vertex ``ends[k, 0]`` to vertex ``ends[k, 1]``.
     Row c of ``incidence`` describes contour c: +1 for a segment it
     traverses forwards, -1 backwards, 0 for one it does not use.
     """
 
     vertices: np.ndarray
     ends: np.ndarray
-    path: Callable
-    lengths: np.ndarray
     incidence: np.ndarray
-
-
-def _straight(vertices, ends, incidence) -> _Segments:
-    """Straight segments between the given vertices."""
-    v = np.asarray(vertices, dtype=complex)
-    ends = np.asarray(ends)
-    a = v[ends[:, 0]]
-    d = v[ends[:, 1]] - a
-    return _Segments(v, ends, lambda k, t: (a[k] + t * d[k], d[k]), np.abs(d),
-                     np.asarray(incidence, dtype=float))
 
 
 def _polygon(vertices) -> _Segments:
     """One closed polyline: segment k runs from vertex k to vertex k+1."""
     n = len(vertices)
-    return _straight(vertices, [(k, (k + 1) % n) for k in range(n)], np.ones((1, n)))
-
-
-def _circle(center: complex, radius: float) -> _Segments:
-    """Circle as one periodic segment whose two ends are the same vertex."""
-    def path(k, t):
-        u = radius * np.exp(2j * np.pi * t)
-        return center + u, 2j * np.pi * u
-    return _Segments(np.array([center + radius]), np.array([[0, 0]]), path,
-                     np.array([2.0 * np.pi * radius]), np.ones((1, 1)))
+    return _Segments(np.asarray(vertices, dtype=complex),
+                     np.array([(k, (k + 1) % n) for k in range(n)]), np.ones((1, n)))
 
 
 def _quadrants(children) -> _Segments:
@@ -200,7 +187,7 @@ def _quadrants(children) -> _Segments:
         incidence[c, 6 + 2 * (i + 1) + j] = 1.0      # right, upwards
         incidence[c, i + 2 * (j + 1)] = -1.0         # top, leftwards
         incidence[c, 6 + 2 * i + j] = -1.0           # left, downwards
-    return _straight(grid, horiz + vert, incidence)
+    return _Segments(np.array(grid), np.array(horiz + vert), incidence)
 
 
 def _logderiv_finite(fun, z):
@@ -210,8 +197,7 @@ def _logderiv_finite(fun, z):
     return g
 
 
-def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP,
-                     tol1: Optional[float] = None):
+def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
     """Moments ``s0 = (1/2 pi i) contour integral of g`` and
     ``s1 = (1/2 pi i) contour integral of z g``, ``g = f'/f``, over each
     closed contour of ``segs`` (one entry per row of its incidence matrix).
@@ -224,9 +210,8 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP,
     and the first doubling, which every segment needs).  A segment stops
     when it is resolved (``length / m <= dist / 3``, ``dist = 1 / max|g|``
     on that segment) at two successive levels whose winding contributions
-    agree to ``_WINDING_TOL / e`` (and, given ``tol1``, whose ``s1``
-    contributions agree to ``tol1 / e``), ``e`` the most segments any one
-    contour has.  Each contour's winding ``Re s0`` must also lie within
+    agree to ``_WINDING_TOL / e``, ``e`` the most segments any one contour
+    has.  Each contour's winding ``Re s0`` must also lie within
     ``_WINDING_TOL`` of an integer, else that contour's segments refine
     again.
 
@@ -236,36 +221,33 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP,
     retry), and NonConvergent when a segment would need more than ``cap``
     intervals.
     """
-    path, lengths, inc = segs.path, segs.lengths, segs.incidence
+    inc = segs.incidence
+    za, zb = segs.vertices[segs.ends[:, 0]], segs.vertices[segs.ends[:, 1]]
+    dz = zb - za
+    lengths = np.abs(dz)
     member = inc != 0
     n = lengths.size
     e = int(member.sum(axis=1).max())
     diam = np.where(member, lengths, 0.0).max(axis=1)
-    edges = np.arange(n)
     m = np.full(n, _EDGE_START)
     # one call for the vertices, the start level's interior samples (even
     # j of t = j/k, j = 1..k-1) and its first doubling (odd j): every
     # segment needs all of them
     k = 2 * _EDGE_START
     nv = segs.vertices.size
-    z, dz = path(edges[:, None], np.arange(1, k) / k)
-    z = np.broadcast_to(z, (n, k - 1))
+    z = za[:, None] + (np.arange(1, k) / k) * dz[:, None]
     g = _logderiv_finite(fun, np.concatenate((segs.vertices, z.ravel())))
     ga, gb = g[segs.ends[:, 0]], g[segs.ends[:, 1]]
-    za, zb = segs.vertices[segs.ends[:, 0]], segs.vertices[segs.ends[:, 1]]
-    dza, dzb = path(edges, np.zeros(n))[1], path(edges, np.ones(n))[1]
     g = g[nv:].reshape(n, k - 1)
-    gdz = g * dz
+    gdz = g * dz[:, None]
     zgdz, absg = z * gdz, np.abs(g)
     # running sums without the 1/m factor: a doubling only adds midpoints
-    s0 = gdz[:, 1::2].sum(axis=1) + 0.5 * (ga * dza + gb * dzb)
-    s1 = zgdz[:, 1::2].sum(axis=1) + 0.5 * (za * ga * dza + zb * gb * dzb)
+    s0 = gdz[:, 1::2].sum(axis=1) + 0.5 * (ga * dz + gb * dz)
+    s1 = zgdz[:, 1::2].sum(axis=1) + 0.5 * (za * ga * dz + zb * gb * dz)
     gmax = np.maximum(absg[:, 1::2].max(axis=1), np.maximum(np.abs(ga), np.abs(gb)))
     first = (gdz[:, ::2].sum(axis=1), zgdz[:, ::2].sum(axis=1),
              absg[:, ::2].max(axis=1))
-    # winding and s1 contributions at each segment's last resolved level
-    prev0 = np.full(n, np.nan)
-    prev1 = np.full(n, np.nan, dtype=complex)
+    prev0 = np.full(n, np.nan)      # winding contribution at the last resolved level
     todo = np.ones(n, dtype=bool)
     fresh = todo.copy()             # segments sampled at a new level
     while True:
@@ -279,21 +261,17 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP,
             # the caller can dilate or re-split
             raise BoundaryZero("zero unresolvably close to the contour")
         w0 = (s0 / (2j * np.pi * m)).real
-        w1 = s1 / (2j * np.pi * m)
         # two coarse levels can agree on a wrong value before the nearest
         # zero is even resolved by the sampling
         resolved = gmax * lengths <= m / 3.0
         agree = resolved & (np.abs(w0 - prev0) <= _WINDING_TOL / e)
-        if tol1 is not None:
-            agree &= np.abs(w1 - prev1) <= tol1 / e
         todo[fresh & agree] = False
         prev0 = np.where(fresh, np.where(resolved, w0, np.nan), prev0)
-        prev1 = np.where(fresh, np.where(resolved, w1, np.nan), prev1)
         if not todo.any():
             w = inc @ w0
             off = np.abs(w - np.round(w)) > _WINDING_TOL
             if not off.any():
-                return inc @ (s0 / m) / (2j * np.pi), inc @ w1
+                return inc @ (s0 / m) / (2j * np.pi), inc @ (s1 / (2j * np.pi * m))
             todo = member[off].any(axis=0)
         idx = np.flatnonzero(todo)
         if np.any(2 * m[idx] > cap):
@@ -308,10 +286,10 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP,
             counts = m[idx]
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
             local = np.arange(counts.sum()) - np.repeat(starts, counts)
-            z, dz = path(np.repeat(idx, counts),
-                         (local + 0.5) / np.repeat(counts, counts))
+            seg = np.repeat(idx, counts)
+            z = za[seg] + ((local + 0.5) / np.repeat(counts, counts)) * dz[seg]
             g = _logderiv_finite(fun, z)
-            gdz = g * dz
+            gdz = g * dz[seg]
             add0 = np.add.reduceat(gdz, starts)
             add1 = np.add.reduceat(z * gdz, starts)
             addmax = np.maximum.reduceat(np.abs(g), starts)
@@ -322,18 +300,13 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP,
         fresh = todo.copy()
 
 
-def _integrate_polyline(fun, vertices, cap: int = _EDGE_CAP):
-    """Moments ``(s0, s1)`` of f'/f over the closed polyline:
-    ``s0 = (1/2 pi i) * contour integral of f'/f`` (its real part is the
-    winding number) and ``s1``, the sum of the enclosed zeros, from the same
-    samples.  Nested trapezoid refinement per edge (see
-    :func:`_contour_moments`): each edge is refined only as far as the zeros
-    near it demand.  Raises BoundaryZero when a zero sits on or too near
-    the contour (the caller may dilate and retry) and NonConvergent at the
-    sample cap.
-    """
-    s0, s1 = _contour_moments(fun, _polygon(vertices), cap=cap)
-    return complex(s0[0]), complex(s1[0])
+class _Count(NamedTuple):
+    """A winding count ``n``, the rectangle it was taken on and the sum
+    ``s1`` of the zeros inside."""
+
+    n: int
+    rect: Rect
+    s1: complex
 
 
 def winding_count(f, rect: Rect, fprime=None, rng=None, dilate: bool = True) -> int:
@@ -345,20 +318,19 @@ def winding_count(f, rect: Rect, fprime=None, rng=None, dilate: bool = True) -> 
     """
     fun = _as_protocol(f, fprime)
     rng = np.random.default_rng(0) if rng is None else rng
-    return _winding_with_rect(fun, rect, rng, dilate)[0]
+    return _winding_with_rect(fun, rect, rng, dilate).n
 
 
-def _winding_with_rect(fun, rect: Rect, rng, dilate: bool, cap: int = _EDGE_CAP):
-    """Winding count, the (possibly dilated) rectangle actually used and
-    the sum ``s1`` of the zeros inside it."""
+def _winding_with_rect(fun, rect: Rect, rng, dilate: bool) -> _Count:
+    """Winding count of ``rect``, dilated as :func:`winding_count` does."""
     r = rect
     for attempt in range(6):
         try:
-            s0, s1 = _integrate_polyline(fun, r.corners(), cap=cap)
-            n = int(round(s0.real))
+            s0, s1 = _contour_moments(fun, _polygon(r.corners()))
+            n = int(round(s0[0].real))
             if n < 0:
-                raise NonConvergent(f"negative winding {s0.real}; derivative inconsistent?")
-            return n, r, s1
+                raise NonConvergent(f"negative winding {s0[0].real}; derivative inconsistent?")
+            return _Count(n, r, complex(s1[0]))
         except (BoundaryZero, NonConvergent):
             # either failure mode signals structure too close to the contour
             if not dilate or attempt == 5:
@@ -367,23 +339,17 @@ def _winding_with_rect(fun, rect: Rect, rng, dilate: bool, cap: int = _EDGE_CAP)
     raise BoundaryZero("persistent boundary zero after 5 dilations")
 
 
-def _winding_circle(fun, center: complex, radius: float) -> int:
-    """Winding of f'/f on a circle (one periodic edge)."""
-    s0, _ = _contour_moments(fun, _circle(center, radius))
-    return int(round(s0[0].real))
-
-
-def _newton(fun, z0: complex, mult: int, tol: float, max_iter: int = 80):
+def _newton(fun, z0: complex, mult: int, tol: float):
     """Multiplicity-aware Newton: z <- z - mult / logderiv(z).
 
     Converges quadratically at an exact m-fold zero but only down to the
     noise floor of the evaluated function; stagnation there counts as
-    convergence (the probe circles judge the result).
+    convergence (the caller's containment test judges the result).
     """
     z = complex(z0)
     prev_step = np.inf
     grew = 0
-    for _ in range(max_iter):
+    for _ in range(80):
         ld = complex(fun.logderiv(np.array([z]))[0])
         if not (np.isfinite(ld.real) and np.isfinite(ld.imag)):
             return z, True  # log-derivative blew up: we are sitting on the zero
@@ -405,117 +371,75 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
     """All zeros of ``f`` in ``rect`` as (location, multiplicity) pairs.
 
     Quadtree subdivision (with jittered split lines when a zero falls on
-    one) until each cell holds a single zero counting multiplicity;
-    clusters are resolved by a two-radius circle probe and multiple zeros
-    kept only when both probe radii agree.  The multiplicity sum equals
-    the top-level winding count, else NumericalFailure is raised.
+    one) until every cell is accepted as one zero by the rule of the
+    module docstring: a count-1 cell, or a count-m cell no wider than the
+    cluster size, whose polished centroid converges inside it.  The
+    multiplicity sum equals the top-level winding count, else
+    NumericalFailure is raised.
     """
     fun = _as_protocol(f, fprime)
     rng = np.random.default_rng(0) if rng is None else rng
-    total, rect, _ = _winding_with_rect(fun, rect, rng, dilate=True)
-    return _isolate_counted(fun, rect, total, tol, rng)
+    return _isolate_counted(fun, _winding_with_rect(fun, rect, rng, dilate=True),
+                            tol, rng)
 
 
-def _isolate_counted(fun, rect: Rect, total: int, tol: float, rng):
-    """Quadtree isolation in a rectangle whose winding count ``total`` is
-    already known (``rect`` is the contour that count was taken on)."""
-    if total == 0:
+def _isolate_counted(fun, counted: _Count, tol: float, rng):
+    """Quadtree isolation in the rectangle of a winding count already
+    taken."""
+    if counted.n == 0:
         return []
     results = []
-    # (cell, count, Newton start); a child's start is the sum of its zeros
-    # from its winding integral, which for a single zero is its location
-    stack = [(rect, total, rect.center)]
+    stack = [(counted.rect, counted.n, counted.s1)]
     while stack:
-        cell, cnt, start = stack.pop()
+        cell, cnt, s1 = stack.pop()
         c = cell.center
-        probe_diam = 1e-4 * (1.0 + abs(c))
-        if cnt == 1:
-            z, ok = _newton(fun, start if cell.contains(start) else c, cnt, tol)
-            # strict containment: the counted zero is interior to the cell,
-            # so a result outside it is a different zero reached by a basin
-            # jump (accepting it would duplicate one zero and drop another)
-            if ok and cell.contains(z, slack=1e-7 * (1 + abs(z))):
-                results.append((z, 1))
+        tried = cnt == 1 or cell.diameter <= _CLUSTER_REL * (1.0 + abs(c))
+        if tried:
+            z = _polish_cell(fun, cell, cnt, s1, tol)
+            if z is not None:
+                results.append((z, cnt))
                 continue
             if cell.diameter <= 1e-11 * (1.0 + abs(c)):
-                raise NonConvergent(f"cannot locate the zero near {c}")
-            stack.extend(_split_cell(fun, cell, cnt, rng))
-            continue
-        if cell.diameter <= probe_diam:
-            hit = _try_cluster(fun, cell, cnt, tol)
-            if hit is not None:
-                results.append(hit)
-                continue
-            if cell.diameter <= 1e-11 * (1.0 + abs(c)):
-                raise NonConvergent(
-                    f"cannot resolve {cnt} zeros near {c}: cell exhausted")
+                raise NonConvergent(f"cannot resolve {cnt} zeros near {c}: cell exhausted")
         try:
-            children = _split_cell(fun, cell, cnt, rng)
+            stack.extend(_split_cell(fun, cell, cnt, rng))
         except NonConvergent:
-            # high-order zeros sink below the cancellation noise floor of
-            # the function long before the cell is small; probe the whole
-            # cell as one cluster before giving up
-            hit = _try_cluster(fun, cell, cnt, tol)
-            if hit is None:
+            # split lines near a high-order zero cross its noise floor long
+            # before the cell is small: try the cell as one zero unless too wide
+            wide = cell.diameter > _FALLBACK_CELLS * _CLUSTER_REL * (1.0 + abs(c))
+            z = None if tried or wide else _polish_cell(fun, cell, cnt, s1, tol)
+            if z is None:
                 raise
-            results.append(hit)
-            continue
-        stack.extend(children)
+            results.append((z, cnt))
     found = sum(m for _, m in results)
-    if found != total:
+    if found != counted.n:
         raise NumericalFailure(
-            f"isolated {found} zeros counting multiplicity, winding count {total}")
-    return sorted(results, key=lambda zm: (abs(zm[0]), np.angle(zm[0])))
+            f"isolated {found} zeros counting multiplicity, winding count {counted.n}")
+    return _canonical_sorted(results)
 
 
-def _cluster_centroid(fun, cell: Rect, cnt: int):
-    """First moment of the zeros in a cell: ``s1 / cnt`` from the boundary
-    moments, or None when the integral fails.
+def _polish_cell(fun, cell: Rect, cnt: int, s1: complex, tol: float):
+    """The cell's ``cnt`` zeros as one zero, polished from their centroid
+    ``s1 / cnt``, or None when the polish fails or leaves the cell.
 
-    Only needs to land well inside the cell (it seeds the circle probes),
-    so the agreement criterion is relative to the cell size.
+    A simple zero takes Newton.  A multiple one takes the function's
+    ``polish_multiple`` when it has one (a true m-fold zero is a simple
+    zero of the (m-1)-th derivative, which recovers machine accuracy
+    instead of the eps^(1/m) noise radius), else multiplicity Newton.
+    The containment test is strict: a result outside the cell is another
+    zero reached by a basin jump, and accepting it would duplicate one
+    zero and drop another.
     """
-    tol = max(0.02 * cell.diameter, 1e-9 * (1.0 + abs(cell.center)))
-    try:
-        _, s1 = _contour_moments(fun, _polygon(cell.corners()), cap=2 ** 14,
-                                 tol1=cnt * tol)
-    except (BoundaryZero, NonConvergent):
-        return None
-    return complex(s1[0]) / cnt
-
-
-def _try_cluster(fun, cell: Rect, cnt: int, tol: float):
-    """Accept a cell as one multiple zero (or an unresolvable cluster).
-
-    The centre comes from the boundary moment integral (Newton cannot
-    navigate the cancellation noise ball of a high-order zero), optionally
-    Newton-polished; windings on two shrinking circles must then both
-    reproduce the count.  Circle radii are floored by the cell size: an
-    order-m zero is numerically invisible below radius ~ eps^(1/m).
-    The reported location of an order-m zero is accurate to O(eps^(1/m)).
-    """
-    z = _cluster_centroid(fun, cell, cnt)
-    if z is None or not cell.contains(z, slack=0.1 * cell.diameter):
-        return None
+    start = s1 / cnt
+    if not cell.contains(start):
+        start = cell.center
     base = getattr(fun, "base", fun)
-    move_cap = 0.05 * cell.diameter + 1e-6 * (1.0 + abs(z))
-    if hasattr(base, "polish_multiple"):
-        # a true m-fold zero is a simple zero of the (m-1)-th derivative:
-        # recovers machine accuracy instead of the eps^(1/m) noise radius
-        zp = base.polish_multiple(z, cnt)
-        if abs(zp - z) <= move_cap:
-            z = zp
+    if cnt > 1 and hasattr(base, "polish_multiple"):
+        z, ok = base.polish_multiple(start, cnt)
     else:
-        zn, ok = _newton(fun, z, cnt, tol, max_iter=30)
-        if ok and abs(zn - z) <= move_cap:
-            z = zn
-    r1 = max(1e-4 * (1.0 + abs(z)), 1.4 * cell.diameter)
-    r2 = max(1e-5 * (1.0 + abs(z)), 0.42 * cell.diameter)
-    try:
-        if _winding_circle(fun, z, r1) == cnt and _winding_circle(fun, z, r2) == cnt:
-            return (z, cnt)
-    except (BoundaryZero, NonConvergent):
-        pass
+        z, ok = _newton(fun, start, cnt, tol)
+    if ok and cell.contains(z, slack=1e-7 * (1.0 + abs(z))):
+        return z
     return None
 
 
@@ -555,16 +479,48 @@ def _split_cell(fun, cell: Rect, cnt: int, rng):
 
 # -- spectra -------------------------------------------------------------
 
+# relative tolerance under which two moduli tie, or an eigenvalue counts as
+# real, in the canonical order; far above the solvers' rounding, far below
+# any eigenvalue spacing they resolve
+_TIE_RTOL = 1e-8
+
+
+def _canonical_order(ev: np.ndarray) -> np.ndarray:
+    """Indices sorting ``ev`` by modulus, and ties (moduli equal to within
+    ``_TIE_RTOL``) by argument in (-pi, pi].
+
+    Values within ``_TIE_RTOL`` of the real axis count as real, so that
+    rounding noise cannot move an eigenvalue on the negative axis across
+    the branch cut from pi to -pi and reorder it against its tie partner.
+    A conjugate pair lists its lower member first.
+    """
+    mod = np.abs(ev)
+    by_mod = np.argsort(mod, kind="stable")
+    sorted_mod = mod[by_mod]
+    group = np.cumsum(np.diff(sorted_mod, prepend=sorted_mod[:1])
+                      > _TIE_RTOL * sorted_mod)
+    real = np.abs(ev.imag) <= _TIE_RTOL * mod
+    arg = np.where(real, np.where(ev.real < 0, np.pi, 0.0), np.angle(ev))
+    return by_mod[np.lexsort((arg[by_mod], group))]
+
+
+def _canonical_sorted(pairs) -> list:
+    """``(value, multiplicity)`` pairs in the canonical order of their values."""
+    pairs = list(pairs)
+    order = _canonical_order(np.array([v for v, _ in pairs], dtype=complex))
+    return [pairs[i] for i in order]
+
 
 @dataclass(frozen=True)
 class Spectrum:
     """Finite list of eigenvalues with multiplicities and provenance.
 
-    ``eigenvalues`` holds ``(value, multiplicity)`` sorted by modulus then
-    argument.  Multiplicity is the analytic order of the corresponding
-    secular zero (the algebraic count; geometric multiplicity is at most
-    2).  The always-present eigenvalue 0 is reported once, with the full
-    order of the secular zero at the origin in ``analytic_order_at_zero``.
+    ``eigenvalues`` holds ``(value, multiplicity)`` in the canonical order
+    of :func:`_canonical_order`: by modulus, ties by argument.
+    Multiplicity is the analytic order of the corresponding secular zero
+    (the algebraic count; geometric multiplicity is at most 2).  The
+    always-present eigenvalue 0 is reported once, with the full order of
+    the secular zero at the origin in ``analytic_order_at_zero``.
     """
 
     eigenvalues: tuple
@@ -585,13 +541,13 @@ class Spectrum:
         return np.array(out, dtype=complex)
 
 
-def _canonical_zeros(zeros, axis_tol_rel: float = 1e-7):
+def _canonical_zeros(zeros):
     """Map +-symmetric zeros to right-half-plane representatives: drop
     mirrors with negative real part, snap imaginary-axis zeros and keep
     only their upper-half representative."""
     kept = []
     for z, m in zeros:
-        ax = axis_tol_rel * (1.0 + abs(z))
+        ax = 1e-7 * (1.0 + abs(z))
         if z.real < -ax:
             continue
         if abs(z.real) <= ax:
@@ -603,11 +559,13 @@ def _canonical_zeros(zeros, axis_tol_rel: float = 1e-7):
     return kept
 
 
-def _merge_values(pairs, rel_tol: float = 1e-8):
+def _merge_values(pairs):
+    """Merge equal eigenvalues (to 1e-8 relative), adding multiplicities;
+    the result is in canonical order."""
     merged = []
-    for v, m in sorted(pairs, key=lambda p: (abs(p[0]), np.angle(p[0]))):
+    for v, m in _canonical_sorted(pairs):
         for i, (u, k) in enumerate(merged):
-            if abs(v - u) <= rel_tol * (1.0 + abs(v)):
+            if abs(v - u) <= 1e-8 * (1.0 + abs(v)):
                 merged[i] = ((u * k + v * m) / (k + m), k + m)
                 break
         else:
@@ -623,8 +581,8 @@ def _grow_zeros(fun, zeros, done: Rect, box: Rect, tol: float, rng):
     bordering ``done`` (right, then above and below).  One winding count of
     the hull certifies the union: it must equal the zeros in hand plus the
     strips' (all inside the contour counted).  Returns
-    ``(zeros or None, counted rect, count)``; None means the certificate
-    failed, and the count is then the one to isolate the hull on.
+    ``(zeros or None, hull count)``; None means the certificate failed, and
+    the count is then the one to isolate the hull on.
     """
     hull = Rect(done.re_min, max(done.re_max, box.re_max),
                 min(done.im_min, box.im_min), max(done.im_max, box.im_max))
@@ -638,11 +596,11 @@ def _grow_zeros(fun, zeros, done: Rect, box: Rect, tol: float, rng):
     found = list(zeros)
     for strip in strips:
         found.extend(isolate_zeros(fun, strip, tol=tol, rng=rng))
-    total, rect, _ = _winding_with_rect(fun, hull, rng, dilate=True)
-    inside = all(rect.contains(z, slack=1e-7 * (1.0 + abs(z))) for z, _ in found)
-    if not inside or sum(m for _, m in found) != total:
-        return None, rect, total
-    return found, rect, total
+    counted = _winding_with_rect(fun, hull, rng, dilate=True)
+    inside = all(counted.rect.contains(z, slack=1e-7 * (1.0 + abs(z))) for z, _ in found)
+    if not inside or sum(m for _, m in found) != counted.n:
+        return None, counted
+    return found, counted
 
 
 def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10,
@@ -693,31 +651,30 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
 
         # cheap pre-pass: grow by winding count alone before isolating; the
         # last count is the first isolation's certificate
-        total, done, _ = _winding_with_rect(fun, grow_box(), rng, dilate=True)
+        counted = _winding_with_rect(fun, grow_box(), rng, dilate=True)
         for _ in range(13):
-            if total >= want + 1:
+            if counted.n >= want + 1:
                 break
             L *= 1.45
             H *= 1.2
-            total, done, _ = _winding_with_rect(fun, grow_box(), rng, dilate=True)
-        # `zeros` are all the zeros inside `done`, the contour last counted
+            counted = _winding_with_rect(fun, grow_box(), rng, dilate=True)
+        # `zeros` are all the zeros inside `counted.rect`, the contour last counted
         zeros = None
         ok = False
         last_n, stall = -1, 0
         for _ in range(16):
             try:
                 if zeros is None:
-                    if done is None:
-                        total, done, _ = _winding_with_rect(fun, grow_box(),
-                                                            rng, dilate=True)
-                    zeros = _isolate_counted(fun, done, total, tol, rng)
+                    if counted is None:
+                        counted = _winding_with_rect(fun, grow_box(), rng, dilate=True)
+                    zeros = _isolate_counted(fun, counted, tol, rng)
                 else:
-                    zeros, done, total = _grow_zeros(fun, zeros, done, grow_box(),
-                                                     tol, rng)
+                    zeros, counted = _grow_zeros(fun, zeros, counted.rect, grow_box(),
+                                                 tol, rng)
             except (BoundaryZero, NonConvergent):
                 # a box edge landed too close to spectral structure: nudge
                 # and isolate the whole box again
-                zeros = done = None
+                zeros = counted = None
                 ok = False
                 L *= 1.0489
                 H *= 1.0171
@@ -728,13 +685,13 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
                 # next round isolates the whole box on that count
                 continue
             kept = _canonical_zeros(zeros)
-            merged = sorted(_merge_values([(z * z, m) for z, m in kept]),
-                            key=lambda p: abs(p[0]))
+            merged = _merge_values([(z * z, m) for z, m in kept])
             n_eigs = 1 + len(merged)
             if n_eigs > want:
                 # completeness: the smallest `want` eigenvalues must come
                 # from the disc the box fully covers, else an off-axis
                 # direction may still hide smaller ones
+                done = counted.rect
                 coverage = 0.95 * min(done.re_max, done.im_max, -done.im_min)
                 need = float(np.sqrt(abs(merged[want - 1][0])))
                 if need <= coverage:
@@ -754,11 +711,9 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
         if not ok:
             raise NonConvergent(
                 f"could not isolate eigenvalues; last box {grow_box()}")
-        lambda_rect = done
+        lambda_rect = counted.rect
 
-    eigs = _merge_values([(z * z, m) for z, m in kept])
-    eigs = [(complex(0.0), 1)] + eigs
-    eigs.sort(key=lambda p: (abs(p[0]), np.angle(p[0])))
+    eigs = _canonical_sorted([(0j, 1)] + _merge_values([(z * z, m) for z, m in kept]))
     if count is not None:
         eigs = eigs[:count]
 

@@ -200,24 +200,28 @@ class SecularFn:
         with np.errstate(divide="ignore", invalid="ignore"):
             return der / val
 
-    def polish_multiple(self, z0: complex, mult: int, max_iter: int = 60) -> complex:
+    def polish_multiple(self, z0: complex, mult: int):
         """Machine-precision location of an m-fold zero near z0: simple
         Newton on the (m-1)-th derivative, which has a simple zero there.
-        Falls back to z0 when the iteration leaves its small basin.
+
+        Returns ``(z, ok)``.  ``ok`` is False when the derivative vanishes
+        or is not finite, when the iteration leaves its small basin
+        (``|z - z0| > 0.1 (1 + |z0|)``), and when 60 steps end with a
+        step above ``1e-10 (1 + |z|)``.
         """
         k = mult - 1
         z = complex(z0)
-        for _ in range(max_iter):
+        for _ in range(60):
             (num, den), _ = self._derivs_scaled(z, (k, k + 1))
             if den == 0 or not np.isfinite(den):
-                return complex(z0)
+                return z, False
             step = complex(num / den)
             z -= step
             if abs(z - z0) > 0.1 * (1.0 + abs(z0)):
-                return complex(z0)
+                return z, False
             if abs(step) <= 1e-15 * (1.0 + abs(z)):
-                return z
-        return z
+                return z, True
+        return z, abs(step) <= 1e-10 * (1.0 + abs(z))
 
     def logabs(self, x):
         """log|EV(x)|, overflow-free."""
@@ -313,7 +317,7 @@ def _build_defective(A: CMatrix2, e: Eigen2) -> SecularFn:
                      f1=0.0, f2=2.0 / sp)
 
 
-def build(A: CMatrix2, check_margin: bool = True) -> SecularFn:
+def build(A: CMatrix2) -> SecularFn:
     """Construct the secular function of ``A`` (nonsingular required).
 
     In the near-defective margin (eigenvalue gap within 10x of the
@@ -329,7 +333,7 @@ def build(A: CMatrix2, check_margin: bool = True) -> SecularFn:
     else:
         fn = _build_diagonalizable(A, e)
 
-    if check_margin and e.kind is not EigKind.SCALAR:
+    if e.kind is not EigKind.SCALAR:
         margin = 10.0 * DEFECTIVE_GAP_TOL * (1.0 + A.norm())
         if 0.0 < e.gap <= margin:
             _assert_margin_consistency(A, e, fn)

@@ -181,8 +181,8 @@ def verify_against_secular(records, spec: SweepSpec, rtol: float = 1e-6):
         if rec.sentinel:
             continue
         A = family_matrix(Family.A4, rec.a, rec.d)
-        # a few extra reference eigenvalues: the count cut can land inside a
-        # conjugate pair, whose members order arbitrarily at equal modulus
+        # a few extra reference eigenvalues: the chebyshev step keeps one
+        # entry per value, so its count cut can reach past the reference's
         ref = spectrum(A, count=max(spec.count, len(rec.eigenvalues)) + 6,
                        tol=spec.tol)
         ref_vals = ref.values()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specmat import (CMatrix2, Family, LocusKind, NonRealInput, RegionTag,
+from specmat import (CMatrix2, Family, InvalidInput, LocusKind, NonRealInput, RegionTag,
                      SingularMatrix, a4_eigs, classify_region, family_matrix,
                      perturbation_coeffs, predict, reduce_real,
                      similarity_certificates, spectrum)
@@ -105,6 +105,14 @@ class TestPredict:
         vals = np.array(pred.locus.values)
         for target in (np.pi**2, 4 * np.pi**2, 16 * np.pi**2):
             assert min(abs(vals - target)) <= 1e-9
+
+    def test_lattice_size_is_capped(self):
+        pred = predict(CMatrix2.real(1, 0, 0, 2), lambda_max=1e6)
+        vals = np.array(pred.locus.values)
+        assert vals.size == len(set(pred.locus.values))
+        assert np.all(np.diff(np.abs(vals)) >= 0) and np.max(np.abs(vals)) <= 1e6
+        with pytest.raises(InvalidInput):
+            predict(CMatrix2.real(1, 0, 0, 2), lambda_max=1e24)
 
     def test_defective_singleton(self):
         pred = predict(a4(0.5, -1.5))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -115,8 +117,6 @@ class TestChebSpectrum:
         while count < 20:
             p, q = ratios[count % len(ratios)]
             a = float(rng.uniform(-0.8, 1.8))
-            if abs(a) < 0.05:
-                continue  # the a = 0 line has quadruple lattice zeros
             pt = lambda_curve(p, q, +1, a)
             n_max = int(np.ceil(14.2 / (2 * np.pi * pt.q * np.sqrt(pt.b_plus)))) + 2
             c_vals = np.array([v for v, _ in cheb_spectrum(pt, n_max).eigenvalues
@@ -130,6 +130,48 @@ class TestChebSpectrum:
             for v in r_vals:
                 assert np.min(np.abs(c_vals - v)) <= 1e-7 * (1 + abs(v))
             count += 1
+
+    def test_every_ratio_on_the_a0_line(self):
+        # on a = 0 the root w = 1 of G is double and the lattice zeros are
+        # quadruple: both routes must still agree, and the orders at 0 too
+        ratios = [(p, q) for p in range(2, 20) for q in range(1, p)
+                  if p + q <= 20 and math.gcd(p, q) == 1]
+        assert len(ratios) == 63
+        for p, q in ratios:
+            pt = lambda_curve(p, q, +1, 0.0)
+            n_max = int(np.ceil(14.2 / (2 * np.pi * pt.q * np.sqrt(pt.b_plus)))) + 2
+            cheb = cheb_spectrum(pt, n_max)
+            assert cheb.analytic_order_at_zero == build(pt.matrix()).order_at_origin()
+            c_vals = np.array([v for v, _ in cheb.eigenvalues if abs(v) <= 200])
+            r_vals = np.array([v for v, _ in
+                               spectrum(pt.matrix(),
+                                        lambda_rect=Rect(0.0, 14.5, -14.47, 14.53)
+                                        ).eigenvalues if abs(v) <= 200])
+            for v in c_vals:
+                assert np.min(np.abs(r_vals - v)) <= 1e-7 * (1 + abs(v)), (p, q, v)
+            for v in r_vals:
+                assert np.min(np.abs(c_vals - v)) <= 1e-7 * (1 + abs(v)), (p, q, v)
+
+    @pytest.mark.parametrize("p,q,a", [(2, 1, 2e-5), (3, 2, 5e-5), (3, 1, -2e-5)])
+    def test_near_the_a0_line(self, p, q, a):
+        # G keeps its root 1 and has a second simple root 1 + delta with
+        # 2e-5 < |delta| <= 1e-4: two clusters, and the lattice of 1 + delta
+        # (its n = 0 eigenvalue has modulus about 2 |delta| (q sqrt(b+))^2) must stay
+        pt = lambda_curve(p, q, +1, a)
+        step2 = pt.q ** 2 * pt.b_plus
+        n_max = int(np.ceil(14.2 / (2 * np.pi * pt.q * np.sqrt(pt.b_plus)))) + 2
+        c_vals = np.array([v for v, _ in cheb_spectrum(pt, n_max).eigenvalues
+                           if abs(v) <= 200])
+        r_vals = np.array([v for v, _ in
+                           spectrum(pt.matrix(),
+                                    lambda_rect=Rect(0.0, 14.5, -14.47, 14.53)
+                                    ).eigenvalues if abs(v) <= 200])
+        small = c_vals[(np.abs(c_vals) > 1e-9) & (np.abs(c_vals) <= 1e-2 * step2)]
+        assert small.size == 1 and 2e-5 < abs(small[0]) / (2 * step2) <= 1e-4
+        for v in c_vals:
+            assert np.min(np.abs(r_vals - v)) <= 1e-7 * (1 + abs(v)), (v,)
+        for v in r_vals:
+            assert np.min(np.abs(c_vals - v)) <= 1e-7 * (1 + abs(v)), (v,)
 
     @pytest.mark.parametrize("p,q", [(2, 1), (3, 2)])
     def test_on_the_real_spectrum_curve(self, p, q):

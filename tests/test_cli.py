@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +221,29 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("specmat:") and "Traceback" not in err
+
+
+def test_huge_lambda_max_exits_2_promptly():
+    """A finite but huge bound is refused before any enumeration; run in a
+    child under a timeout, so that a regression fails instead of hanging."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specmat.cli", "classify", "--real", "1", "0", "0", "2",
+         "--lambda-max", "1e24"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("specmat:") and "Traceback" not in proc.stderr
+
+
+def test_dense_lattice_at_the_default_bound_exits_2(capsys):
+    # a tiny diagonal entry makes the lattice unit a * pi^2 tiny: even the
+    # default lambda_max would list 2e6 values, and the error says why
+    code, out, err = run(capsys, ["classify", "--real", "1e-10", "0", "0", "1"])
+    assert code == 2 and out == ""
+    assert "unit is too small" in err and "Traceback" not in err
+    code, out, _ = run(capsys, ["classify", "--real", "1e-10", "0", "0", "1",
+                                "--lambda-max", "1e-3"])
+    assert code == 0

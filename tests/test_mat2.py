@@ -31,6 +31,16 @@ class TestCMatrix2:
         assert not CMatrix2.real(1, 1, 0.5, 1).is_singular
         assert CMatrix2.real(2, 1, 0, 3).det == 6
 
+    def test_balanced_norm_is_similarity_invariant(self):
+        A = CMatrix2(1.0 - 0.5j, 2.0 + 1.0j, -0.3j, 0.7)
+        for r in (1e-6, 0.3, 1.0, 5.0, 1e6):
+            similar = CMatrix2(A.a, A.b * r, A.c / r, A.d)
+            assert similar.balanced_norm() == pytest.approx(A.balanced_norm(), rel=1e-14)
+        # the Frobenius norm of the balanced conjugate r = sqrt(|c| / |b|)
+        r = np.sqrt(abs(A.c) / abs(A.b))
+        balanced = CMatrix2(A.a, A.b * r, A.c / r, A.d)
+        assert balanced.norm() == pytest.approx(A.balanced_norm(), rel=1e-14)
+
 
 class TestEig2:
     def test_worked_example(self):

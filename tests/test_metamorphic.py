@@ -78,6 +78,10 @@ CERT_CORPUS.update({
     # complex off-diagonal entries with bc > 0: similar to a Hermitian
     # matrix, whose numerical-range minor axis is 0
     "complex": CMatrix2(2.0, 0.3 * np.exp(0.5j), 0.6 * np.exp(-0.5j), 1.5),
+    # |det| is fixed by diagonal similarity: no conjugate may count as singular
+    "far_conjugate": CMatrix2(1.0, 1e-4, 3000.0 * np.exp(0.4j), 1.0),
+    # an imaginary part near the tolerance of the real-entry tests
+    "tiny_imag": CMatrix2(2.0 + 1e-8j, 0.5, 0.5, 1.0),
 })
 
 
@@ -91,8 +95,6 @@ def test_certificates_diagonal_similarity(name, s):
     """A(s) = diag(1, s) A diag(1, 1/s) gets the same certificates."""
     A = CERT_CORPUS[name]
     similar = CMatrix2(A.a, A.b / s, A.c * s, A.d)
-    if similar.is_singular:
-        pytest.skip("conjugate is singular at working precision")
     want, got = _certs(A), _certs(similar)
     assert sorted(got) == sorted(want)
     if "SectorBound" in want:
@@ -102,3 +104,4 @@ def test_certificates_diagonal_similarity(name, s):
         for field in ("residual", "omega"):
             assert_allclose(getattr(got["NearReal"], field),
                             getattr(want["NearReal"], field), rtol=1e-12)
+

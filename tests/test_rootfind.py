@@ -6,6 +6,8 @@ from specmat import (BoundaryZero, CMatrix2, DegreeTooHigh, NonConvergent,
                      NumericalFailure, Rect, SingularMatrix, build,
                      cluster_roots, isolate_zeros, polyroots, rootfind,
                      spectrum, winding_count)
+from specmat.canonical import Family, family_matrix
+from specmat.chebpath import cheb_spectrum, lambda_curve
 from conftest import EXAMPLE
 
 
@@ -92,6 +94,34 @@ class TestIsolate:
                 assert abs(S.value(np.array([z]))[0]) <= 1e-10 * ref
 
 
+    def test_unsplittable_cell_width_is_bounded(self, monkeypatch):
+        # a cell whose split integral cannot converge is tried as one zero
+        # only up to 32 cluster sizes, 6.4e-3 wide near z = 1
+        class Poly:
+            def __init__(self, roots):
+                self.roots = roots
+
+            def logderiv(self, z):
+                return sum(1.0 / (np.asarray(z, dtype=complex) - r) for r in self.roots)
+
+            def logabs(self, z):
+                return sum(np.log(np.abs(np.asarray(z, dtype=complex) - r))
+                           for r in self.roots)
+
+            def polish_multiple(self, z0, m):
+                # the (m-1)-th derivative of a degree-m polynomial vanishes
+                # at the centroid of its zeros, so this always converges
+                return complex(np.mean(self.roots)), True
+
+        def refuse(*args):
+            raise NonConvergent("split refused")
+        monkeypatch.setattr(rootfind, "_split_cell", refuse)
+        zeros = isolate_zeros(Poly([1.0, 1.0]), Rect(0.999, 1.001, -0.001, 0.0011))
+        assert zeros == [(1.0, 2)]
+        with pytest.raises(NonConvergent):
+            # two simple zeros 0.01 apart are not one double zero
+            isolate_zeros(Poly([1.0, 1.01]), Rect(0.9, 1.1, -0.1, 0.11))
+
 class TestSpectrum:
     def test_triangular_lattice(self):
         sp = spectrum(CMatrix2.real(1, 0, 1, 4), count=10)
@@ -118,6 +148,49 @@ class TestSpectrum:
                          | {0.5 * k**2 * np.pi**2 for k in range(8)})
         for (v, m), ref in zip(sp.eigenvalues, lattice):
             assert abs(v - ref) <= 1e-8 * (1 + abs(v))
+
+    @pytest.mark.parametrize("count", [6, 12, 20])
+    def test_quadruple_zeros_on_the_a0_line(self, count):
+        # (0, 2.5) is the a = 0 point of the ratio-2 curve: its real
+        # eigenvalues 8 pi^2 k^2 are quadruple secular zeros
+        A = family_matrix(Family.A4, 0.0, 2.5)
+        sp = spectrum(A, count=count)
+        assert len(sp.eigenvalues) == count
+        vals = sp.values()
+        ref = cheb_spectrum(lambda_curve(2, 1, +1, 0.0), 8).values()
+        top = np.max(np.abs(vals))
+        for v in vals:
+            assert np.min(np.abs(ref - v)) <= 1e-9 * (1 + abs(v)), v
+        for v in ref:
+            if abs(v) < top:
+                assert np.min(np.abs(vals - v)) <= 1e-9 * (1 + abs(v)), v
+        k = 1
+        while 8 * np.pi**2 * k * k <= top:
+            target = 8 * np.pi**2 * k * k
+            v, m = min(sp.eigenvalues, key=lambda p: abs(p[0] - target))
+            assert abs(v - target) <= 1e-9 * target and m == 4
+            k += 1
+        assert k > 1
+
+    def test_conjugate_pairs_list_the_lower_member_first(self):
+        # equal moduli tie to rounding: the canonical order puts -imag
+        # first, so a count cut inside a pair always keeps that member
+        rng = np.random.default_rng(1812)
+        pairs = 0
+        for _ in range(40):
+            A = CMatrix2.real(*rng.standard_normal(4))
+            eigs = spectrum(A, count=12).eigenvalues
+            cut_checked = False
+            for i, ((u, _), (v, _)) in enumerate(zip(eigs, eigs[1:])):
+                if abs(u.imag) <= 1e-9 * abs(u) or abs(u - np.conj(v)) > 1e-8 * abs(u):
+                    continue
+                pairs += 1
+                assert u.imag < 0, (A, u, v)
+                if not cut_checked:
+                    last, _ = spectrum(A, count=i + 1).eigenvalues[-1]
+                    assert abs(last - u) <= 1e-8 * abs(u), (A, last, u)
+                    cut_checked = True
+        assert pairs >= 40
 
     def test_zero_always_included(self):
         sp = spectrum(CMatrix2.real(1, 1, 0.5, 1), count=5)
@@ -252,8 +325,8 @@ class TestEdgeQuadrature:
 
     def test_moments_of_known_zeros(self):
         zeros = [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.35j]
-        s0, s1 = rootfind._integrate_polyline(_Recorder(zeros),
-                                              Rect(-1, 1, -1, 1).corners())
+        (s0,), (s1,) = rootfind._contour_moments(
+            _Recorder(zeros), rootfind._polygon(Rect(-1, 1, -1, 1).corners()))
         # second order on a polygon: the winding's tolerance, not machine accuracy
         assert abs(s0 - 3) <= rootfind._WINDING_TOL
         assert abs(s1 - sum(zeros)) <= 1e-4
@@ -280,15 +353,8 @@ class TestEdgeQuadrature:
     def test_tiny_cap_raises(self):
         rec = _Recorder([0.5 + 0.5j])
         with pytest.raises(NonConvergent):
-            rootfind._integrate_polyline(rec, Rect(0, 1, 0, 1).corners(),
-                                         cap=rootfind._EDGE_START)
-
-    def test_circle_and_centroid(self):
-        rec = _Recorder([0.2 + 0.1j, 0.25 + 0.1j, 3.0])
-        assert rootfind._winding_circle(rec, 0.2 + 0.1j, 0.5) == 2
-        assert rootfind._winding_circle(rec, 0.2 + 0.1j, 5.0) == 3
-        mu = rootfind._cluster_centroid(rec, Rect(0.0, 0.5, -0.1, 0.3), 2)
-        assert abs(mu - (0.225 + 0.1j)) <= 0.02 * Rect(0.0, 0.5, -0.1, 0.3).diameter
+            rootfind._contour_moments(rec, rootfind._polygon(Rect(0, 1, 0, 1).corners()),
+                                      cap=rootfind._EDGE_START)
 
 
 class TestSharedSegments:

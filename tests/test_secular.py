@@ -156,6 +156,18 @@ class TestDerivative:
         assert_allclose(S.logderiv(xs), der / val, rtol=1e-14)
 
 
+class TestPolishMultiple:
+    def test_double_zero_and_reported_failure(self):
+        # the identity's secular function is a multiple of sin^2: double
+        # zeros at k pi
+        S = build(CMatrix2.real(1, 0, 0, 1))
+        z, ok = S.polish_multiple(np.pi + 1e-3, 2)
+        assert ok and abs(z - np.pi) <= 1e-14 * np.pi
+        # from 1, Newton on the derivative jumps out of its basin
+        z, ok = S.polish_multiple(1.0 + 0j, 2)
+        assert not ok
+
+
 class TestScalarInput:
     @pytest.mark.parametrize("A", [EXAMPLE, CMatrix2.real(0, -1, 1, 2)])
     @pytest.mark.parametrize("x", [3.0, 2.3 + 0.4j])

@@ -67,6 +67,17 @@ class TestRunSweep:
         records = run_sweep(spec)
         assert verify_against_secular(records, spec, rtol=1e-6) == []
 
+    def test_verify_the_a0_sweep(self):
+        # A9's second sweep: on a = 0 the real eigenvalues are quadruple
+        # secular zeros, which the contour route must resolve at count 20
+        spec = SweepSpec(kind="alphas", method="chebyshev", a_fixed=0.0,
+                         alphas=(Fraction(3), Fraction(5, 2), Fraction(9, 4),
+                                 Fraction(2), Fraction(9, 5), Fraction(3, 2),
+                                 Fraction(5, 4), Fraction(9, 8)),
+                         n_max=8, count=20)
+        records = run_sweep(spec)
+        assert verify_against_secular(records, spec, rtol=1e-6) == []
+
     def test_oracle_method(self):
         spec = SweepSpec(kind="segment", method="oracle", count=4, steps=2,
                          start=(0.5, 3.0), stop=(0.6, 3.2), oracle_n=60)
