@@ -151,30 +151,34 @@ def build_g(pt: ChebPoint) -> GPoly:
     return GPoly(coeffs=np.trim_zeros(coeffs, "f"))
 
 
-def _polish_root(coeffs: np.ndarray, w0: complex, mult: int) -> complex:
-    """Full-precision root from a root cluster centre.
+def _deflate_structural(coeffs: np.ndarray):
+    """Divide the structural roots +-1 out of G: each as many times as the
+    polynomial left vanishes there to rounding, which is as many times as
+    G and its derivatives do.  Returns the quotient and the ``(root,
+    multiplicity)`` pairs divided out.
 
-    A multiple cluster within the clustering radius of a structural root
-    +-1 where G vanishes to rounding is that root: at a = 0 the root 1 is
-    double, and Newton from its cluster divides rounding noise by rounding
-    noise.  Every other centre takes multiplicity-aware Newton: the
-    companion-matrix eigenvalues resolve an m-fold root only to
-    O(eps^(1/m)), and Newton with the known multiplicity restores full
-    precision.  A result within 1e-6 of +-1 where G vanishes is snapped to
-    it, and one within rounding of the real axis to the real axis.
+    A root of G next to +-1 (at small a != 0 the root 1 + delta beside the
+    structural 1) is then a root of the quotient, away from any root it
+    could be clustered with or polished onto.
     """
-    scale = float(np.linalg.norm(coeffs))
+    found = []
+    for target in (1.0, -1.0):
+        mult = 0
+        while (coeffs.size > 1 and abs(np.polyval(coeffs, target))
+               <= 1e-10 * np.abs(coeffs).sum()):
+            coeffs = np.polydiv(coeffs, np.array([1.0, -target]))[0]
+            mult += 1
+        if mult:
+            found.append((complex(target), mult))
+    return coeffs, found
 
-    def structural(w: complex, radius: float) -> Optional[complex]:
-        for target in (1.0, -1.0):
-            if abs(w - target) <= radius and abs(np.polyval(coeffs, target)) <= 1e-10 * scale:
-                return complex(target)
-        return None
 
-    if mult >= 2:
-        snapped = structural(w0, _G_CLUSTER_REL * 2.0)
-        if snapped is not None:
-            return snapped
+def _polish_root(coeffs: np.ndarray, w0: complex, mult: int) -> complex:
+    """Full-precision root from a root cluster centre: multiplicity-aware
+    Newton (the companion-matrix eigenvalues resolve an m-fold root only
+    to O(eps^(1/m)), and Newton with the known multiplicity restores full
+    precision).  A result within rounding of the real axis is put on it.
+    """
     w = complex(w0)
     dcoeffs = np.polyder(coeffs)
     for _ in range(60):
@@ -186,9 +190,6 @@ def _polish_root(coeffs: np.ndarray, w0: complex, mult: int) -> complex:
         w -= delta
         if abs(delta) <= 1e-15 * (1.0 + abs(w)):
             break
-    snapped = structural(w, 1e-6)
-    if snapped is not None:
-        return snapped
     if abs(w.imag) <= 1e-10 * (1.0 + abs(w)):
         return complex(w.real, 0.0)
     return w
@@ -200,8 +201,10 @@ def root_lattices(pt: ChebPoint, n_max: int,
     holds the eigenvalues ``((+-arccos(w0) + 2 n pi) q sqrt(b+))^2`` for
     ``-n_max <= n <= n_max``, the + branch first.
 
-    Multiplicity is the root multiplicity of G (root clusters are merged,
-    then polished to full precision by :func:`_polish_root`).
+    Multiplicity is the root multiplicity of G.  The structural roots +-1
+    are divided out first (:func:`_deflate_structural`); the roots of the
+    quotient are clustered, and each cluster is polished on the quotient
+    by :func:`_polish_root`.
     """
     if pt.p + pt.q > degree_cap:
         raise DegreeTooHigh(
@@ -209,12 +212,14 @@ def root_lattices(pt: ChebPoint, n_max: int,
             "pass a larger degree_cap to override")
     if n_max < 0 or n_max > 10_000:
         raise ValueError("n_max out of range")
-    g = build_g(pt)
+    quotient, roots = _deflate_structural(build_g(pt).coeffs)
+    if quotient.size > 1:
+        roots += [(_polish_root(quotient, w0, mult), mult) for w0, mult
+                  in cluster_roots(polyroots(quotient), rel_tol=_G_CLUSTER_REL)]
     step = pt.q * math.sqrt(pt.b_plus)
     shifts = 2.0 * np.pi * np.arange(-n_max, n_max + 1)
     out = []
-    for w0, mult in cluster_roots(polyroots(g.coeffs), rel_tol=_G_CLUSTER_REL):
-        w0 = _polish_root(g.coeffs, w0, mult)
+    for w0, mult in roots:
         z0 = complex(np.arccos(w0 + 0j))
         lam = np.concatenate([(z0 + shifts) * step, (-z0 + shifts) * step])
         out.append((mult, lam * lam))

@@ -13,28 +13,38 @@ straight segments between numbered vertices and a signed incidence matrix
 with one row per closed contour: a rectangle is one row of four segments,
 and a quadtree split four rows over 12 segments, so the two split lines
 are integrated once for the cells on both sides.  It returns, per
-contour, the moments ``s0 = (1/2 pi i) contour integral of f'/f`` (the
-winding number) and ``s1 = (1/2 pi i) contour integral of z f'/f`` (the
-sum of the enclosed zeros) from the same samples.  The trapezoid rule is
-refined per segment and nested: each segment doubles only while the zeros
-near it are unresolved, a doubling evaluates only the new midpoints, and
-no point is evaluated twice within one call.
+contour, the winding number ``s0 = (1/2 pi i) contour integral of f'/f``
+and the power sums ``s_k = (1/2 pi i) contour integral of u^k f'/f``,
+k = 1..4 (the sums of the k-th powers of the enclosed zeros), of ``u``
+the point relative to the bundle's centre and radius, all from the same
+samples.  The trapezoid rule is refined per segment and nested: each
+segment doubles only while the zeros near it are unresolved, a doubling
+evaluates only the new midpoints, and no point is evaluated twice within
+one call.
 
-Every cell of the quadtree carries its count ``m`` and its ``s1``, and one
-rule accepts it as a single m-fold zero: ``m = 1``, or ``m >= 2`` in a cell
-no wider than the cluster size ``_CLUSTER_REL * (1 + |centre|)``.  The
-polish starts at the centroid ``s1 / m`` and must converge inside the
-cell; otherwise the cell is split.  The count is the certificate: the m
-zeros lie within one cell diameter of the reported point.  An order-m zero
-is resolved only to O(eps^(1/m)) by any contour, so m simple zeros closer
-than the cluster size are reported as one m-fold zero.  Where a split
-integral cannot converge (its lines cross the noise floor of a high-order
-zero), a cell up to ``_FALLBACK_CELLS`` cluster sizes wide is tried once
-by the same polish; its certificate is only its own diameter.
+Every cell of the quadtree carries its count ``m`` and its power sums,
+and two rules accept it.  As a single m-fold zero: ``m = 1``, or ``m >= 2``
+in a cell no wider than the cluster size ``_CLUSTER_REL * (1 + |centre|)``;
+the polish starts at the centroid ``s1 / m`` and must converge inside the
+cell.  The count is the certificate: the m zeros lie within one cell
+diameter of the reported point.  An order-m zero is resolved only to
+O(eps^(1/m)) by any contour, so m simple zeros closer than the cluster
+size are reported as one m-fold zero.  As m simple zeros, for ``2 <= m <=
+4`` (Delves and Lyness, Math. Comp. 21, 1967): the roots of the
+polynomial with power sums ``s_1..s_m`` start Newton, and the cell is
+accepted when all m converge inside it, pairwise apart; m distinct zeros
+in a cell of count m are all of them, each simple.  Any other cell is
+split.  Where a split integral cannot converge (its lines cross the
+noise floor of a high-order zero), a cell up to ``_FALLBACK_CELLS``
+cluster sizes wide is tried once as one zero; its certificate is only
+its own diameter.
 
-``spectrum`` grows its search box incrementally: the zeros already
-isolated are kept, only the strips the larger box adds are isolated, and
-one winding count of the larger box certifies the union.
+``spectrum`` sizes its first search box by the secular function's zero
+density (Polya: about ``P R / (2 pi)`` zeros in ``|x| < R``, P the
+perimeter of the convex hull of its exponents) and grows it
+incrementally when that falls short: the zeros already isolated are
+kept, only the strips the larger box adds are isolated, and one winding
+count of the larger box certifies the union.
 """
 
 from __future__ import annotations
@@ -160,6 +170,14 @@ class _Segments(NamedTuple):
     ends: np.ndarray
     incidence: np.ndarray
 
+    def frame(self):
+        """Centre and radius of the bundle: the midpoint and half the
+        diagonal of its vertices' bounding box."""
+        x, y = self.vertices.real, self.vertices.imag
+        x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
+        return (complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)),
+                0.5 * float(np.hypot(x1 - x0, y1 - y0)))
+
 
 def _polygon(vertices) -> _Segments:
     """One closed polyline: segment k runs from vertex k to vertex k+1."""
@@ -197,10 +215,26 @@ def _logderiv_finite(fun, z):
     return g
 
 
+_ORDERS = 4     # power sums s_1.._ORDERS come with every contour integral
+
+
+def _powers(w, u):
+    """``w * u**k`` for k = 1.._ORDERS, stacked on a new first axis, by
+    repeated products (``np.power`` on complex arrays is far slower)."""
+    out = np.empty((_ORDERS,) + np.shape(w), dtype=complex)
+    np.multiply(w, u, out=out[0])
+    for k in range(1, _ORDERS):
+        np.multiply(out[k - 1], u, out=out[k])
+    return out
+
+
 def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
-    """Moments ``s0 = (1/2 pi i) contour integral of g`` and
-    ``s1 = (1/2 pi i) contour integral of z g``, ``g = f'/f``, over each
-    closed contour of ``segs`` (one entry per row of its incidence matrix).
+    """Winding numbers ``s0 = (1/2 pi i) contour integral of g``, ``g =
+    f'/f``, and power sums ``s_k = (1/2 pi i) contour integral of u^k g``,
+    k = 1..4, of ``u = (z - centre) / radius`` in the bundle's
+    :meth:`_Segments.frame`, over each closed contour of ``segs``.
+    Returns ``s0`` with one entry per row of the incidence matrix and the
+    power sums as one row of four per contour.
 
     Contours that share a segment share its samples: every vertex and
     every segment is evaluated once per call, whichever contours use it.
@@ -213,7 +247,7 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
     agree to ``_WINDING_TOL / e``, ``e`` the most segments any one contour
     has.  Each contour's winding ``Re s0`` must also lie within
     ``_WINDING_TOL`` of an integer, else that contour's segments refine
-    again.
+    again.  The power sums are summed per segment from the same samples.
 
     Raises BoundaryZero for a non-finite sample or a zero within
     ``1e-9 * diam`` of a contour or too close to resolve below the cap
@@ -222,6 +256,7 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
     intervals.
     """
     inc = segs.incidence
+    centre, radius = segs.frame()
     za, zb = segs.vertices[segs.ends[:, 0]], segs.vertices[segs.ends[:, 1]]
     dz = zb - za
     lengths = np.abs(dz)
@@ -239,14 +274,16 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
     g = _logderiv_finite(fun, np.concatenate((segs.vertices, z.ravel())))
     ga, gb = g[segs.ends[:, 0]], g[segs.ends[:, 1]]
     g = g[nv:].reshape(n, k - 1)
-    gdz = g * dz[:, None]
-    zgdz, absg = z * gdz, np.abs(g)
-    # running sums without the 1/m factor: a doubling only adds midpoints
+    gdz, absg = g * dz[:, None], np.abs(g)
+    # running sums without the 1/m factor: a doubling only adds midpoints.
+    # The power sums take the start level and its first doubling at once:
+    # every segment adds that doubling
     s0 = gdz[:, 1::2].sum(axis=1) + 0.5 * (ga * dz + gb * dz)
-    s1 = zgdz[:, 1::2].sum(axis=1) + 0.5 * (za * ga * dz + zb * gb * dz)
+    ends = 0.5 * (_powers(ga * dz, (za - centre) / radius)
+                  + _powers(gb * dz, (zb - centre) / radius))
+    sk = _powers(gdz, (z - centre) / radius).sum(axis=2) + ends
     gmax = np.maximum(absg[:, 1::2].max(axis=1), np.maximum(np.abs(ga), np.abs(gb)))
-    first = (gdz[:, ::2].sum(axis=1), zgdz[:, ::2].sum(axis=1),
-             absg[:, ::2].max(axis=1))
+    first = (gdz[:, ::2].sum(axis=1), absg[:, ::2].max(axis=1))
     prev0 = np.full(n, np.nan)      # winding contribution at the last resolved level
     todo = np.ones(n, dtype=bool)
     fresh = todo.copy()             # segments sampled at a new level
@@ -271,7 +308,7 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
             w = inc @ w0
             off = np.abs(w - np.round(w)) > _WINDING_TOL
             if not off.any():
-                return inc @ (s0 / m) / (2j * np.pi), inc @ (s1 / (2j * np.pi * m))
+                return inc @ (s0 / m) / (2j * np.pi), inc @ (sk / m).T / (2j * np.pi)
             todo = member[off].any(axis=0)
         idx = np.flatnonzero(todo)
         if np.any(2 * m[idx] > cap):
@@ -279,7 +316,7 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
         if first is not None:
             # the first doubling, of every segment (none can have converged
             # at the start level), was sampled with the start level
-            add0, add1, addmax = first
+            add0, addmax = first
             first = None
         else:
             # one doubling of every segment still refining: the new midpoints only
@@ -291,22 +328,29 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
             g = _logderiv_finite(fun, z)
             gdz = g * dz[seg]
             add0 = np.add.reduceat(gdz, starts)
-            add1 = np.add.reduceat(z * gdz, starts)
             addmax = np.maximum.reduceat(np.abs(g), starts)
+            sk[:, idx] += np.add.reduceat(_powers(gdz, (z - centre) / radius), starts, axis=1)
         s0[idx] += add0
-        s1[idx] += add1
         gmax[idx] = np.maximum(gmax[idx], addmax)
         m[idx] *= 2
         fresh = todo.copy()
 
 
-class _Count(NamedTuple):
-    """A winding count ``n``, the rectangle it was taken on and the sum
-    ``s1`` of the zeros inside."""
+class _Cell(NamedTuple):
+    """A rectangle, its winding count ``n`` and the power sums ``sums[k-1]
+    = sum_j u_j^k``, k = 1..4, of the zeros ``z_j = centre + radius u_j``
+    inside, in the frame of the contour bundle that counted it."""
 
-    n: int
     rect: Rect
-    s1: complex
+    n: int
+    sums: np.ndarray
+    centre: complex
+    radius: float
+
+    @property
+    def s1(self) -> complex:
+        """The sum of the zeros inside."""
+        return self.n * self.centre + self.radius * complex(self.sums[0])
 
 
 def winding_count(f, rect: Rect, fprime=None, rng=None, dilate: bool = True) -> int:
@@ -321,16 +365,17 @@ def winding_count(f, rect: Rect, fprime=None, rng=None, dilate: bool = True) -> 
     return _winding_with_rect(fun, rect, rng, dilate).n
 
 
-def _winding_with_rect(fun, rect: Rect, rng, dilate: bool) -> _Count:
+def _winding_with_rect(fun, rect: Rect, rng, dilate: bool) -> _Cell:
     """Winding count of ``rect``, dilated as :func:`winding_count` does."""
     r = rect
     for attempt in range(6):
         try:
-            s0, s1 = _contour_moments(fun, _polygon(r.corners()))
+            segs = _polygon(r.corners())
+            s0, sums = _contour_moments(fun, segs)
             n = int(round(s0[0].real))
             if n < 0:
                 raise NonConvergent(f"negative winding {s0[0].real}; derivative inconsistent?")
-            return _Count(n, r, complex(s1[0]))
+            return _Cell(r, n, sums[0], *segs.frame())
         except (BoundaryZero, NonConvergent):
             # either failure mode signals structure too close to the contour
             if not dilate or attempt == 5:
@@ -371,10 +416,11 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
     """All zeros of ``f`` in ``rect`` as (location, multiplicity) pairs.
 
     Quadtree subdivision (with jittered split lines when a zero falls on
-    one) until every cell is accepted as one zero by the rule of the
-    module docstring: a count-1 cell, or a count-m cell no wider than the
-    cluster size, whose polished centroid converges inside it.  The
-    multiplicity sum equals the top-level winding count, else
+    one) until every cell is accepted by the rules of the module
+    docstring: as one zero (a count-1 cell, or a count-m cell no wider
+    than the cluster size, whose polished centroid converges inside it),
+    or, with 2 to 4 zeros, as that many simple zeros from its power sums.
+    The multiplicity sum equals the top-level winding count, else
     NumericalFailure is raised.
     """
     fun = _as_protocol(f, fprime)
@@ -383,31 +429,37 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
                             tol, rng)
 
 
-def _isolate_counted(fun, counted: _Count, tol: float, rng):
+def _isolate_counted(fun, counted: _Cell, tol: float, rng):
     """Quadtree isolation in the rectangle of a winding count already
     taken."""
     if counted.n == 0:
         return []
     results = []
-    stack = [(counted.rect, counted.n, counted.s1)]
+    stack = [counted]
     while stack:
-        cell, cnt, s1 = stack.pop()
-        c = cell.center
-        tried = cnt == 1 or cell.diameter <= _CLUSTER_REL * (1.0 + abs(c))
+        cell = stack.pop()
+        rect, cnt = cell.rect, cell.n
+        c = rect.center
+        tried = cnt == 1 or rect.diameter <= _CLUSTER_REL * (1.0 + abs(c))
         if tried:
-            z = _polish_cell(fun, cell, cnt, s1, tol)
+            z = _polish_cell(fun, cell, tol)
             if z is not None:
                 results.append((z, cnt))
                 continue
-            if cell.diameter <= 1e-11 * (1.0 + abs(c)):
+            if rect.diameter <= 1e-11 * (1.0 + abs(c)):
                 raise NonConvergent(f"cannot resolve {cnt} zeros near {c}: cell exhausted")
+        elif cnt <= _ORDERS:
+            zs = _power_sum_zeros(fun, cell, tol)
+            if zs is not None:
+                results.extend((z, 1) for z in zs)
+                continue
         try:
-            stack.extend(_split_cell(fun, cell, cnt, rng))
+            stack.extend(_split_cell(fun, rect, cnt, rng))
         except NonConvergent:
             # split lines near a high-order zero cross its noise floor long
             # before the cell is small: try the cell as one zero unless too wide
-            wide = cell.diameter > _FALLBACK_CELLS * _CLUSTER_REL * (1.0 + abs(c))
-            z = None if tried or wide else _polish_cell(fun, cell, cnt, s1, tol)
+            wide = rect.diameter > _FALLBACK_CELLS * _CLUSTER_REL * (1.0 + abs(c))
+            z = None if tried or wide else _polish_cell(fun, cell, tol)
             if z is None:
                 raise
             results.append((z, cnt))
@@ -418,9 +470,9 @@ def _isolate_counted(fun, counted: _Count, tol: float, rng):
     return _canonical_sorted(results)
 
 
-def _polish_cell(fun, cell: Rect, cnt: int, s1: complex, tol: float):
-    """The cell's ``cnt`` zeros as one zero, polished from their centroid
-    ``s1 / cnt``, or None when the polish fails or leaves the cell.
+def _polish_cell(fun, cell: _Cell, tol: float):
+    """The cell's ``n`` zeros as one zero, polished from their centroid
+    ``s1 / n``, or None when the polish fails or leaves the cell.
 
     A simple zero takes Newton.  A multiple one takes the function's
     ``polish_multiple`` when it has one (a true m-fold zero is a simple
@@ -430,21 +482,71 @@ def _polish_cell(fun, cell: Rect, cnt: int, s1: complex, tol: float):
     zero reached by a basin jump, and accepting it would duplicate one
     zero and drop another.
     """
-    start = s1 / cnt
-    if not cell.contains(start):
-        start = cell.center
+    rect, cnt = cell.rect, cell.n
+    start = cell.s1 / cnt
+    if not rect.contains(start):
+        start = rect.center
     base = getattr(fun, "base", fun)
     if cnt > 1 and hasattr(base, "polish_multiple"):
         z, ok = base.polish_multiple(start, cnt)
     else:
         z, ok = _newton(fun, start, cnt, tol)
-    if ok and cell.contains(z, slack=1e-7 * (1.0 + abs(z))):
+    if ok and rect.contains(z, slack=1e-7 * (1.0 + abs(z))):
         return z
     return None
 
 
+def _power_sum_zeros(fun, cell: _Cell, tol: float):
+    """The cell's ``n`` (2 to 4) zeros as n simple zeros, or None.
+
+    The starts are the roots of the monic polynomial whose power sums are
+    the cell's ``s_1..s_n`` (Newton's identities; Delves and Lyness, Math.
+    Comp. 21, 1967).  Starts closer than 1/50 of the cell diameter mark a
+    multiple zero or a cluster, which is left to the split.  Each start
+    takes at most 10 simple Newton steps and converges only when a step
+    falls below ``1e-3 * tol * (1 + |z|)``.  The cell is accepted when
+    every start converges inside it (with :func:`_polish_cell`'s slack)
+    and the zeros are pairwise farther apart than the cluster size: its
+    count is n with multiplicity, so n distinct zeros inside are all of
+    them, each simple.
+    """
+    n = cell.n
+    p = cell.sums[:n]
+    e = [1.0 + 0j]                  # elementary symmetric functions
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
+    z = cell.centre + cell.radius * np.roots([(-1) ** k * ek for k, ek in enumerate(e)])
+    rect = cell.rect
+    i, j = np.triu_indices(n, 1)
+
+    def gap(w):
+        return np.min(np.abs(w[i] - w[j]))
+
+    if gap(z) <= rect.diameter / 50.0:
+        return None
+    todo = np.arange(n)
+    for _ in range(10):
+        ld = fun.logderiv(z[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a log-derivative that blew up: sitting on the zero
+            step = np.where(np.isfinite(ld), 1.0 / ld, 0.0)
+        if not np.all(np.isfinite(step)):
+            return None
+        z[todo] -= step
+        todo = todo[np.abs(step) > 1e-3 * tol * (1.0 + np.abs(z[todo]))]
+        if todo.size == 0:
+            break
+    else:
+        return None
+    if (not all(rect.contains(w, slack=1e-7 * (1.0 + abs(w))) for w in z)
+            or gap(z) <= _CLUSTER_REL * (1.0 + abs(rect.center))):
+        return None
+    return [complex(w) for w in z]
+
+
 def _split_cell(fun, cell: Rect, cnt: int, rng):
-    """Split a cell into 4 children whose counts add up to the parent's.
+    """Split a cell into 4 children whose counts add up to the parent's;
+    returns the children that hold zeros as :class:`_Cell` records.
 
     All four children are counted in one :func:`_contour_moments` call
     over the 12 segments of the split (see :func:`_quadrants`), so each
@@ -465,15 +567,17 @@ def _split_cell(fun, cell: Rect, cnt: int, rng):
         # need more samples than a fresh jittered line would
         cap = (2 ** 12, 2 ** 15, 2 ** 18)[min(attempt // 3, 2)]
         children = cell.split(fx, fy)
+        segs = _quadrants(children)
         try:
-            s0, s1 = _contour_moments(fun, _quadrants(children), cap=cap)
+            s0, sums = _contour_moments(fun, segs, cap=cap)
         except (BoundaryZero, NonConvergent):
             continue
         counts = [int(round(w)) for w in s0.real]
         if min(counts) < 0 or sum(counts) != cnt:
             continue
-        return [(ch, k, complex(s)) for ch, k, s in zip(children, counts, s1)
-                if k > 0]
+        centre, radius = segs.frame()
+        return [_Cell(ch, k, p, centre, radius)
+                for ch, k, p in zip(children, counts, sums) if k > 0]
     raise NonConvergent(f"could not split cell {cell} conservatively")
 
 
@@ -607,11 +711,13 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
              count: Optional[int] = None, rng=None) -> Spectrum:
     """Eigenvalues ``lambda^2`` from the secular zeros in a rectangle.
 
-    When no rectangle is given one is grown until it encloses at least
-    ``count`` eigenvalues (default 12).  The rectangle always gets a small
-    margin past the imaginary axis so that axis zeros (the origin, and
-    the square roots of negative eigenvalues) are interior points;
-    mirror images are removed afterwards.
+    When no rectangle is given the first one is sized by the zero density
+    of the secular function to hold about ``count`` eigenvalues (default
+    12).  Where that falls short (multiple zeros, a sparse spectrum) it is
+    grown until it encloses the ``count`` smallest.  The rectangle always
+    gets a small margin past the imaginary axis so that axis zeros (the
+    origin, and the square roots of negative eigenvalues) are interior
+    points; mirror images are removed afterwards.
     """
     if count is not None and count < 1:
         raise InvalidInput(f"need at least one eigenvalue, got count = {count}")
@@ -644,7 +750,11 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
         kept = sel
     else:
         want = 12 if count is None else int(count)
-        L, H = 4.0 * scale, 3.0 * scale
+        # first box from the zero density: a half-disc of radius R holds
+        # about want + 2 zeros (never smaller than the fixed start)
+        perimeter = S.indicator_perimeter()
+        R = 4.0 * np.pi * (want + 2) / perimeter if perimeter > 0 else 0.0
+        L, H = max(4.0 * scale, R / 0.92), max(3.0 * scale, R / 0.90)
 
         def grow_box():
             return Rect(-margin, L, -1.031731 * H, 0.968413 * H)

@@ -231,6 +231,21 @@ class SecularFn:
 
     __call__ = value
 
+    def indicator_perimeter(self) -> float:
+        """Perimeter P of the convex hull of the exponents ``+-i f`` of the
+        cosine terms present (0 when there are none).
+
+        By Polya's theorem about ``P R / (2 pi)`` zeros lie in ``|x| < R``,
+        half of them in the right half-plane.  With both terms the hull is
+        the parallelogram on ``+-f1, +-f2``, ``P = 2 (|f1 - f2| + |f1 +
+        f2|) = 4 (|1/sqrt(a+)| + |1/sqrt(a-)|)``; with one, ``P = 4 |f|``.
+        """
+        _, f, _ = self._cosine_terms
+        f = f[:, 0]
+        if f.size == 2:
+            return float(2.0 * (abs(f[0] - f[1]) + abs(f[0] + f[1])))
+        return float(4.0 * np.abs(f).sum())
+
     def order_at_origin(self, rel_tol: float = 1e-10) -> int:
         """Analytic order of the structural zero at 0 (always even, >= 2),
         decided from the Taylor coefficients of the cosine-sum form.

@@ -152,11 +152,18 @@ class TestChebSpectrum:
             for v in r_vals:
                 assert np.min(np.abs(c_vals - v)) <= 1e-7 * (1 + abs(v)), (p, q, v)
 
-    @pytest.mark.parametrize("p,q,a", [(2, 1, 2e-5), (3, 2, 5e-5), (3, 1, -2e-5)])
-    def test_near_the_a0_line(self, p, q, a):
+    @pytest.mark.parametrize("p,q,a,band", [
+        pytest.param(2, 1, 2e-5, (2e-5, 1e-4), id="2-1-2e-05"),
+        pytest.param(3, 2, 5e-5, (2e-5, 1e-4), id="3-2-5e-05"),
+        pytest.param(3, 1, -2e-5, (2e-5, 1e-4), id="3-1--2e-05"),
+        # |delta| below the clustering radius 1e-5 (1 + |w|)
+        pytest.param(2, 1, 3e-6, (5e-6, 2e-5), id="2-1-3e-06"),
+        pytest.param(2, 1, 1e-6, (1e-6, 5e-6), id="2-1-1e-06"),
+    ])
+    def test_near_the_a0_line(self, p, q, a, band):
         # G keeps its root 1 and has a second simple root 1 + delta with
-        # 2e-5 < |delta| <= 1e-4: two clusters, and the lattice of 1 + delta
-        # (its n = 0 eigenvalue has modulus about 2 |delta| (q sqrt(b+))^2) must stay
+        # |delta| in the band: the lattice of 1 + delta (its n = 0
+        # eigenvalue has modulus about 2 |delta| (q sqrt(b+))^2) must stay
         pt = lambda_curve(p, q, +1, a)
         step2 = pt.q ** 2 * pt.b_plus
         n_max = int(np.ceil(14.2 / (2 * np.pi * pt.q * np.sqrt(pt.b_plus)))) + 2
@@ -167,7 +174,7 @@ class TestChebSpectrum:
                                     lambda_rect=Rect(0.0, 14.5, -14.47, 14.53)
                                     ).eigenvalues if abs(v) <= 200])
         small = c_vals[(np.abs(c_vals) > 1e-9) & (np.abs(c_vals) <= 1e-2 * step2)]
-        assert small.size == 1 and 2e-5 < abs(small[0]) / (2 * step2) <= 1e-4
+        assert small.size == 1 and band[0] < abs(small[0]) / (2 * step2) <= band[1]
         for v in c_vals:
             assert np.min(np.abs(r_vals - v)) <= 1e-7 * (1 + abs(v)), (v,)
         for v in r_vals:

@@ -68,6 +68,25 @@ def test_conjugation(base, name):
     _assert_same(_spec(conj), [(np.conj(v), m) for v, m in base[name]])
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_count_prefix(name):
+    """spectrum(A, count=c) is the first c values of a longer spectrum,
+    whatever box the count sizes its search from."""
+    A = CORPUS[name]
+    full = spectrum(A, count=30).eigenvalues
+    for c in (6, 12, 20):
+        got = spectrum(A, count=c).eigenvalues
+        assert len(got) == c
+        # a tie in modulus at the cut may be cut on either side
+        edge = abs(full[c - 1][0])
+        tied = lambda v: abs(abs(v) - edge) <= 1e-8 * (1 + edge)
+        for (v, m), (u, k) in zip(got, full[:c]):
+            if tied(v) or tied(u):
+                continue
+            assert abs(v - u) <= RTOL * (1 + abs(u)), (c, v, u)
+            assert m == k, (c, v, m, k)
+
+
 # one matrix up to diagonal similarity, at three scales of b
 CERT_CORPUS = {f"family_b={b:g}": CMatrix2(1.0, b, 0.3 * np.exp(0.4j) / b, 1.0)
                for b in (1.0, 1e-2, 1e-4)}

@@ -8,6 +8,7 @@ from specmat import (BoundaryZero, CMatrix2, DegreeTooHigh, NonConvergent,
                      spectrum, winding_count)
 from specmat.canonical import Family, family_matrix
 from specmat.chebpath import cheb_spectrum, lambda_curve
+from specmat.secular import SecularFn
 from conftest import EXAMPLE
 
 
@@ -118,9 +119,15 @@ class TestIsolate:
         monkeypatch.setattr(rootfind, "_split_cell", refuse)
         zeros = isolate_zeros(Poly([1.0, 1.0]), Rect(0.999, 1.001, -0.001, 0.0011))
         assert zeros == [(1.0, 2)]
+        # two simple zeros 0.01 apart are not one double zero: the power
+        # sums of the 0.28 cell resolve them without a split
+        zeros = isolate_zeros(Poly([1.0, 1.01]), Rect(0.9, 1.1, -0.1, 0.11))
+        assert [m for _, m in zeros] == [1, 1]
+        assert_allclose([z for z, _ in zeros], [1.0, 1.01], atol=1e-12)
         with pytest.raises(NonConvergent):
-            # two simple zeros 0.01 apart are not one double zero
-            isolate_zeros(Poly([1.0, 1.01]), Rect(0.9, 1.1, -0.1, 0.11))
+            # 1e-3 apart the power-sum starts fall within 1/50 of the cell
+            # diameter and the cell goes to the (refused) split
+            isolate_zeros(Poly([1.0, 1.001]), Rect(0.9, 1.1, -0.1, 0.11))
 
 class TestSpectrum:
     def test_triangular_lattice(self):
@@ -325,11 +332,16 @@ class TestEdgeQuadrature:
 
     def test_moments_of_known_zeros(self):
         zeros = [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.35j]
-        (s0,), (s1,) = rootfind._contour_moments(
-            _Recorder(zeros), rootfind._polygon(Rect(-1, 1, -1, 1).corners()))
+        segs = rootfind._polygon(Rect(-1, 1, -1, 1).corners())
+        (s0,), (sums,) = rootfind._contour_moments(_Recorder(zeros), segs)
         # second order on a polygon: the winding's tolerance, not machine accuracy
         assert abs(s0 - 3) <= rootfind._WINDING_TOL
-        assert abs(s1 - sum(zeros)) <= 1e-4
+        centre, radius = segs.frame()
+        assert abs(3 * centre + radius * sums[0] - sum(zeros)) <= 1e-4
+        # the higher power sums, in the frame's units, to the winding's tolerance
+        u = (np.array(zeros) - centre) / radius
+        for k in range(2, 5):
+            assert abs(sums[k - 1] - np.sum(u ** k)) <= rootfind._WINDING_TOL, k
 
     @pytest.mark.parametrize("zeros, rect, expected", [
         ([0.5, 1.5 + 0.2j, 3.0], Rect(0.0, 2.0, -1.0, 1.0), 2),
@@ -371,16 +383,17 @@ class TestSharedSegments:
                 for y in (ll.im_min, ll.im_max, ul.im_max)]
         for v in grid:
             assert pts.count(v) == 1, v
-        assert sum(k for _, k, _ in found) == len(zeros)
-        for ch, k, s1 in found:
-            inside = [z for z in zeros if ch.contains(z)]
-            assert k == len(inside)
-            assert abs(s1 - sum(inside)) <= 1e-4
+        assert sum(child.n for child in found) == len(zeros)
+        for child in found:
+            inside = [z for z in zeros if child.rect.contains(z)]
+            assert child.n == len(inside)
+            assert abs(child.s1 - sum(inside)) <= 1e-4
 
     def test_zero_on_the_first_split_line_retries(self, monkeypatch):
         # the first split of the unit square puts its vertical line at
-        # x = 0.513137, straight through the first zero
-        zeros = [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j]
+        # x = 0.513137, straight through the first zero; five zeros are
+        # more than one cell's power sums resolve, so the square must split
+        zeros = [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j, 0.3 + 0.2j, 0.75 + 0.45j]
         failed = []
         real = rootfind._contour_moments
 
@@ -395,7 +408,7 @@ class TestSharedSegments:
         f, fp = _poly_pair(zeros)
         found = isolate_zeros(f, Rect(0.0, 1.0, 0.0, 1.0), fprime=fp)
         assert 4 in failed                        # a split attempt was refused
-        assert sorted(m for _, m in found) == [1, 1, 1]
+        assert sorted(m for _, m in found) == [1] * len(zeros)
         for z in zeros:
             assert min(abs(w - z) for w, _ in found) <= 1e-10
 
@@ -408,7 +421,8 @@ class TestIsolationInvariant:
             return real_split(*args, **kw)[:-1]     # loses a child's zeros
 
         monkeypatch.setattr(rootfind, "_split_cell", lossy)
-        f, fp = _poly_pair([1.0, 2.0, 3.0])
+        # five zeros: more than the power sums resolve, so the box splits
+        f, fp = _poly_pair([1.0, 2.0, 3.0, 1.5 + 0.3j, 2.5 - 0.2j])
         with pytest.raises(NumericalFailure):
             isolate_zeros(f, Rect(0.5, 3.5, -0.5, 0.6), fprime=fp)
 
@@ -417,6 +431,9 @@ class TestIncrementalGrowth:
     @pytest.mark.parametrize("A, count", [(CMatrix2.real(1, 0, 1, 4), 12),
                                           (CMatrix2.real(1, 0, 0, -1), 24)])
     def test_matches_one_isolation_of_the_final_box(self, monkeypatch, A, count):
+        # no zero-density estimate: growth starts from the fixed
+        # 4 scale x 3 scale box and must run for several rounds
+        monkeypatch.setattr(SecularFn, "indicator_perimeter", lambda self: 0.0)
         rounds = []
         real_grow = rootfind._grow_zeros
 
@@ -436,3 +453,115 @@ class TestIncrementalGrowth:
         assert len(once) == len(sp.eigenvalues)
         for (v, m), (u, k) in zip(sp.eigenvalues, once):
             assert abs(v - u) <= 1e-9 * (1 + abs(v)) and m == k
+
+
+class TestZeroDensity:
+    """The first box of spectrum() comes from Polya's zero density: about
+    P R / (4 pi) zeros in the right half of |x| < R, P the perimeter of the
+    convex hull of the exponents."""
+
+    @staticmethod
+    def _disc_count(S, R):
+        # a 64-gon inscribed in |x| = R, enlarged a little past a zero on it
+        for _ in range(6):
+            verts = R * np.exp(2j * np.pi * (np.arange(64) + 0.31) / 64)
+            try:
+                (s0,), _ = rootfind._contour_moments(S, rootfind._polygon(verts))
+                return int(round(s0.real)), R
+            except (BoundaryZero, NonConvergent):
+                R *= 1.0037
+        raise AssertionError("no count on the circle")
+
+    def _matrices(self):
+        rng = np.random.default_rng(2020)
+        mats = []
+        for i in range(10):
+            a, d = rng.uniform(0.3, 4.0, size=2) * rng.choice([-1, 1], size=2)
+            if i % 2:
+                a, d = a * np.exp(1j * rng.uniform(-3, 3)), d * np.exp(1j * rng.uniform(-3, 3))
+            mats.append(CMatrix2(a, 0, 1, d) if i % 3 else CMatrix2(a, 1, 0, d))
+        for _ in range(5):
+            mats.append(CMatrix2(*(rng.standard_normal(4) + 1j * rng.standard_normal(4))))
+        return mats
+
+    def test_perimeter_of_a_triangular_matrix(self):
+        # exponents +-2i/sqrt(a), +-2i/sqrt(d) (up to the sums and differences)
+        S = build(CMatrix2.real(1, 0, 1, 4))
+        assert abs(S.indicator_perimeter() - 4 * (1 + 0.5)) <= 1e-12
+
+    def test_predicts_the_right_half_count(self):
+        for A in self._matrices():
+            S = build(A)
+            P = S.indicator_perimeter()
+            order0 = S.order_at_origin()
+            for k in (5.3, 11.7, 23.1):
+                n, R = self._disc_count(S, 4 * np.pi * k / P)
+                right = (n - order0) / 2          # zeros come in +- pairs
+                assert abs(right - P * R / (4 * np.pi)) <= 2, (A, k, n)
+
+
+class _Poly:
+    """Log-derivative protocol of a polynomial with the given zeros."""
+
+    def __init__(self, zeros):
+        self.zeros = np.asarray(zeros, dtype=complex)
+
+    def logderiv(self, z):
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.sum(1.0 / (z[..., None] - self.zeros), axis=-1)
+
+    def logabs(self, z):
+        z = np.asarray(z, dtype=complex)
+        return np.sum(np.log(np.abs(z[..., None] - self.zeros)), axis=-1)
+
+
+class TestPowerSums:
+    """Cells of 2 to 4 zeros are solved from their power sums."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real = rootfind._split_cell
+
+        def spy(fun, cell, cnt, rng):
+            calls.append(cnt)
+            return real(fun, cell, cnt, rng)
+        monkeypatch.setattr(rootfind, "_split_cell", spy)
+        return calls
+
+    def test_three_separated_zeros_need_no_split(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("split")
+        monkeypatch.setattr(rootfind, "_split_cell", refuse)
+        zeros = [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.35j]
+        found = isolate_zeros(_Poly(zeros), Rect(-1, 1.1, -0.9, 1))
+        assert [m for _, m in found] == [1, 1, 1]
+        for z in zeros:
+            assert min(abs(w - z) for w, _ in found) <= 1e-12
+
+    def test_double_zero_takes_the_split(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        found = isolate_zeros(_Poly([0.3 + 0.2j, 0.3 + 0.2j, -0.5]), Rect(-1, 1.1, -0.9, 1))
+        assert calls and calls[0] == 3
+        assert sorted(m for _, m in found) == [1, 2]
+        z2 = [w for w, m in found if m == 2][0]
+        assert abs(z2 - (0.3 + 0.2j)) <= 1e-8
+
+    def test_five_zeros_take_the_split(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        zeros = [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.35j, -0.6 - 0.5j, 0.7 + 0.6j]
+        found = isolate_zeros(_Poly(zeros), Rect(-1, 1.1, -0.9, 1))
+        assert calls[0] == 5
+        assert [m for _, m in found] == [1] * 5
+        for z in zeros:
+            assert min(abs(w - z) for w, _ in found) <= 1e-12
+
+    def test_plain_callable_pair(self):
+        # four zeros through the (f, fprime) adapter: one power-sum cell
+        zeros = [1.0, 2.0 + 0.5j, 2.5 - 0.3j, 1.5 + 0.1j]
+        f, fp = _poly_pair(zeros)
+        found = isolate_zeros(f, Rect(0.5, 3.1, -0.7, 0.8), fprime=fp)
+        assert [m for _, m in found] == [1] * 4
+        for z in zeros:
+            assert min(abs(w - z) for w, _ in found) <= 1e-12
