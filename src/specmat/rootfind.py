@@ -23,21 +23,24 @@ evaluates only the new midpoints, and no point is evaluated twice within
 one call.
 
 Every cell of the quadtree carries its count ``m`` and its power sums,
-and two rules accept it.  As a single m-fold zero: ``m = 1``, or ``m >= 2``
-in a cell no wider than the cluster size ``_CLUSTER_REL * (1 + |centre|)``;
-the polish starts at the centroid ``s1 / m`` and must converge inside the
-cell.  The count is the certificate: the m zeros lie within one cell
-diameter of the reported point.  An order-m zero is resolved only to
-O(eps^(1/m)) by any contour, so m simple zeros closer than the cluster
-size are reported as one m-fold zero.  As m simple zeros, for ``2 <= m <=
-4`` (Delves and Lyness, Math. Comp. 21, 1967): the roots of the
-polynomial with power sums ``s_1..s_m`` start Newton, and the cell is
-accepted when all m converge inside it, pairwise apart; m distinct zeros
-in a cell of count m are all of them, each simple.  Any other cell is
-split.  Where a split integral cannot converge (its lines cross the
-noise floor of a high-order zero), a cell up to ``_FALLBACK_CELLS``
-cluster sizes wide is tried once as one zero; its certificate is only
-its own diameter.
+and three rules accept it.  As a single m-fold zero: ``m = 1``, or ``m >=
+2`` in a cell no wider than the cluster size ``_CLUSTER_REL * (1 +
+|centre|)``; the polish starts at the centroid ``s1 / m`` and must
+converge inside the cell.  The count is the certificate: the m zeros lie
+within one cell diameter of the reported point.  An order-m zero is
+resolved only to O(eps^(1/m)) by any contour, so m simple zeros closer
+than the cluster size are reported as one m-fold zero.  As m simple
+zeros, for ``2 <= m <= 4`` (Delves and Lyness, Math. Comp. 21, 1967): the
+roots of the polynomial with power sums ``s_1..s_m`` start Newton, and
+the cell is accepted when all m converge inside it, pairwise apart; m
+distinct zeros in a cell of count m are all of them, each simple.  As one
+m-fold zero again, for ``2 <= m <= 4`` when the power sums do not resolve
+the cell: the centroid is polished, and one square one cluster size wide
+around the result, clipped to the cell, must count m (Kravanja and Van
+Barel, LNM 1727, 2000); the certificate is the square's diameter.  When
+that square's integral fails, a square ``_FALLBACK_CELLS`` cluster sizes
+wide is counted instead.  Any other cell is split, and a split that
+cannot be counted raises NonConvergent.
 
 ``spectrum`` sizes its first search box by the secular function's zero
 density (Polya: about ``P R / (2 pi)`` zeros in ``|x| < R``, P the
@@ -62,8 +65,8 @@ from .secular import build
 _EDGE_START = 64
 _EDGE_CAP = 2 ** 18    # most intervals any one edge may refine to
 _WINDING_TOL = 1e-3
-_CLUSTER_REL = 1e-4    # largest cell accepted as one multiple zero, over 1 + |centre|
-_FALLBACK_CELLS = 32   # widest unsplittable cell, in cluster sizes (18 seen at a = 0)
+_CLUSTER_REL = 1e-4    # cluster size, over 1 + |centre|
+_FALLBACK_CELLS = 32   # width of the second certifying square, in cluster sizes
 
 
 @dataclass(frozen=True)
@@ -357,8 +360,8 @@ def winding_count(f, rect: Rect, fprime=None, rng=None, dilate: bool = True) -> 
     """Number of zeros of ``f`` inside ``rect``, counted with multiplicity.
 
     If a zero sits (numerically) on the boundary the rectangle is dilated
-    by a random factor in (1, 1.001] and the count retried, up to five
-    times.
+    by a random factor in [1.0001, 1.001) and the count retried, up to
+    five times.
     """
     fun = _as_protocol(f, fprime)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -419,7 +422,8 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
     one) until every cell is accepted by the rules of the module
     docstring: as one zero (a count-1 cell, or a count-m cell no wider
     than the cluster size, whose polished centroid converges inside it),
-    or, with 2 to 4 zeros, as that many simple zeros from its power sums.
+    or, with 2 to 4 zeros, as that many simple zeros from its power sums,
+    or as one zero whose certifying square counts them all.
     The multiplicity sum equals the top-level winding count, else
     NumericalFailure is raised.
     """
@@ -440,8 +444,7 @@ def _isolate_counted(fun, counted: _Cell, tol: float, rng):
         cell = stack.pop()
         rect, cnt = cell.rect, cell.n
         c = rect.center
-        tried = cnt == 1 or rect.diameter <= _CLUSTER_REL * (1.0 + abs(c))
-        if tried:
+        if cnt == 1 or rect.diameter <= _CLUSTER_REL * (1.0 + abs(c)):
             z = _polish_cell(fun, cell, tol)
             if z is not None:
                 results.append((z, cnt))
@@ -453,16 +456,11 @@ def _isolate_counted(fun, counted: _Cell, tol: float, rng):
             if zs is not None:
                 results.extend((z, 1) for z in zs)
                 continue
-        try:
-            stack.extend(_split_cell(fun, rect, cnt, rng))
-        except NonConvergent:
-            # split lines near a high-order zero cross its noise floor long
-            # before the cell is small: try the cell as one zero unless too wide
-            wide = rect.diameter > _FALLBACK_CELLS * _CLUSTER_REL * (1.0 + abs(c))
-            z = None if tried or wide else _polish_cell(fun, cell, tol)
-            if z is None:
-                raise
-            results.append((z, cnt))
+            z = _certified_cluster(fun, cell, tol)
+            if z is not None:
+                results.append((z, cnt))
+                continue
+        stack.extend(_split_cell(fun, rect, cnt, rng))
     found = sum(m for _, m in results)
     if found != counted.n:
         raise NumericalFailure(
@@ -493,6 +491,37 @@ def _polish_cell(fun, cell: _Cell, tol: float):
         z, ok = _newton(fun, start, cnt, tol)
     if ok and rect.contains(z, slack=1e-7 * (1.0 + abs(z))):
         return z
+    return None
+
+
+def _certified_cluster(fun, cell: _Cell, tol: float):
+    """The cell's ``n`` zeros as one n-fold zero, certified by one count of
+    a small square around the polished point, or None.
+
+    The square is centred on the point :func:`_polish_cell` returns, one
+    cluster size ``_CLUSTER_REL * (1 + |z|)`` wide (``_FALLBACK_CELLS``
+    cluster sizes when that integral fails: a quadruple zero's noise radius,
+    about eps^(1/4), exceeds the cluster size), and clipped to the cell.
+    It lies inside a cell of n zeros, so a count of n puts all of them
+    within the square's diameter of z (Kravanja and Van Barel, LNM 1727,
+    2000).  Any other count, or a failed integral at both widths, leaves
+    the cell to the split.
+    """
+    z = _polish_cell(fun, cell, tol)
+    if z is None:
+        return None
+    rect = cell.rect
+    for cells in (1, _FALLBACK_CELLS):
+        h = 0.5 * cells * _CLUSTER_REL * (1.0 + abs(z))
+        x0, x1 = max(z.real - h, rect.re_min), min(z.real + h, rect.re_max)
+        y0, y1 = max(z.imag - h, rect.im_min), min(z.imag + h, rect.im_max)
+        if not (x0 < x1 and y0 < y1):
+            return None
+        try:
+            s0, _ = _contour_moments(fun, _polygon(Rect(x0, x1, y0, y1).corners()))
+        except (BoundaryZero, NonConvergent):
+            continue
+        return z if int(round(s0[0].real)) == cell.n else None
     return None
 
 

@@ -96,8 +96,10 @@ class TestIsolate:
 
 
     def test_unsplittable_cell_width_is_bounded(self, monkeypatch):
-        # a cell whose split integral cannot converge is tried as one zero
-        # only up to 32 cluster sizes, 6.4e-3 wide near z = 1
+        # with every split refused, a multiple zero is accepted only when a
+        # square one cluster size wide (2e-4 near z = 1) around the polished
+        # point counts all the cell's zeros: the bound is the square's
+        # width, whatever the width of the cell whose split was refused
         class Poly:
             def __init__(self, roots):
                 self.roots = roots
@@ -126,7 +128,8 @@ class TestIsolate:
         assert_allclose([z for z, _ in zeros], [1.0, 1.01], atol=1e-12)
         with pytest.raises(NonConvergent):
             # 1e-3 apart the power-sum starts fall within 1/50 of the cell
-            # diameter and the cell goes to the (refused) split
+            # diameter, the square around the centroid holds neither zero,
+            # and the cell goes to the (refused) split
             isolate_zeros(Poly([1.0, 1.001]), Rect(0.9, 1.1, -0.1, 0.11))
 
 class TestSpectrum:
@@ -565,3 +568,141 @@ class TestPowerSums:
         assert [m for _, m in found] == [1] * 4
         for z in zeros:
             assert min(abs(w - z) for w, _ in found) <= 1e-12
+
+
+class _PolyWithPolish(_Poly):
+    """:class:`_Poly` with ``polish_multiple``: the zero of the polynomial's
+    (m-1)-th derivative nearest the start, as the secular functions do."""
+
+    def __init__(self, zeros):
+        super().__init__(zeros)
+        self.polished = []
+
+    def polish_multiple(self, z0, m):
+        self.polished.append(m)
+        roots = np.roots(np.polyder(np.poly(self.zeros), m - 1))
+        return complex(roots[np.argmin(np.abs(roots - z0))]), True
+
+
+class TestCertifiedCluster:
+    """A cell of 2 to 4 zeros that the power sums do not resolve is
+    accepted as one m-fold zero when one small square around the polished
+    point counts m."""
+
+    @staticmethod
+    def _refuse_splits(monkeypatch):
+        def refuse(*args):
+            raise NonConvergent("split refused")
+        monkeypatch.setattr(rootfind, "_split_cell", refuse)
+
+    @staticmethod
+    def _squares(monkeypatch):
+        """Record the vertices of every one-contour integral after the
+        first (the top-level count)."""
+        seen = []
+        real = rootfind._contour_moments
+
+        def watching(fun, segs, *args, **kw):
+            if segs.incidence.shape[0] == 1:
+                seen.append(segs.vertices)
+            return real(fun, segs, *args, **kw)
+        monkeypatch.setattr(rootfind, "_contour_moments", watching)
+        return lambda: seen[1:]
+
+    def test_triple_zero(self, monkeypatch):
+        self._refuse_splits(monkeypatch)
+        z = 0.3 + 0.2j
+        found = isolate_zeros(_Poly([z, z, z]), Rect(-1, 1.1, -0.9, 1))
+        assert len(found) == 1 and found[0][1] == 3
+        assert abs(found[0][0] - z) <= 1e-12
+
+    def test_double_zero_by_the_edge_has_a_clipped_square(self, monkeypatch):
+        self._refuse_splits(monkeypatch)
+        squares = self._squares(monkeypatch)
+        z = 0.99998 + 0.2j            # 2e-5 from the right edge
+        fun = _PolyWithPolish([z, z])
+        found = isolate_zeros(fun, Rect(0.8, 1.0, 0.1, 0.3))
+        assert len(found) == 1 and found[0][1] == 2
+        assert abs(found[0][0] - z) <= 1e-12
+        (square,) = squares()
+        width = np.ptp(square.real)
+        height = np.ptp(square.imag)
+        assert square.real.max() == 1.0
+        assert height == pytest.approx(rootfind._CLUSTER_REL * (1 + abs(z)))
+        assert width < 0.7 * height
+
+    def test_two_simple_zeros_are_not_one_double_zero(self, monkeypatch):
+        # 1.5 cluster sizes apart: the square around their centroid, one
+        # cluster size wide, holds neither, and the cell goes to the split
+        self._refuse_splits(monkeypatch)
+        squares = self._squares(monkeypatch)
+        d = 0.75 * rootfind._CLUSTER_REL * 2.0
+        fun = _PolyWithPolish([1.0 - d, 1.0 + d])
+        with pytest.raises(NonConvergent):
+            isolate_zeros(fun, Rect(0.9, 1.1, -0.1, 0.11))
+        assert fun.polished == [2]
+        (square,) = squares()
+        assert abs(np.mean(square) - 1.0) <= 1e-12
+        count, _ = rootfind._contour_moments(fun, rootfind._polygon(square))
+        assert round(count[0].real) == 0
+
+    def test_five_zeros_never_reach_the_rule(self, monkeypatch):
+        self._refuse_splits(monkeypatch)
+        fun = _PolyWithPolish([0.3 + 0.2j] * 3 + [0.31 + 0.2j, -0.5])
+        with pytest.raises(NonConvergent):
+            isolate_zeros(fun, Rect(-1, 1.1, -0.9, 1))
+        assert fun.polished == []
+
+    def test_square_that_cannot_be_counted(self, monkeypatch):
+        self._refuse_splits(monkeypatch)
+        widths = []
+        real = rootfind._contour_moments
+
+        def failing(fun, segs, *args, **kw):
+            if segs.incidence.shape[0] == 1 and np.ptp(segs.vertices.real) < 0.1:
+                widths.append(np.ptp(segs.vertices.real))
+                raise BoundaryZero("square refused")
+            return real(fun, segs, *args, **kw)
+        monkeypatch.setattr(rootfind, "_contour_moments", failing)
+        z = 0.3 + 0.2j
+        with pytest.raises(NonConvergent):
+            isolate_zeros(_PolyWithPolish([z, z]), Rect(-1, 1.1, -0.9, 1))
+        size = rootfind._CLUSTER_REL * (1 + abs(z))
+        assert widths == pytest.approx([size, rootfind._FALLBACK_CELLS * size])
+
+
+class TestMultipleZeroCost:
+    """Guards on the work spectrum() spends on multiple zeros, counted with
+    the default rng so that the counts repeat exactly."""
+
+    @staticmethod
+    def _count(monkeypatch, A, count):
+        seen = {"points": 0, "power_sums": 0}
+        real_ld = SecularFn.logderiv
+        real_ps = rootfind._power_sum_zeros
+
+        def logderiv(self, z):
+            seen["points"] += np.size(z)
+            return real_ld(self, z)
+
+        def power_sums(*args, **kw):
+            seen["power_sums"] += 1
+            return real_ps(*args, **kw)
+
+        monkeypatch.setattr(SecularFn, "logderiv", logderiv)
+        monkeypatch.setattr(rootfind, "_power_sum_zeros", power_sums)
+        spectrum(A, count=count)
+        return seen
+
+    def test_all_double_spectrum(self, monkeypatch):
+        seen = self._count(monkeypatch, CMatrix2.real(2, 0, 0, 2), 6)
+        assert seen["power_sums"] <= 20, seen
+        assert seen["points"] <= 60_000, seen
+
+    def test_double_zero_at_every_other_lattice_point(self, monkeypatch):
+        seen = self._count(monkeypatch, CMatrix2.real(1, 0, 1, 4), 12)
+        assert seen["points"] <= 120_000, seen
+
+    def test_quadruple_zeros_on_the_a0_line(self, monkeypatch):
+        seen = self._count(monkeypatch, family_matrix(Family.A4, 0.0, 2.5), 12)
+        assert seen["points"] <= 150_000, seen
