@@ -4,17 +4,18 @@ ratio inside the band region, via Chebyshev polynomials.
 For the family ``(a, -1; 1, d)`` with both eigenvalues ``b+ > b- > 0``,
 the curves ``d = d_pm(a)`` on which ``sqrt(b+/b-) = alpha`` foliate the
 region.  The secular function is kept in its cosine-sum form
-``EV(x) = c0 + c1 cos(f1 x) + c2 cos(f2 x)`` (:class:`specmat.secular.SecularFn`),
+``EV(x) = c1 (cos(f1 x) - 1) + c2 (cos(f2 x) - 1)``, which
+:class:`specmat.secular.SecularFn` evaluates as ``-2 sum c sin^2(f x/2)``,
 with ``f1, f2 = 1/sqrt(b+) +- 1/sqrt(b-)`` up to sign.  When ``alpha = p/q``
 is rational, ``z = x / (q sqrt(b+))`` gives ``f1 x = (p+q) z`` and
 ``f2 x = +-(p-q) z``, and since cosine is even
 
-    EV(x) = G(cos z),    G(w) = c0 + c1 T_{p+q}(w) + c2 T_{p-q}(w),
+    EV(x) = G(cos z),    G(w) = c1 (T_{p+q}(w) - 1) + c2 (T_{p-q}(w) - 1),
 
 so the whole zero set is generated by the roots of the degree p+q
 polynomial G, in the same gauge as the secular function itself (see
 docs/chebyshev_reduction.md and the sampled identity test that pins it).
-``G(1) = c0 + c1 + c2 = 0`` is the structural zero at the origin.
+``G(1) = 0`` is the structural zero at the origin.
 """
 
 from __future__ import annotations
@@ -139,11 +140,11 @@ class GPoly:
 
 
 def build_g(pt: ChebPoint) -> GPoly:
-    """Assemble G(w) = c0 + c1 T_{p+q}(w) + c2 T_{p-q}(w) from the
+    """Assemble G(w) = c1 (T_{p+q}(w) - 1) + c2 (T_{p-q}(w) - 1) from the
     cosine-sum coefficients of the secular function of the curve point."""
     S = secular.build(pt.matrix())
     coeffs = S.c1 * chebyshev_t(pt.p + pt.q).astype(complex)
-    coeffs[-1] += S.c0
+    coeffs[-1] -= S.c1 + S.c2
     tlow = chebyshev_t(pt.p - pt.q)
     coeffs[-tlow.size:] += S.c2 * tlow
     # on the real-spectrum curve a^2 - ad - 1 = 0 secular.build cancels c1

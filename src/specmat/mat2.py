@@ -11,7 +11,7 @@ numerical-range ellipse.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +120,6 @@ class Eigen2:
     kind: EigKind
     V: np.ndarray
     C: np.ndarray
-    gap: float = field(default=0.0)  # |a_plus - a_minus|, for margin checks
 
     def reconstruct(self) -> np.ndarray:
         return self.V @ self.C @ np.linalg.inv(self.V)
@@ -186,7 +185,7 @@ def eig2(A: CMatrix2) -> Eigen2:
         mu = 0.5 * tr
         V = np.eye(2, dtype=complex)
         C = np.diag([mu, mu]).astype(complex)
-        return Eigen2(mu, mu, V[:, 0], V[:, 1], EigKind.SCALAR, V, C, gap=gap)
+        return Eigen2(mu, mu, V[:, 0], V[:, 1], EigKind.SCALAR, V, C)
 
     vp = _eigvec_for(M, ap)
     vm = _eigvec_for(M, am)
@@ -200,13 +199,13 @@ def eig2(A: CMatrix2) -> Eigen2:
         u = np.linalg.pinv(M - mu * np.eye(2), rcond=1e-10) @ w
         V = np.column_stack([u, w])
         C = np.array([[mu, 0.0], [1.0, mu]], dtype=complex)
-        return Eigen2(mu, mu, w, w, EigKind.DEFECTIVE, V, C, gap=gap)
+        return Eigen2(mu, mu, w, w, EigKind.DEFECTIVE, V, C)
 
     vp = _gauge_normalize(vp)
     vm = _gauge_normalize(vm)
     V = np.column_stack([vp, vm])
     C = np.diag([ap, am]).astype(complex)
-    return Eigen2(ap, am, vp, vm, EigKind.DISTINCT, V, C, gap=gap)
+    return Eigen2(ap, am, vp, vm, EigKind.DISTINCT, V, C)
 
 
 def adjoint_projection(A: CMatrix2) -> np.ndarray:

@@ -390,13 +390,12 @@ def _winding_with_rect(fun, rect: Rect, rng, dilate: bool) -> _Cell:
 def _newton(fun, z0: complex, mult: int, tol: float):
     """Multiplicity-aware Newton: z <- z - mult / logderiv(z).
 
-    Converges quadratically at an exact m-fold zero but only down to the
-    noise floor of the evaluated function; stagnation there counts as
-    convergence (the caller's containment test judges the result).
+    Returns ``(z, ok)``.  ``ok`` is True once a step falls to
+    ``1e-3 tol (1 + |z|)`` (or the log-derivative is infinite, on the
+    zero), and False when 80 steps do not get there or the log-derivative
+    vanishes.
     """
     z = complex(z0)
-    prev_step = np.inf
-    grew = 0
     for _ in range(80):
         ld = complex(fun.logderiv(np.array([z]))[0])
         if not (np.isfinite(ld.real) and np.isfinite(ld.imag)):
@@ -407,12 +406,7 @@ def _newton(fun, z0: complex, mult: int, tol: float):
         z -= step
         if abs(step) <= 1e-3 * tol * (1.0 + abs(z)):
             return z, True
-        # stagnation at the noise floor of a multiple zero
-        grew = grew + 1 if abs(step) >= 0.5 * prev_step else 0
-        if grew >= 3:
-            return z, abs(step) <= 1e-5 * (1.0 + abs(z))
-        prev_step = abs(step)
-    return z, abs(step) <= 1e-5 * (1.0 + abs(z))
+    return z, False
 
 
 def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):

@@ -29,6 +29,9 @@ All square roots are principal.  ``EV`` is actually invariant under
 flipping the branch of either ``sqrt(a+-)`` because every branch-affected
 factor appears an even number of times; the test suite asserts this.
 
+Both forms are evaluated as one versine sum,
+``EV(x) = q x^2 - 2 c1 sin^2(f1 x/2) - 2 c2 sin^2(f2 x/2)`` (see
+:class:`SecularFn`), which stays accurate as ``a+`` and ``a-`` coalesce.
 Trigonometric factors of complex argument are evaluated in real arithmetic
 with the dominant real exponent factored out, so that the log-derivative
 (what contour integration consumes) never overflows even hundreds of
@@ -43,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllConditioned, SingularJordan
-from .mat2 import DEFECTIVE_GAP_TOL, CMatrix2, Eigen2, EigKind, eig2
+from .mat2 import CMatrix2, Eigen2, EigKind, eig2
 
 _LOG_MAX = 709.0  # np.exp overflows just above this
 
@@ -91,18 +94,21 @@ class SecularFn:
     :meth:`gauge_to` returns the constant relating it to any other valid
     eigenvector convention.
 
-    Internally the function is stored in the cosine-sum form::
+    Internally the function is stored in the versine form::
 
-        EV(x) = q x^2 + c0 + c1 cos(f1 x) + c2 cos(f2 x)
+        EV(x) = q x^2 - 2 c1 sin^2(f1 x / 2) - 2 c2 sin^2(f2 x / 2)
 
-    (``q = 0`` for diagonalizable structure, ``c1 = 0`` for defective)
+    (``q = 0`` for diagonalizable structure, ``c1 = 0`` for defective),
+    which is the cosine sum ``q x^2 + c1 (cos(f1 x) - 1) + c2 (cos(f2 x) - 1)``
     with ``f1 = 1/sqrt(a+) + 1/sqrt(a-)``, ``f2 = 1/sqrt(a+) - 1/sqrt(a-)``
     and ``c1 = (t1 - t2)^2 / 2``, ``c2 = -(t1 + t2)^2 / 2`` for
     ``t1 = v1 v4 (a+/a-)^{1/4}``, ``t2 = v2 v3 (a-/a+)^{1/4}``.  This is
     algebraically identical to the product form but free of its
     catastrophic cancellation: coefficient degeneracies (the real-spectrum
     curve, the worked example, the defective singleton) are resolved once,
-    at build time, instead of resurging exponentially at evaluation time.
+    at build time, instead of resurging exponentially at evaluation time,
+    and a term whose ``f x`` is small (``f2 -> 0`` near the defective line)
+    keeps its relative accuracy, where ``c (cos(f x) - 1)`` would cancel.
     """
 
     kind: EigKind
@@ -110,7 +116,6 @@ class SecularFn:
     eigen: Eigen2
     # cosine-sum data
     q: complex = 0.0
-    c0: complex = 0.0
     c1: complex = 0.0
     c2: complex = 0.0
     f1: complex = 0.0
@@ -121,67 +126,65 @@ class SecularFn:
     @cached_property
     def _cosine_terms(self):
         """Coefficients ``c`` of the cosine terms present, their frequencies
-        ``f`` as a column, and a memo of the per-order weights (derived once
-        per function).  Dropped (cancelled) terms must not enter the shared
-        exponent, where they would deflate the rest."""
+        ``f``, the half frequencies as a column, and a memo of the per-order
+        weights (derived once per function).  Dropped (cancelled) terms must
+        not enter the shared exponent, where they would deflate the rest."""
         keep = [(c, f) for c, f in ((self.c1, self.f1), (self.c2, self.f2)) if c != 0]
         c = np.array([c for c, _ in keep], dtype=complex)
         f = np.array([f for _, f in keep], dtype=complex)
-        return c, f.reshape(-1, 1), {}
+        return c, f, 0.5 * f.reshape(-1, 1), {}
 
     def _derivs_scaled(self, x, orders):
         """Mantissas of the derivatives of the given orders and their one
         shared logscale: ``EV^(k)(x) = mantissa_k * exp(logscale)``.
 
-        One stacked :func:`_scaled_trig` pass serves every order.  Order k
-        weights the cosine terms by ``c f^k`` with the
-        ``(cos, -sin, -cos, sin)[k % 4]`` mantissa and adds the k-th
-        derivative of the polynomial part ``q x^2 + c0``.
+        One stacked :func:`_scaled_trig` pass at the half angle serves every
+        order.  Order 0 is ``q x^2 - 2 sum c sin^2(f x/2)``, which vanishes
+        exactly at the origin and keeps its relative accuracy as ``f x -> 0``.
+        Order k >= 1 weights the cosine terms by ``c f^k`` with the
+        ``(cos, -sin, -cos, sin)[k % 4]`` mantissa, from ``sin = 2 sh ch`` and
+        ``cos = ch^2 - sh^2``, and adds the k-th derivative of ``q x^2``.
         """
         x = np.asarray(x, dtype=complex)
         flat = x.reshape(-1)
-        c, f, weights = self._cosine_terms
+        c, f, half, weights = self._cosine_terms
         if c.size:
-            cm, sm, e = _scaled_trig(f * flat)   # one row per cosine term
+            ch, sh, e = _scaled_trig(half * flat)   # one row per cosine term
             top = e.max(axis=0)
             w = np.exp(e - top)
-            cm *= w
-            sm *= w
+            ch *= w
+            sh *= w
+            top *= 2.0
+            sin2 = sh * sh
         else:
             top = np.zeros(flat.shape)
-        poly = np.exp(-top)
         mants = []
         for k in orders:
             if c.size:
                 if k not in weights:
-                    weights[k] = (1, -1, -1, 1)[k % 4] * c * f[:, 0] ** k
-                m = weights[k] @ (sm if k % 2 else cm)
+                    # order 0 is -2 c sin^2; sin's factor 2 rides with odd orders
+                    weights[k] = (-2.0 * c if k == 0 else
+                                  (1, -2, -1, 2)[k % 4] * c * f ** k)
+                m = weights[k] @ (sin2 if k == 0 else sh * ch if k % 2 else ch * ch - sin2)
             else:
                 m = np.zeros(flat.shape, dtype=complex)
-            if k == 0:
-                m = m + (self.c0 * poly if self.q == 0
-                         else (self.q * flat * flat + self.c0) * poly)
-            elif k <= 2 and self.q != 0:
-                m = m + 2.0 * self.q * (flat if k == 1 else 1.0) * poly
+            if k <= 2 and self.q != 0:
+                dx2 = flat * flat if k == 0 else 2.0 * flat if k == 1 else 2.0
+                m = m + self.q * dx2 * np.exp(-top)
             mants.append(m)
         if x.ndim == 1:     # the contour hot path: no reshapes
             return mants, top
         return [m.reshape(x.shape) for m in mants], top.reshape(x.shape)
 
-    def _scaled_exact_origin(self, x, order: int):
-        """(mantissa, logscale) of one derivative order; the function is even
-        with a structural zero at the origin, so the value and slope there
-        are exactly zero."""
-        (m,), e = self._derivs_scaled(x, (order,))
-        return np.where(np.asarray(x) == 0, 0.0, m), e
-
     def eval_scaled(self, x):
         """Return (mantissa, logscale) with EV(x) = mantissa * exp(logscale)."""
-        return self._scaled_exact_origin(x, 0)
+        (m,), e = self._derivs_scaled(x, (0,))
+        return m, e
 
     def deriv_scaled(self, x):
         """Return (mantissa, logscale) for EV'(x)."""
-        return self._scaled_exact_origin(x, 1)
+        (m,), e = self._derivs_scaled(x, (1,))
+        return m, e
 
     def value(self, x):
         """EV(x); overflows to inf only when the value itself exceeds the
@@ -240,8 +243,7 @@ class SecularFn:
         the parallelogram on ``+-f1, +-f2``, ``P = 2 (|f1 - f2| + |f1 +
         f2|) = 4 (|1/sqrt(a+)| + |1/sqrt(a-)|)``; with one, ``P = 4 |f|``.
         """
-        _, f, _ = self._cosine_terms
-        f = f[:, 0]
+        _, f, _, _ = self._cosine_terms
         if f.size == 2:
             return float(2.0 * (abs(f[0] - f[1]) + abs(f[0] + f[1])))
         return float(4.0 * np.abs(f).sum())
@@ -251,8 +253,8 @@ class SecularFn:
         decided from the Taylor coefficients of the cosine-sum form.
         Robust where direct evaluation is pure cancellation noise.
         """
-        # EV = q x^2 + c0 + sum ci cos(fi x); the constant part vanishes
-        # identically, so the series starts at x^2
+        # EV = q x^2 - 2 sum ci sin^2(fi x/2) has no constant term, so the
+        # series starts at x^2
         taylor2 = self.q - (self.c1 * self.f1 ** 2 + self.c2 * self.f2 ** 2) / 2.0
         scale2 = (abs(self.q) + abs(self.c1 * self.f1 ** 2)
                   + abs(self.c2 * self.f2 ** 2)) / 2.0
@@ -307,13 +309,9 @@ def _build_diagonalizable(A: CMatrix2, e: Eigen2) -> SecularFn:
     mag = abs(t1) + abs(t2)
     diff = _snap_cancel(t1 - t2, mag)
     tot = _snap_cancel(t1 + t2, mag)
-    c1 = 0.5 * diff ** 2
-    c2 = -0.5 * tot ** 2
-    # c0 equals K1 = 2 t1 t2 analytically; the float-exact negative sum
-    # keeps the structural zero at the origin exact
     return SecularFn(kind=EigKind.DISTINCT if e.kind is not EigKind.SCALAR else EigKind.SCALAR,
                      matrix=A, eigen=e,
-                     q=0.0, c0=-(c1 + c2), c1=c1, c2=c2,
+                     q=0.0, c1=0.5 * diff ** 2, c2=-0.5 * tot ** 2,
                      f1=1.0 / sp + 1.0 / sm, f2=1.0 / sp - 1.0 / sm)
 
 
@@ -324,76 +322,26 @@ def _build_defective(A: CMatrix2, e: Eigen2) -> SecularFn:
     det_v = e.V[0, 0] * e.V[1, 1] - e.V[0, 1] * e.V[1, 0]
     s = _snap_cancel(det_v + v2 * v4 / (2.0 * ap),
                      abs(det_v) + abs(v2 * v4 / (2.0 * ap)))
-    big_r = s ** 2
-    # EV = q x^2 - R sin^2(x/sqrt(a+)) = q x^2 - R/2 + (R/2) cos(2x/sqrt(a+))
+    # EV = q x^2 - s^2 sin^2(x/sqrt(a+)), the versine term of c2 = s^2/2
     return SecularFn(kind=EigKind.DEFECTIVE, matrix=A, eigen=e,
                      q=v2 ** 2 * v4 ** 2 / (4.0 * ap ** 3),
-                     c0=-0.5 * big_r, c1=0.0, c2=0.5 * big_r,
+                     c1=0.0, c2=0.5 * s ** 2,
                      f1=0.0, f2=2.0 / sp)
 
 
 def build(A: CMatrix2) -> SecularFn:
     """Construct the secular function of ``A`` (nonsingular required).
 
-    In the near-defective margin (eigenvalue gap within 10x of the
-    defective classification threshold) both closed forms are evaluated
-    and their zero counts compared on a reference rectangle; disagreement
-    raises :class:`IllConditioned` instead of silently returning a
-    cancelling formula.
+    The Jordan structure of :func:`specmat.mat2.eig2` picks the closed
+    form.  Both are kept in the versine form of :class:`SecularFn`, whose
+    value has no cancellation as the eigenvalues coalesce, so the
+    diagonalizable form stays accurate up to the defective threshold.
     """
     A.require_nonsingular()
     e = eig2(A)
     if e.kind is EigKind.DEFECTIVE:
-        fn = _build_defective(A, e)
-    else:
-        fn = _build_diagonalizable(A, e)
-
-    if e.kind is not EigKind.SCALAR:
-        margin = 10.0 * DEFECTIVE_GAP_TOL * (1.0 + A.norm())
-        if 0.0 < e.gap <= margin:
-            _assert_margin_consistency(A, e, fn)
-    return fn
-
-
-def _assert_margin_consistency(A: CMatrix2, e: Eigen2, fn: SecularFn) -> None:
-    """Compare zero counts of the two formulas on a reference box."""
-    from .rootfind import Rect, winding_count
-
-    alt = _build_defective(A, _defective_surrogate(A)) if fn.kind is not EigKind.DEFECTIVE \
-        else _build_diagonalizable(A, _diagonalizable_surrogate(A))
-    scale = abs(np.sqrt(complex(0.5 * A.trace)))
-    box = Rect(-0.45 * scale, 9.3 * scale, -2.1 * scale, 2.3 * scale)
-    rng = np.random.default_rng(20260810)
-    n1 = winding_count(fn, box, rng=rng)
-    n2 = winding_count(alt, box, rng=rng)
-    if n1 != n2:
-        raise IllConditioned(
-            f"near-defective matrix: the two secular representations count "
-            f"{n1} vs {n2} zeros on the reference box")
-
-
-def _defective_surrogate(A: CMatrix2) -> Eigen2:
-    """Jordan data of the nearest defective matrix (eigenvalues collapsed)."""
-    M = A.as_array()
-    mu = 0.5 * A.trace
-    B = M - mu * np.eye(2)
-    # eigenvector: right singular vector of the small singular value
-    _, s, Vh = np.linalg.svd(B)
-    w = Vh.conj().T[:, 1]
-    u = np.linalg.pinv(B, rcond=1e-8) @ w
-    V = np.column_stack([u, w])
-    C = np.array([[mu, 0], [1, mu]], dtype=complex)
-    return Eigen2(mu, mu, w, w, EigKind.DEFECTIVE, V, C, gap=0.0)
-
-
-def _diagonalizable_surrogate(A: CMatrix2) -> Eigen2:
-    """Forcibly diagonalised data for a matrix classified defective."""
-    M = A.as_array()
-    vals, vecs = np.linalg.eig(M)
-    order = np.argsort(-vals.real - 1e-9 * vals.imag)
-    vals, vecs = vals[order], vecs[:, order]
-    return Eigen2(vals[0], vals[1], vecs[:, 0], vecs[:, 1], EigKind.DISTINCT,
-                  vecs, np.diag(vals), gap=abs(vals[0] - vals[1]))
+        return _build_defective(A, e)
+    return _build_diagonalizable(A, e)
 
 
 # -- fundamental matrix ------------------------------------------------

@@ -16,6 +16,9 @@ CORPUS = {
     "triangular": CMatrix2(1.3 + 0.4j, 1.0, 0.0, -2.1 + 0.5j),
     "streater": STREATER,
     "band": a4(0.5, 3.0),
+    # 1e-9 off the defective line |a - d| = 2, real and complex
+    "near_defective": CMatrix2.real(1.6276123860199783, -1, 1, 3.627612389036903),
+    "near_defective_c": CMatrix2(0.4 + 0.3j, -1, 1, 2.4 + 0.3j + 1e-11),
 }
 COUNT = 10
 RTOL = 1e-9

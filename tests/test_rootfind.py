@@ -86,6 +86,19 @@ class TestIsolate:
             assert abs(zp - z) <= 1e-7 * (1 + abs(z))
             assert mp == m
 
+    def test_newton_refuses_stagnation(self):
+        # Newton steps that alternate between 1 and 1 + 1e-8 forever, as at
+        # the noise floor of a function evaluated to 1e-8, never converge
+        class Oscillating:
+            def logderiv(self, z):
+                z = np.asarray(z, dtype=complex)
+                return 1.0 / (z - np.where(abs(z - 1.0) < 5e-9, 1.0 + 1e-8, 1.0))
+
+        z, ok = rootfind._newton(Oscillating(), 1.0, 1, 1e-10)
+        assert not ok
+        z, ok = rootfind._newton(_Poly([1.0]), 1.1, 1, 1e-10)
+        assert ok and abs(z - 1.0) <= 1e-13
+
     def test_newton_residuals(self):
         S = build(CMatrix2.real(2, 1, 1, 3))
         box = Rect(-0.4, 11, -2.1, 1.9)

@@ -1,10 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
 from specmat import (CMatrix2, EigKind, Rect, SingularMatrix, build,
-                     boundary_determinant, fundamental_matrix, winding_count)
+                     boundary_determinant, fundamental_matrix, spectrum,
+                     winding_count)
 from specmat.secular import _scaled_trig
 from conftest import EXAMPLE, EXAMPLE_V, STREATER
 
@@ -302,7 +304,7 @@ class TestFundamentalMatrix:
 class TestNearDefectiveHandoff:
     def test_margin_zone_consistency_check_passes(self):
         # eigenvalue gap inside 10x of the defective threshold but still
-        # diagonalizable: both representations must count the same zeros
+        # diagonalizable: the diagonalizable form builds there
         A = CMatrix2.real(1.0, 1.0, 2.25e-17, 1.0)   # gap = 2 sqrt(bc) = 3e-8.5
         S = build(A)
         assert S is not None
@@ -312,9 +314,49 @@ class TestNearDefectiveHandoff:
         assert S.kind is EigKind.DEFECTIVE
 
     def test_zero_sets_agree_across_the_margin(self):
-        # zero counts on a reference box on both sides of the threshold
+        # zero counts on a reference box on both sides of the threshold:
+        # the defective form and the diagonalizable one just off it
         box = Rect(-0.43, 9.2, -2.2, 2.1)
         rng = np.random.default_rng(7)
         n_def = winding_count(build(CMatrix2.real(1.0, 1.0, 0.0, 1.0)), box, rng=rng)
         n_near = winding_count(build(CMatrix2.real(1.0, 1.0, 1e-13, 1.0)), box, rng=rng)
         assert n_def == n_near
+
+
+def _mp_root(A, x0):
+    """Zero of the product form near x0 at 60 digits, from an mpmath
+    eigendecomposition: an independent reference for the eigenvalue x^2."""
+    with mpmath.workdps(60):
+        M = mpmath.matrix([[mpmath.mpc(A.a), mpmath.mpc(A.b)],
+                           [mpmath.mpc(A.c), mpmath.mpc(A.d)]])
+        E, V = mpmath.eig(M)
+        sp, sm = mpmath.sqrt(E[0]), mpmath.sqrt(E[1])
+        v1, v2, v3, v4 = V[0, 0], V[0, 1], V[1, 0], V[1, 1]
+        k1 = 2 * v1 * v2 * v3 * v4
+        k2 = v1 ** 2 * v4 ** 2 * sp / sm + v2 ** 2 * v3 ** 2 * sm / sp
+
+        def ev(x):
+            return (k1 * (1 - mpmath.cos(x / sp) * mpmath.cos(x / sm))
+                    - k2 * mpmath.sin(x / sp) * mpmath.sin(x / sm))
+
+        return complex(mpmath.findroot(ev, mpmath.mpc(x0)) ** 2)
+
+
+class TestNearDefectiveAccuracy:
+    """Eigenvalues delta off the defective line |a - d| = 2, where a+ and a-
+    coalesce, keep full accuracy: the value has no cancellation there."""
+
+    A_REAL = 0.5511256392525916
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-7, 1e-10, 1e-13])
+    @pytest.mark.parametrize("family", ["real", "complex"])
+    def test_matches_mpmath(self, family, delta):
+        if family == "real":
+            A = CMatrix2.real(self.A_REAL, -1, 1, self.A_REAL + 2 + delta)
+        else:
+            A = CMatrix2(0.4 + 0.3j, -1, 1, 2.4 + 0.3j + delta)
+        vals = [v for v in spectrum(A, count=6).values() if v != 0][:3]
+        assert len(vals) == 3
+        for v in vals:
+            ref = _mp_root(A, np.sqrt(complex(v)))
+            assert abs(v - ref) <= 1e-9 * abs(ref), (v, ref)
