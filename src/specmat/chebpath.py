@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -30,7 +31,8 @@ from .canonical import Family, RegionTag, classify_region, family_matrix
 from .errors import DegreeTooHigh, OutOfDomain
 from . import secular
 from .mat2 import CMatrix2
-from .rootfind import Spectrum, _canonical_sorted, cluster_roots, polyroots
+from .rootfind import (Spectrum, _as_protocol, _canonical_sorted, _newton, cluster_roots,
+                       polyroots)
 
 DEGREE_CAP_DEFAULT = 20   # polynomial rooting is unstable past this
 _G_CLUSTER_REL = 1e-5      # G roots closer than this, over 1 + |w|, form one cluster
@@ -174,26 +176,17 @@ def _deflate_structural(coeffs: np.ndarray):
     return coeffs, found
 
 
-def _polish_root(coeffs: np.ndarray, w0: complex, mult: int) -> complex:
-    """Full-precision root from a root cluster centre: multiplicity-aware
-    Newton (the companion-matrix eigenvalues resolve an m-fold root only
-    to O(eps^(1/m)), and Newton with the known multiplicity restores full
-    precision).  A result within rounding of the real axis is put on it.
+def _polish_roots(coeffs: np.ndarray, w0s, mults) -> np.ndarray:
+    """Full-precision roots from root cluster centres ``w0s`` of
+    multiplicities ``mults``: multiplicity-aware Newton (the
+    companion-matrix eigenvalues resolve an m-fold root only to
+    O(eps^(1/m)), and Newton with the known multiplicity restores full
+    precision), stopping once a step falls to ``1e-15 (1 + |w|)``.
+    Results within rounding of the real axis are put on it.
     """
-    w = complex(w0)
-    dcoeffs = np.polyder(coeffs)
-    for _ in range(60):
-        p = complex(np.polyval(coeffs, w))
-        dp = complex(np.polyval(dcoeffs, w))
-        if dp == 0:
-            break
-        delta = mult * p / dp
-        w -= delta
-        if abs(delta) <= 1e-15 * (1.0 + abs(w)):
-            break
-    if abs(w.imag) <= 1e-10 * (1.0 + abs(w)):
-        return complex(w.real, 0.0)
-    return w
+    poly = _as_protocol(partial(np.polyval, coeffs), partial(np.polyval, np.polyder(coeffs)))
+    w, _ = _newton(poly, w0s, mults, tol=1e-12)
+    return np.where(np.abs(w.imag) <= 1e-10 * (1.0 + np.abs(w)), w.real.astype(complex), w)
 
 
 def root_lattices(pt: ChebPoint, n_max: int,
@@ -205,7 +198,7 @@ def root_lattices(pt: ChebPoint, n_max: int,
     Multiplicity is the root multiplicity of G.  The structural roots +-1
     are divided out first (:func:`_deflate_structural`); the roots of the
     quotient are clustered, and each cluster is polished on the quotient
-    by :func:`_polish_root`.
+    by :func:`_polish_roots`.
     """
     if pt.p + pt.q > degree_cap:
         raise DegreeTooHigh(
@@ -215,8 +208,8 @@ def root_lattices(pt: ChebPoint, n_max: int,
         raise ValueError("n_max out of range")
     quotient, roots = _deflate_structural(build_g(pt).coeffs)
     if quotient.size > 1:
-        roots += [(_polish_root(quotient, w0, mult), mult) for w0, mult
-                  in cluster_roots(polyroots(quotient), rel_tol=_G_CLUSTER_REL)]
+        centres, mults = zip(*cluster_roots(polyroots(quotient), rel_tol=_G_CLUSTER_REL))
+        roots += zip(_polish_roots(quotient, centres, mults), mults)
     step = pt.q * math.sqrt(pt.b_plus)
     shifts = 2.0 * np.pi * np.arange(-n_max, n_max + 1)
     out = []

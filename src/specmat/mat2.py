@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import InvalidInput, SingularMatrix
 
 # Classification thresholds.  The secular function changes formula across
 # the defective split, so the cutoffs are part of the module contract.
@@ -23,6 +23,10 @@ DEFECTIVE_GAP_TOL = 1e-8
 DEFECTIVE_COND_TOL = 1e8
 SCALAR_TOL = 1e-12
 SINGULAR_TOL = 1e-14
+# largest real or imaginary part of an entry: the squares and products of
+# entries that the eigenstructure and the norms take stay finite, also
+# after the finite-difference oracle's 1/h^2 scaling
+ENTRY_MAX = 1e100
 
 
 class EigKind(enum.Enum):
@@ -33,7 +37,11 @@ class EigKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CMatrix2:
-    """A 2x2 complex matrix, row-major entries ``(a, b; c, d)``."""
+    """A 2x2 complex matrix, row-major entries ``(a, b; c, d)``.
+
+    Entries must be finite (else ValueError) with real and imaginary parts
+    at most ``ENTRY_MAX`` in modulus (else InvalidInput).
+    """
 
     a: complex
     b: complex
@@ -45,6 +53,9 @@ class CMatrix2:
             v = complex(getattr(self, name))
             if not (np.isfinite(v.real) and np.isfinite(v.imag)):
                 raise ValueError(f"entry {name} is not finite: {v!r}")
+            if max(abs(v.real), abs(v.imag)) > ENTRY_MAX:
+                raise InvalidInput(f"entry {name} = {v!r} exceeds {ENTRY_MAX:g}: "
+                                   "its square would overflow")
             object.__setattr__(self, name, v)
 
     @classmethod

@@ -23,24 +23,22 @@ evaluates only the new midpoints, and no point is evaluated twice within
 one call.
 
 Every cell of the quadtree carries its count ``m`` and its power sums,
-and three rules accept it.  As a single m-fold zero: ``m = 1``, or ``m >=
-2`` in a cell no wider than the cluster size ``_CLUSTER_REL * (1 +
-|centre|)``; the polish starts at the centroid ``s1 / m`` and must
-converge inside the cell.  The count is the certificate: the m zeros lie
-within one cell diameter of the reported point.  An order-m zero is
-resolved only to O(eps^(1/m)) by any contour, so m simple zeros closer
-than the cluster size are reported as one m-fold zero.  As m simple
-zeros, for ``2 <= m <= 4`` (Delves and Lyness, Math. Comp. 21, 1967): the
-roots of the polynomial with power sums ``s_1..s_m`` start Newton, and
-the cell is accepted when all m converge inside it, pairwise apart; m
-distinct zeros in a cell of count m are all of them, each simple.  As one
-m-fold zero again, for ``2 <= m <= 4`` when the power sums do not resolve
-the cell: the centroid is polished, and one square one cluster size wide
-around the result, clipped to the cell, must count m (Kravanja and Van
-Barel, LNM 1727, 2000); the certificate is the square's diameter.  When
-that square's integral fails, a square ``_FALLBACK_CELLS`` cluster sizes
-wide is counted instead.  Any other cell is split, and a split that
-cannot be counted raises NonConvergent.
+and two rules accept it.  As m simple zeros, for ``1 <= m <= 4`` (Delves
+and Lyness, Math. Comp. 21, 1967): the roots of the polynomial with power
+sums ``s_1..s_m`` (for m = 1 the centroid ``s1``) start Newton, and the
+cell is accepted when all m converge inside it, pairwise farther apart
+than the cluster size ``_CLUSTER_REL * (1 + |centre|)``; m distinct zeros
+in a cell of count m are all of them, each simple.  As one m-fold zero,
+for ``m >= 2`` when the first rule does not resolve the cell: the
+centroid ``s1 / m`` is polished and must converge inside the cell, and a
+count certifies it.  That is the cell's own count when the cell is no
+wider than the cluster size, and otherwise, for ``m <= 4``, the count of
+one square one cluster size wide around the polished point, clipped to
+the cell (Kravanja and Van Barel, LNM 1727, 2000): the m zeros lie within
+the certifying contour's diameter of the reported point.  An order-m zero
+is resolved only to O(eps^(1/m)) by any contour, so m simple zeros closer
+than the cluster size are reported as one m-fold zero.  Any other cell is
+split, and a split that cannot be counted raises NonConvergent.
 
 ``spectrum`` sizes its first search box by the secular function's zero
 density (Polya: about ``P R / (2 pi)`` zeros in ``|x| < R``, P the
@@ -53,6 +51,7 @@ count of the larger box certifies the union.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -66,7 +65,6 @@ _EDGE_START = 64
 _EDGE_CAP = 2 ** 18    # most intervals any one edge may refine to
 _WINDING_TOL = 1e-3
 _CLUSTER_REL = 1e-4    # cluster size, over 1 + |centre|
-_FALLBACK_CELLS = 32   # width of the second certifying square, in cluster sizes
 
 
 @dataclass(frozen=True)
@@ -387,40 +385,57 @@ def _winding_with_rect(fun, rect: Rect, rng, dilate: bool) -> _Cell:
     raise BoundaryZero("persistent boundary zero after 5 dilations")
 
 
-def _newton(fun, z0: complex, mult: int, tol: float):
-    """Multiplicity-aware Newton: z <- z - mult / logderiv(z).
+def _newton(fun, z0s, mult, tol: float, steps: int = 60):
+    """Multiplicity-aware Newton, ``z <- z - mult / logderiv(z)``, from
+    every start of ``z0s`` at once: one ``logderiv`` call per step for the
+    starts still iterating.  ``mult`` is one multiplicity for all starts
+    or one per start.
 
-    Returns ``(z, ok)``.  ``ok`` is True once a step falls to
-    ``1e-3 tol (1 + |z|)`` (or the log-derivative is infinite, on the
-    zero), and False when 80 steps do not get there or the log-derivative
-    vanishes.
+    Returns the arrays ``(z, ok)``.  ``ok`` is True for a start once a
+    step falls to ``1e-3 tol (1 + |z|)`` (or its log-derivative is
+    infinite, on the zero), and False when ``steps`` steps do not get
+    there or the log-derivative vanishes.
     """
-    z = complex(z0)
-    for _ in range(80):
-        ld = complex(fun.logderiv(np.array([z]))[0])
-        if not (np.isfinite(ld.real) and np.isfinite(ld.imag)):
-            return z, True  # log-derivative blew up: we are sitting on the zero
-        if ld == 0:
-            return z, False
-        step = mult / ld
-        z -= step
-        if abs(step) <= 1e-3 * tol * (1.0 + abs(z)):
-            return z, True
-    return z, False
+    z = np.array(z0s, dtype=complex, ndmin=1)
+    mult = np.full(z.shape, mult, dtype=float)
+    ok = np.zeros(z.shape, dtype=bool)
+    todo = np.arange(z.size)
+    for _ in range(steps):
+        if todo.size == 0:
+            break
+        ld = fun.logderiv(z[todo])
+        fin = np.isfinite(ld)
+        live = fin & (ld != 0)
+        step = mult[todo] / np.where(live, ld, 1.0)
+        w = z[todo] - step
+        conv = np.abs(step) <= 1e-3 * tol * (1.0 + np.abs(w))
+        z[todo[live]] = w[live]
+        # a log-derivative that blew up: sitting on the zero
+        ok[todo] = ~fin | (live & conv)
+        todo = todo[live & ~conv]
+    return z, ok
+
+
+def _require_tol(tol) -> None:
+    if not (tol > 0 and np.isfinite(tol)):
+        raise InvalidInput(f"tol must be finite and positive, got {tol}")
 
 
 def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
     """All zeros of ``f`` in ``rect`` as (location, multiplicity) pairs.
 
     Quadtree subdivision (with jittered split lines when a zero falls on
-    one) until every cell is accepted by the rules of the module
-    docstring: as one zero (a count-1 cell, or a count-m cell no wider
-    than the cluster size, whose polished centroid converges inside it),
-    or, with 2 to 4 zeros, as that many simple zeros from its power sums,
-    or as one zero whose certifying square counts them all.
+    one) until every cell is accepted by one of the two rules of the
+    module docstring: a cell of 1 to 4 zeros as that many simple zeros
+    from its power sums, or a cell of 2 or more as one zero whose
+    polished centroid a count certifies (the cell's own count when it is
+    no wider than the cluster size, else that of one square one cluster
+    size wide around the point).
     The multiplicity sum equals the top-level winding count, else
-    NumericalFailure is raised.
+    NumericalFailure is raised, and InvalidInput unless ``tol`` is finite
+    and positive.
     """
+    _require_tol(tol)
     fun = _as_protocol(f, fprime)
     rng = np.random.default_rng(0) if rng is None else rng
     return _isolate_counted(fun, _winding_with_rect(fun, rect, rng, dilate=True),
@@ -436,25 +451,21 @@ def _isolate_counted(fun, counted: _Cell, tol: float, rng):
     stack = [counted]
     while stack:
         cell = stack.pop()
-        rect, cnt = cell.rect, cell.n
-        c = rect.center
-        if cnt == 1 or rect.diameter <= _CLUSTER_REL * (1.0 + abs(c)):
-            z = _polish_cell(fun, cell, tol)
-            if z is not None:
-                results.append((z, cnt))
-                continue
-            if rect.diameter <= 1e-11 * (1.0 + abs(c)):
-                raise NonConvergent(f"cannot resolve {cnt} zeros near {c}: cell exhausted")
-        elif cnt <= _ORDERS:
+        if cell.n <= _ORDERS:
             zs = _power_sum_zeros(fun, cell, tol)
             if zs is not None:
                 results.extend((z, 1) for z in zs)
                 continue
-            z = _certified_cluster(fun, cell, tol)
+        if cell.n > 1:
+            z = _multiple_zero(fun, cell, tol)
             if z is not None:
-                results.append((z, cnt))
+                results.append((z, cell.n))
                 continue
-        stack.extend(_split_cell(fun, rect, cnt, rng))
+        rect = cell.rect
+        if rect.diameter <= 1e-11 * (1.0 + abs(rect.center)):
+            raise NonConvergent(f"cannot resolve {cell.n} zeros near {rect.center}: "
+                                "cell exhausted")
+        stack.extend(_split_cell(fun, rect, cell.n, rng))
     found = sum(m for _, m in results)
     if found != counted.n:
         raise NumericalFailure(
@@ -462,109 +473,81 @@ def _isolate_counted(fun, counted: _Cell, tol: float, rng):
     return _canonical_sorted(results)
 
 
-def _polish_cell(fun, cell: _Cell, tol: float):
-    """The cell's ``n`` zeros as one zero, polished from their centroid
-    ``s1 / n``, or None when the polish fails or leaves the cell.
-
-    A simple zero takes Newton.  A multiple one takes the function's
-    ``polish_multiple`` when it has one (a true m-fold zero is a simple
-    zero of the (m-1)-th derivative, which recovers machine accuracy
-    instead of the eps^(1/m) noise radius), else multiplicity Newton.
-    The containment test is strict: a result outside the cell is another
-    zero reached by a basin jump, and accepting it would duplicate one
-    zero and drop another.
-    """
-    rect, cnt = cell.rect, cell.n
-    start = cell.s1 / cnt
-    if not rect.contains(start):
-        start = rect.center
-    base = getattr(fun, "base", fun)
-    if cnt > 1 and hasattr(base, "polish_multiple"):
-        z, ok = base.polish_multiple(start, cnt)
-    else:
-        z, ok = _newton(fun, start, cnt, tol)
-    if ok and rect.contains(z, slack=1e-7 * (1.0 + abs(z))):
-        return z
-    return None
-
-
-def _certified_cluster(fun, cell: _Cell, tol: float):
-    """The cell's ``n`` zeros as one n-fold zero, certified by one count of
-    a small square around the polished point, or None.
-
-    The square is centred on the point :func:`_polish_cell` returns, one
-    cluster size ``_CLUSTER_REL * (1 + |z|)`` wide (``_FALLBACK_CELLS``
-    cluster sizes when that integral fails: a quadruple zero's noise radius,
-    about eps^(1/4), exceeds the cluster size), and clipped to the cell.
-    It lies inside a cell of n zeros, so a count of n puts all of them
-    within the square's diameter of z (Kravanja and Van Barel, LNM 1727,
-    2000).  Any other count, or a failed integral at both widths, leaves
-    the cell to the split.
-    """
-    z = _polish_cell(fun, cell, tol)
-    if z is None:
-        return None
-    rect = cell.rect
-    for cells in (1, _FALLBACK_CELLS):
-        h = 0.5 * cells * _CLUSTER_REL * (1.0 + abs(z))
-        x0, x1 = max(z.real - h, rect.re_min), min(z.real + h, rect.re_max)
-        y0, y1 = max(z.imag - h, rect.im_min), min(z.imag + h, rect.im_max)
-        if not (x0 < x1 and y0 < y1):
-            return None
-        try:
-            s0, _ = _contour_moments(fun, _polygon(Rect(x0, x1, y0, y1).corners()))
-        except (BoundaryZero, NonConvergent):
-            continue
-        return z if int(round(s0[0].real)) == cell.n else None
-    return None
-
-
 def _power_sum_zeros(fun, cell: _Cell, tol: float):
-    """The cell's ``n`` (2 to 4) zeros as n simple zeros, or None.
+    """The cell's ``n`` (1 to 4) zeros as n simple zeros, or None.
 
     The starts are the roots of the monic polynomial whose power sums are
     the cell's ``s_1..s_n`` (Newton's identities; Delves and Lyness, Math.
-    Comp. 21, 1967).  Starts closer than 1/50 of the cell diameter mark a
-    multiple zero or a cluster, which is left to the split.  Each start
-    takes at most 10 simple Newton steps and converges only when a step
-    falls below ``1e-3 * tol * (1 + |z|)``.  The cell is accepted when
-    every start converges inside it (with :func:`_polish_cell`'s slack)
-    and the zeros are pairwise farther apart than the cluster size: its
-    count is n with multiplicity, so n distinct zeros inside are all of
-    them, each simple.
+    Comp. 21, 1967); for n = 1 the one start is the centroid ``s1``.
+    Starts closer than 1/50 of the cell diameter mark a multiple zero or a
+    cluster, which is left to :func:`_multiple_zero`.  Each start takes at
+    most 10 simple Newton steps.  The cell is accepted when every start
+    converges inside it (with a slack of ``1e-7 (1 + |z|)``; a result
+    outside is another zero reached by a basin jump) and the zeros are
+    pairwise farther apart than the cluster size: its count is n with
+    multiplicity, so n distinct zeros inside are all of them, each simple.
     """
     n = cell.n
     p = cell.sums[:n]
     e = [1.0 + 0j]                  # elementary symmetric functions
     for k in range(1, n + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
-    z = cell.centre + cell.radius * np.roots([(-1) ** k * ek for k, ek in enumerate(e)])
+    u = np.roots([(-1) ** k * ek for k, ek in enumerate(e)]) if n > 1 else p
+    z = cell.centre + cell.radius * u
     rect = cell.rect
-    i, j = np.triu_indices(n, 1)
 
     def gap(w):
-        return np.min(np.abs(w[i] - w[j]))
+        return min((abs(a - b) for a, b in combinations(w, 2)), default=np.inf)
 
     if gap(z) <= rect.diameter / 50.0:
         return None
-    todo = np.arange(n)
-    for _ in range(10):
-        ld = fun.logderiv(z[todo])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a log-derivative that blew up: sitting on the zero
-            step = np.where(np.isfinite(ld), 1.0 / ld, 0.0)
-        if not np.all(np.isfinite(step)):
-            return None
-        z[todo] -= step
-        todo = todo[np.abs(step) > 1e-3 * tol * (1.0 + np.abs(z[todo]))]
-        if todo.size == 0:
-            break
-    else:
-        return None
-    if (not all(rect.contains(w, slack=1e-7 * (1.0 + abs(w))) for w in z)
+    z, ok = _newton(fun, z, 1, tol, steps=10)
+    if (not ok.all() or not all(rect.contains(w, slack=1e-7 * (1.0 + abs(w))) for w in z)
             or gap(z) <= _CLUSTER_REL * (1.0 + abs(rect.center))):
         return None
     return [complex(w) for w in z]
+
+
+def _multiple_zero(fun, cell: _Cell, tol: float):
+    """The cell's ``n >= 2`` zeros as one n-fold zero, or None.
+
+    The centroid ``s1 / n`` is polished by the function's
+    ``polish_multiple`` when it has one (a true n-fold zero is a simple
+    zero of the (n-1)-th derivative, which recovers machine accuracy
+    instead of the eps^(1/n) noise radius), else by multiplicity Newton,
+    and must converge inside the cell.  A count certifies the result: the
+    cell's own when the cell is no wider than the cluster size
+    ``_CLUSTER_REL * (1 + |centre|)``; otherwise, for n <= 4, that of one
+    square one cluster size wide around the point, clipped to the cell.
+    That square lies inside a cell of n zeros, so a count of n puts all of
+    them within its diameter of the point (Kravanja and Van Barel, LNM
+    1727, 2000).  Any other count, or a square that cannot be counted,
+    leaves the cell to the split.
+    """
+    rect, n = cell.rect, cell.n
+    small = rect.diameter <= _CLUSTER_REL * (1.0 + abs(rect.center))
+    if not small and n > _ORDERS:
+        return None
+    base = getattr(fun, "base", fun)
+    if hasattr(base, "polish_multiple"):
+        z, ok = base.polish_multiple(cell.s1 / n, n)
+    else:
+        (z,), (ok,) = _newton(fun, cell.s1 / n, n, tol)
+        z = complex(z)
+    if not (ok and rect.contains(z, slack=1e-7 * (1.0 + abs(z)))):
+        return None
+    if small:
+        return z
+    h = 0.5 * _CLUSTER_REL * (1.0 + abs(z))
+    x0, x1 = max(z.real - h, rect.re_min), min(z.real + h, rect.re_max)
+    y0, y1 = max(z.imag - h, rect.im_min), min(z.imag + h, rect.im_max)
+    if not (x0 < x1 and y0 < y1):
+        return None
+    try:
+        s0, _ = _contour_moments(fun, _polygon(Rect(x0, x1, y0, y1).corners()))
+    except (BoundaryZero, NonConvergent):
+        return None
+    return z if int(round(s0[0].real)) == n else None
 
 
 def _split_cell(fun, cell: Rect, cnt: int, rng):
@@ -740,10 +723,12 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
     grown until it encloses the ``count`` smallest.  The rectangle always
     gets a small margin past the imaginary axis so that axis zeros (the
     origin, and the square roots of negative eigenvalues) are interior
-    points; mirror images are removed afterwards.
+    points; mirror images are removed afterwards.  InvalidInput is raised
+    for ``count < 1`` and unless ``tol`` is finite and positive.
     """
     if count is not None and count < 1:
         raise InvalidInput(f"need at least one eigenvalue, got count = {count}")
+    _require_tol(tol)
     A.require_nonsingular()
     rng = np.random.default_rng(0) if rng is None else rng
     S = build(A)

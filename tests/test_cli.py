@@ -215,12 +215,28 @@ class TestOthers:
     ["classify", "--real", "1", "0", "0", "2", "--lambda-max", "inf"],
     ["classify", "--real", "1", "0", "0", "2", "--lambda-max", "nan"],
     ["classify", "--real", "1", "0", "0", "2", "--lambda-max=-1"],
+    ["spectrum", "--real", "1", "0", "1", "4", "--tol", "0"],
+    ["spectrum", "--real", "1", "0", "1", "4", "--tol", "nan"],
+    ["spectrum", "--real", "1", "0", "1", "4", "--tol=-1"],
 ], ids=" ".join)
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("specmat:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entries", [["1e160", "0", "1", "2e160"],
+                                     ["1e200", "0", "1", "1e200"]], ids=" ".join)
+@pytest.mark.parametrize("command", [["classify"], ["ev", "--at", "1,0"], ["spectrum"],
+                                     ["oracle", "-n", "20", "-k", "3"],
+                                     ["resolvent", "--z", "1,0", "-n", "20"]],
+                         ids=lambda c: c[0])
+def test_huge_entries_exit_without_traceback(capsys, command, entries):
+    # squaring entries this large overflows a float
+    code, _, err = run(capsys, command + ["--real"] + entries)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
 
 
 def test_huge_lambda_max_exits_2_promptly():

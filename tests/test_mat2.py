@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specmat import (CMatrix2, EigKind, SingularMatrix, adjoint_projection,
-                     eig2, enclosing_sector, numerical_range)
+from specmat import (CMatrix2, EigKind, InvalidInput, SingularMatrix,
+                     adjoint_projection, eig2, enclosing_sector, numerical_range)
+from specmat.mat2 import ENTRY_MAX
 from conftest import EXAMPLE
 
 
@@ -25,6 +26,15 @@ class TestCMatrix2:
             CMatrix2(np.nan, 0, 0, 1)
         with pytest.raises(ValueError):
             CMatrix2(1, complex(0, np.inf), 0, 1)
+
+    def test_rejects_entries_whose_squares_overflow(self):
+        with pytest.raises(InvalidInput):
+            CMatrix2.real(1e160, 0, 1, 2e160)
+        with pytest.raises(InvalidInput):
+            CMatrix2(1, 0, complex(0, -2 * ENTRY_MAX), 1)
+        A = CMatrix2.real(ENTRY_MAX, 0, 1, ENTRY_MAX)
+        assert not A.is_singular
+        assert eig2(A).a_plus == ENTRY_MAX
 
     def test_determinant_and_singularity(self):
         assert CMatrix2.real(1, 1, 1, 1).is_singular

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specmat import (BoundaryZero, CMatrix2, DegreeTooHigh, NonConvergent,
+from specmat import (BoundaryZero, CMatrix2, DegreeTooHigh, InvalidInput, NonConvergent,
                      NumericalFailure, Rect, SingularMatrix, build,
                      cluster_roots, isolate_zeros, polyroots, rootfind,
                      spectrum, winding_count)
@@ -66,6 +66,16 @@ class TestIsolate:
         f, fp = sin_pair()
         assert isolate_zeros(f, Rect(0.5, 1.0, 0.1, 0.2), fprime=fp) == []
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # no Newton step can reach 1e-3 tol (1 + |z|) for these: refused
+        # up front instead of splitting down to exhausted cells
+        f, fp = sin_pair()
+        with pytest.raises(InvalidInput):
+            isolate_zeros(f, Rect(-1, 4, -1, 1), tol=tol, fprime=fp)
+        with pytest.raises(InvalidInput):
+            spectrum(CMatrix2.real(1, 0, 1, 4), tol=tol)
+
     def test_count_conservation(self):
         S = build(CMatrix2.real(2, 1, 1, 3))
         box = Rect(-0.4, 11, -2.1, 1.9)
@@ -98,6 +108,20 @@ class TestIsolate:
         assert not ok
         z, ok = rootfind._newton(_Poly([1.0]), 1.1, 1, 1e-10)
         assert ok and abs(z - 1.0) <= 1e-13
+
+        # one vector call: a start that converges to the zero at 5, one
+        # that oscillates at 1, and one where the log-derivative vanishes
+        class Mixed(Oscillating):
+            def logderiv(self, z):
+                z = np.asarray(z, dtype=complex)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    near5 = 1.0 / (z - 5.0)
+                return np.where(z.real > 8, 0.0,
+                                np.where(z.real > 3, near5, super().logderiv(z)))
+
+        z, ok = rootfind._newton(Mixed(), [5.3, 1.0, 9.0], 1, 1e-10)
+        assert ok.tolist() == [True, False, False]
+        assert abs(z[0] - 5.0) <= 1e-13 and z[2] == 9.0
 
     def test_newton_residuals(self):
         S = build(CMatrix2.real(2, 1, 1, 3))
@@ -680,8 +704,9 @@ class TestCertifiedCluster:
         z = 0.3 + 0.2j
         with pytest.raises(NonConvergent):
             isolate_zeros(_PolyWithPolish([z, z]), Rect(-1, 1.1, -0.9, 1))
+        # one square one cluster size wide is tried, then the split
         size = rootfind._CLUSTER_REL * (1 + abs(z))
-        assert widths == pytest.approx([size, rootfind._FALLBACK_CELLS * size])
+        assert widths == pytest.approx([size])
 
 
 class TestMultipleZeroCost:
