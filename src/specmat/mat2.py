@@ -11,6 +11,7 @@ numerical-range ellipse.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +94,28 @@ class CMatrix2:
     def is_real(self) -> bool:
         return all(abs(v.imag) == 0.0 for v in (self.a, self.b, self.c, self.d))
 
+    def normalized(self):
+        """``(B, e)`` with ``A = 2^e B`` and ``2^e`` the even power of two
+        nearest the largest entry modulus, so that B's largest entry
+        modulus lies in [1/2, 2] and ``2^(e/2)`` is a power of two too;
+        ``(A, 0)`` for the zero matrix.  Exact, unless an entry of B
+        falls below the smallest normal number, 2^-1022."""
+        big = max(abs(v) for v in (self.a, self.b, self.c, self.d))
+        if big == 0.0:
+            return self, 0
+        e = 2 * round(0.5 * math.log2(big))
+        return CMatrix2(*(complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e))
+                          for v in (self.a, self.b, self.c, self.d))), e
+
     @property
     def is_singular(self) -> bool:
         """Singularity at working precision: below this the operator is not
-        closed and downstream modules must refuse.  Scaled by the balanced
-        norm, so the verdict is the same for every diagonal conjugate."""
-        return abs(self.det) <= SINGULAR_TOL * max(self.balanced_norm(), 1e-300) ** 2
+        closed and downstream modules must refuse.  Judged on the
+        :meth:`normalized` entries, so that it does not underflow, and
+        scaled by their balanced norm, so the verdict is the same for every
+        diagonal conjugate and every scale of A."""
+        B, _ = self.normalized()
+        return abs(B.det) <= SINGULAR_TOL * B.balanced_norm() ** 2
 
     def require_nonsingular(self) -> None:
         if self.is_singular:

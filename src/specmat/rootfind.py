@@ -11,10 +11,10 @@ Every contour integral (rectangle windings and quadtree splits) goes
 through one primitive, :func:`_contour_moments`.  Its input is a set of
 straight segments between numbered vertices and a signed incidence matrix
 with one row per closed contour: a rectangle is one row of four segments,
-and a quadtree split four rows over 12 segments, so the two split lines
-are integrated once for the cells on both sides.  It returns, per
-contour, the winding number ``s0 = (1/2 pi i) contour integral of f'/f``
-and the power sums ``s_k = (1/2 pi i) contour integral of u^k f'/f``,
+and a split into a k x k grid k^2 rows over its 2k(k + 1) segments, so
+each piece of an interior line is integrated once for the cells on both
+sides.  It returns, per contour, the winding number ``s0 = (1/2 pi i)
+contour integral of f'/f`` and the power sums ``s_k = (1/2 pi i) contour integral of u^k f'/f``,
 k = 1..4 (the sums of the k-th powers of the enclosed zeros), of ``u``
 the point relative to the bundle's centre and radius, all from the same
 samples.  The trapezoid rule is refined per segment and nested: each
@@ -39,6 +39,14 @@ the certifying contour's diameter of the reported point.  An order-m zero
 is resolved only to O(eps^(1/m)) by any contour, so m simple zeros closer
 than the cluster size are reported as one m-fold zero.  Any other cell is
 split, and a split that cannot be counted raises NonConvergent.
+
+The quadtree is worked breadth first.  A cell of n zeros that must split
+is cut into one k x k grid, ``k = max(2, ceil(sqrt(n / 1.5)))``, so that
+each child holds about 1.5 of its zeros and most children are solved by
+the first rule on the next level; one contour-moment call counts every
+child.  On each level the Newton starts of every cell the first rule may
+solve go through one vectorised Newton, so the per-call overhead of a
+step is paid once per level, not once per cell.
 
 ``spectrum`` sizes its first search box by the secular function's zero
 density (Polya: about ``P R / (2 pi)`` zeros in ``|x| < R``, P the
@@ -101,17 +109,29 @@ class Rect:
         hh = 0.5 * (self.im_max - self.im_min) * factor
         return Rect(c.real - hw, c.real + hw, c.imag - hh, c.imag + hh)
 
+    def scaled(self, factor: float) -> "Rect":
+        """The rectangle times ``factor > 0``, about the origin."""
+        return Rect(self.re_min * factor, self.re_max * factor,
+                    self.im_min * factor, self.im_max * factor)
+
     def contains(self, z: complex, slack: float = 0.0) -> bool:
         return (self.re_min - slack <= z.real <= self.re_max + slack
                 and self.im_min - slack <= z.imag <= self.im_max + slack)
 
+    def grid_lines(self, fx, fy):
+        """The abscissae and ordinates of a grid over the rectangle: its
+        edges and the interior lines at the increasing fractions ``fx`` of
+        its width and ``fy`` of its height."""
+        w, h = self.re_max - self.re_min, self.im_max - self.im_min
+        return ([self.re_min, *(self.re_min + f * w for f in fx), self.re_max],
+                [self.im_min, *(self.im_min + f * h for f in fy), self.im_max])
+
     def split(self, fx: float = 0.5, fy: float = 0.5):
-        xm = self.re_min + fx * (self.re_max - self.re_min)
-        ym = self.im_min + fy * (self.im_max - self.im_min)
-        return (Rect(self.re_min, xm, self.im_min, ym),
-                Rect(xm, self.re_max, self.im_min, ym),
-                Rect(self.re_min, xm, ym, self.im_max),
-                Rect(xm, self.re_max, ym, self.im_max))
+        """The four cells of the grid with one line at each fraction, in
+        the order lower left, lower right, upper left, upper right."""
+        xs, ys = self.grid_lines([fx], [fy])
+        return tuple(Rect(xs[i], xs[i + 1], ys[j], ys[j + 1])
+                     for j in range(2) for i in range(2))
 
 
 class _CallableAdapter:
@@ -187,26 +207,30 @@ def _polygon(vertices) -> _Segments:
                      np.array([(k, (k + 1) % n) for k in range(n)]), np.ones((1, n)))
 
 
-def _quadrants(children) -> _Segments:
-    """The four children of :meth:`Rect.split` as four counter-clockwise
-    contours over 12 segments: the 8 halves of the parent's edges and the
-    4 halves of the two split lines, between the 9 vertices of the 3x3
-    grid (vertex ``i + 3j`` at column i, row j)."""
-    ll, lr, ul, _ = children
-    xs = (ll.re_min, ll.re_max, lr.re_max)
-    ys = (ll.im_min, ll.im_max, ul.im_max)
-    grid = [complex(x, y) for y in ys for x in xs]
-    # segments 0..5 run rightwards (column i to i+1 in row j), 6..11 upwards
-    # (row j to j+1 in column i)
-    horiz = [(i + 3 * j, i + 1 + 3 * j) for j in range(3) for i in range(2)]
-    vert = [(i + 3 * j, i + 3 * (j + 1)) for i in range(3) for j in range(2)]
-    incidence = np.zeros((4, 12))
-    for c, (i, j) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-        incidence[c, i + 2 * j] = 1.0                # bottom, rightwards
-        incidence[c, 6 + 2 * (i + 1) + j] = 1.0      # right, upwards
-        incidence[c, i + 2 * (j + 1)] = -1.0         # top, leftwards
-        incidence[c, 6 + 2 * i + j] = -1.0           # left, downwards
-    return _Segments(np.array(grid), np.array(horiz + vert), incidence)
+def _grid(xs, ys) -> _Segments:
+    """The k x l cells between consecutive abscissae ``xs`` (k + 1 of
+    them) and ordinates ``ys`` (l + 1) as counter-clockwise contours, row
+    by row from the lower left (cell ``i + k j`` at column i, row j), over
+    the grid's segments between its vertices (vertex ``i + (k + 1) j``):
+    every interior line is cut at the lines crossing it, and each piece is
+    one segment shared by the two cells it borders."""
+    k, l = len(xs) - 1, len(ys) - 1
+    vertices = [complex(x, y) for y in ys for x in xs]
+    # the first k (l + 1) segments run rightwards (column i to i + 1 in row
+    # j, segment i + k j), the rest upwards (row j to j + 1 in column i,
+    # segment nh + j + l i)
+    nh = k * (l + 1)
+    horiz = [(i + (k + 1) * j, i + 1 + (k + 1) * j) for j in range(l + 1) for i in range(k)]
+    vert = [(i + (k + 1) * j, i + (k + 1) * (j + 1)) for i in range(k + 1) for j in range(l)]
+    incidence = np.zeros((k * l, len(horiz) + len(vert)))
+    for j in range(l):
+        for i in range(k):
+            c = i + k * j
+            incidence[c, i + k * j] = 1.0                # bottom, rightwards
+            incidence[c, nh + j + l * (i + 1)] = 1.0     # right, upwards
+            incidence[c, i + k * (j + 1)] = -1.0         # top, leftwards
+            incidence[c, nh + j + l * i] = -1.0          # left, downwards
+    return _Segments(np.array(vertices), np.array(horiz + vert), incidence)
 
 
 def _logderiv_finite(fun, z):
@@ -424,8 +448,8 @@ def _require_tol(tol) -> None:
 def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
     """All zeros of ``f`` in ``rect`` as (location, multiplicity) pairs.
 
-    Quadtree subdivision (with jittered split lines when a zero falls on
-    one) until every cell is accepted by one of the two rules of the
+    Breadth-first subdivision into grids (with jittered lines when a zero
+    falls on one) until every cell is accepted by one of the two rules of the
     module docstring: a cell of 1 to 4 zeros as that many simple zeros
     from its power sums, or a cell of 2 or more as one zero whose
     polished centroid a count certifies (the cell's own count when it is
@@ -444,28 +468,33 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
 
 def _isolate_counted(fun, counted: _Cell, tol: float, rng):
     """Quadtree isolation in the rectangle of a winding count already
-    taken."""
+    taken, one level at a time: the power sums of every cell of a level
+    start one batched Newton (:func:`_power_sum_zeros`), and the cells
+    they leave unresolved go to :func:`_multiple_zero` and then, one by
+    one, to :func:`_split_cell`, whose children form the next level."""
     if counted.n == 0:
         return []
     results = []
-    stack = [counted]
-    while stack:
-        cell = stack.pop()
-        if cell.n <= _ORDERS:
-            zs = _power_sum_zeros(fun, cell, tol)
+    level = [counted]
+    while level:
+        simple = iter(_power_sum_zeros(fun, [c for c in level if c.n <= _ORDERS], tol))
+        below = []
+        for cell in level:
+            zs = next(simple) if cell.n <= _ORDERS else None
             if zs is not None:
                 results.extend((z, 1) for z in zs)
                 continue
-        if cell.n > 1:
-            z = _multiple_zero(fun, cell, tol)
-            if z is not None:
-                results.append((z, cell.n))
-                continue
-        rect = cell.rect
-        if rect.diameter <= 1e-11 * (1.0 + abs(rect.center)):
-            raise NonConvergent(f"cannot resolve {cell.n} zeros near {rect.center}: "
-                                "cell exhausted")
-        stack.extend(_split_cell(fun, rect, cell.n, rng))
+            if cell.n > 1:
+                z = _multiple_zero(fun, cell, tol)
+                if z is not None:
+                    results.append((z, cell.n))
+                    continue
+            rect = cell.rect
+            if rect.diameter <= 1e-11 * (1.0 + abs(rect.center)):
+                raise NonConvergent(f"cannot resolve {cell.n} zeros near {rect.center}: "
+                                    "cell exhausted")
+            below.extend(_split_cell(fun, rect, cell.n, rng))
+        level = below
     found = sum(m for _, m in results)
     if found != counted.n:
         raise NumericalFailure(
@@ -473,39 +502,68 @@ def _isolate_counted(fun, counted: _Cell, tol: float, rng):
     return _canonical_sorted(results)
 
 
-def _power_sum_zeros(fun, cell: _Cell, tol: float):
-    """The cell's ``n`` (1 to 4) zeros as n simple zeros, or None.
+def _power_sum_zeros(fun, cells, tol: float):
+    """Each cell's ``n`` (1 to 4) zeros as n simple zeros, or None; one
+    entry per cell.
 
     The starts are the roots of the monic polynomial whose power sums are
     the cell's ``s_1..s_n`` (Newton's identities; Delves and Lyness, Math.
     Comp. 21, 1967); for n = 1 the one start is the centroid ``s1``.
     Starts closer than 1/50 of the cell diameter mark a multiple zero or a
-    cluster, which is left to :func:`_multiple_zero`.  Each start takes at
-    most 10 simple Newton steps.  The cell is accepted when every start
-    converges inside it (with a slack of ``1e-7 (1 + |z|)``; a result
-    outside is another zero reached by a basin jump) and the zeros are
-    pairwise farther apart than the cluster size: its count is n with
-    multiplicity, so n distinct zeros inside are all of them, each simple.
+    cluster, which is left to :func:`_multiple_zero`.  The starts of all
+    the cells take at most 10 simple Newton steps in one :func:`_newton`
+    call.  A cell is accepted when every start converges inside it (with
+    a slack of ``1e-7 (1 + |z|)``; a result outside is another zero
+    reached by a basin jump) and the zeros are pairwise farther apart than
+    the cluster size: its count is n with multiplicity, so n distinct
+    zeros inside are all of them, each simple.
     """
-    n = cell.n
-    p = cell.sums[:n]
-    e = [1.0 + 0j]                  # elementary symmetric functions
-    for k in range(1, n + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
-    u = np.roots([(-1) ** k * ek for k, ek in enumerate(e)]) if n > 1 else p
-    z = cell.centre + cell.radius * u
-    rect = cell.rect
-
     def gap(w):
         return min((abs(a - b) for a, b in combinations(w, 2)), default=np.inf)
 
-    if gap(z) <= rect.diameter / 50.0:
-        return None
-    z, ok = _newton(fun, z, 1, tol, steps=10)
-    if (not ok.all() or not all(rect.contains(w, slack=1e-7 * (1.0 + abs(w))) for w in z)
-            or gap(z) <= _CLUSTER_REL * (1.0 + abs(rect.center))):
-        return None
-    return [complex(w) for w in z]
+    starts = [z if gap(z) > cell.rect.diameter / 50.0 else None
+              for cell, z in zip(cells, _power_sum_roots(cells))]
+    tried = [z for z in starts if z is not None]
+    if not tried:
+        return [None] * len(cells)
+    z, ok = _newton(fun, np.concatenate(tried), 1, tol, steps=10)
+    out, at = [], 0
+    for cell, z0 in zip(cells, starts):
+        if z0 is None:
+            out.append(None)
+            continue
+        w, conv = z[at:at + z0.size], ok[at:at + z0.size]
+        at += z0.size
+        rect = cell.rect
+        accept = (conv.all()
+                  and all(rect.contains(v, slack=1e-7 * (1.0 + abs(v))) for v in w)
+                  and gap(w) > _CLUSTER_REL * (1.0 + abs(rect.center)))
+        out.append([complex(v) for v in w] if accept else None)
+    return out
+
+
+def _power_sum_roots(cells):
+    """For each cell, the roots of the monic polynomial whose power sums
+    are its ``s_1..s_n``: the eigenvalues of its companion matrix, whose
+    first row holds the elementary symmetric functions ``e_k`` with signs
+    ``(-1)^(k+1)`` (Newton's identities).  The companion matrices of one
+    degree share one ``eigvals`` call."""
+    rows = []
+    for cell in cells:
+        p = cell.sums
+        e = [1.0 + 0j]                  # elementary symmetric functions
+        for k in range(1, cell.n + 1):
+            e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
+        rows.append([(-1) ** (k + 1) * e[k] for k in range(1, cell.n + 1)])
+    roots = [None] * len(cells)
+    for n in {cell.n for cell in cells}:
+        idx = [i for i, cell in enumerate(cells) if cell.n == n]
+        companion = np.zeros((len(idx), n, n), dtype=complex)
+        companion[:, 0] = [rows[i] for i in idx]
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        for i, u in zip(idx, np.linalg.eigvals(companion)):
+            roots[i] = cells[i].centre + cells[i].radius * u
+    return roots
 
 
 def _multiple_zero(fun, cell: _Cell, tol: float):
@@ -551,29 +609,34 @@ def _multiple_zero(fun, cell: _Cell, tol: float):
 
 
 def _split_cell(fun, cell: Rect, cnt: int, rng):
-    """Split a cell into 4 children whose counts add up to the parent's;
-    returns the children that hold zeros as :class:`_Cell` records.
+    """Split a cell of ``cnt`` zeros into a k x k grid of children, ``k =
+    max(2, ceil(sqrt(cnt / 1.5)))`` so that each holds about 1.5 zeros,
+    whose counts add up to the parent's; returns the children that hold
+    zeros as :class:`_Cell` records.
 
-    All four children are counted in one :func:`_contour_moments` call
-    over the 12 segments of the split (see :func:`_quadrants`), so each
-    half of a split line is integrated once for both cells it borders.
-    The split is accepted only when every count is non-negative and the
-    four sum to ``cnt``; otherwise the next attempt jitters the lines.
-    Split fractions are deliberately off-centre: the secular functions are
-    even, so symmetric lines pass straight through axis zeros, where the
+    All k^2 children are counted in one :func:`_contour_moments` call
+    over the segments of the grid (see :func:`_grid`), so each piece of an
+    interior line is integrated once for both cells it borders.  The split
+    is accepted only when every count is non-negative and they sum to
+    ``cnt``; otherwise the next attempt moves every line by up to 0.24 / k
+    of the cell from its place at ``i / k``.  The first attempt's lines sit
+    deliberately off the regular grid: the secular functions are even, so
+    symmetric lines pass straight through axis zeros, where the
     principal-value winding is silently integer for even-order zeros.
     """
+    k = max(2, int(np.ceil(np.sqrt(cnt / 1.5))))
+    lines = np.arange(1, k)
     for attempt in range(9):
         if attempt == 0:
-            fx, fy = 0.513137, 0.4870113
+            fx, fy = (lines + 0.026274) / k, (lines - 0.0259774) / k
         else:
-            fx = 0.5 + float(rng.uniform(-0.12, 0.12))
-            fy = 0.5 + float(rng.uniform(-0.12, 0.12))
+            fx = (lines + rng.uniform(-0.24, 0.24, size=k - 1)) / k
+            fy = (lines + rng.uniform(-0.24, 0.24, size=k - 1)) / k
         # escalate the sample budget: zeros near an inherited parent edge
         # need more samples than a fresh jittered line would
         cap = (2 ** 12, 2 ** 15, 2 ** 18)[min(attempt // 3, 2)]
-        children = cell.split(fx, fy)
-        segs = _quadrants(children)
+        xs, ys = cell.grid_lines(fx, fy)
+        segs = _grid(xs, ys)
         try:
             s0, sums = _contour_moments(fun, segs, cap=cap)
         except (BoundaryZero, NonConvergent):
@@ -582,8 +645,10 @@ def _split_cell(fun, cell: Rect, cnt: int, rng):
         if min(counts) < 0 or sum(counts) != cnt:
             continue
         centre, radius = segs.frame()
-        return [_Cell(ch, k, p, centre, radius)
-                for ch, k, p in zip(children, counts, sums) if k > 0]
+        children = [Rect(xs[i], xs[i + 1], ys[j], ys[j + 1])
+                    for j in range(k) for i in range(k)]
+        return [_Cell(ch, n, p, centre, radius)
+                for ch, n, p in zip(children, counts, sums) if n > 0]
     raise NonConvergent(f"could not split cell {cell} conservatively")
 
 
@@ -725,17 +790,27 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
     origin, and the square roots of negative eigenvalues) are interior
     points; mirror images are removed afterwards.  InvalidInput is raised
     for ``count < 1`` and unless ``tol`` is finite and positive.
+
+    The search runs on ``B = A / 2^e`` of :meth:`CMatrix2.normalized`,
+    whose entries are of order 1 at every scale of A: ``lambda_rect`` is
+    divided by ``2^(e/2)`` on the way in, and the eigenvalues and the
+    search region are multiplied back by ``2^e`` and ``2^(e/2)`` (exactly:
+    both are powers of two).
     """
     if count is not None and count < 1:
         raise InvalidInput(f"need at least one eigenvalue, got count = {count}")
     _require_tol(tol)
     A.require_nonsingular()
     rng = np.random.default_rng(0) if rng is None else rng
-    S = build(A)
+    B, e = A.normalized()
+    root = 2.0 ** (e // 2)      # the scale of the square-root plane
+    if lambda_rect is not None:
+        lambda_rect = lambda_rect.scaled(1.0 / root)
+    S = build(B)
     order0 = S.order_at_origin()
     # the origin zero is structural; search for the others with it divided out
     fun = _OriginDeflated(S, order0)
-    scale = max(np.sqrt(A.norm()), 1e-2)
+    scale = np.sqrt(B.norm())
     # deliberately asymmetric margins: symmetric boxes put contour edges and
     # split lines straight onto the axis zeros of the (even) secular function
     margin = 0.37193 * scale
@@ -835,17 +910,16 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
     if count is not None:
         eigs = eigs[:count]
 
+    # |EV| at each eigenvalue's root over its largest value on the box's
+    # corners, all in one evaluation; EV(0) is exactly 0, its log -inf
     ref = np.max(S.logabs(lambda_rect.corners()))
-    res = []
-    for v, _ in eigs:
-        lam = np.sqrt(complex(v))
-        la = float(S.logabs(np.array([lam]))[0]) if v != 0 else -np.inf
-        res.append(float(np.exp(la - ref)) if np.isfinite(la) else 0.0)
+    la = S.logabs(np.sqrt(np.array([v for v, _ in eigs], dtype=complex)))
+    res = np.where(np.isfinite(la), np.exp(la - ref), 0.0)
 
-    return Spectrum(eigenvalues=tuple(eigs), method="secular-roots",
-                    search_region=lambda_rect, matrix=A,
+    return Spectrum(eigenvalues=tuple((v * root * root, m) for v, m in eigs),
+                    method="secular-roots", search_region=lambda_rect.scaled(root), matrix=A,
                     analytic_order_at_zero=order0,
-                    residuals=tuple(res))
+                    residuals=tuple(float(r) for r in res))
 
 
 # -- polynomial roots ----------------------------------------------------

@@ -41,6 +41,15 @@ class TestCMatrix2:
         assert not CMatrix2.real(1, 1, 0.5, 1).is_singular
         assert CMatrix2.real(2, 1, 0, 3).det == 6
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-150, 1.0, 1e90])
+    def test_singularity_verdict_does_not_depend_on_scale(self, s):
+        # at 1e-200 both |det| and the squared norm underflow to 0
+        assert not CMatrix2.real(1, 0, 1, 2).scaled(s).is_singular
+        assert CMatrix2.real(1, 1, 1, 1).scaled(s).is_singular
+        B, e = CMatrix2(3j * s, 0, s, -s).normalized()
+        assert e % 2 == 0 and 0.5 <= abs(B.a) <= 2.0
+        assert B.scaled(2.0 ** e).a == 3j * s
+
     def test_balanced_norm_is_similarity_invariant(self):
         A = CMatrix2(1.0 - 0.5j, 2.0 + 1.0j, -0.3j, 0.7)
         for r in (1e-6, 0.3, 1.0, 5.0, 1e6):

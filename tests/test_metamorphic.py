@@ -2,11 +2,14 @@
 exact symmetries of the eigenvalue problem that every route must respect,
 on a small seeded corpus."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from specmat import CMatrix2, similarity_certificates, spectrum
+from specmat.cli import main
 from conftest import EXAMPLE, STREATER, a4
 
 CORPUS = {
@@ -127,3 +130,22 @@ def test_certificates_diagonal_similarity(name, s):
             assert_allclose(getattr(got["NearReal"], field),
                             getattr(want["NearReal"], field), rtol=1e-12)
 
+
+
+@pytest.mark.parametrize("s", [1e-20, 1e-100, 1e-200])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_tiny_scaling(base, name, s):
+    """spec(sA) = s spec(A) far below the scale where |A|^2 underflows,
+    compared relative to the eigenvalues of A."""
+    got = _spec(CORPUS[name].scaled(s))
+    _assert_same([(v / s, m) for v, m in got], base[name])
+
+
+def test_tiny_matrix_from_the_cli(capsys):
+    # A = 1e-200 [[1, 0], [1, 2]]: the lattice 1e-200 k^2 pi^2 {1, 2}
+    code = main(["spectrum", "--real", "1e-200", "0", "1e-200", "2e-200", "--count", "8"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    got = [complex(e["re"], e["im"]) / 1e-200 for e in doc["eigenvalues"]]
+    lattice = sorted({c * k * k * np.pi ** 2 for c in (1, 2) for k in range(6)})
+    assert_allclose(got, lattice[:8], rtol=1e-12, atol=1e-12)

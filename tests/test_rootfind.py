@@ -429,6 +429,30 @@ class TestSharedSegments:
             assert child.n == len(inside)
             assert abs(child.s1 - sum(inside)) <= 1e-4
 
+    def test_grid_split_of_sixteen_zeros(self):
+        # 16 zeros give a 4 x 4 grid whose lines first sit at (i + 0.026274)/4
+        # across and (j - 0.0259774)/4 up: 25 vertices, 40 segments, 16
+        # contours in one call
+        zeros = [0.56 + 0.65j, 0.43 + 0.18j, 0.12 + 0.4j, 0.36 + 0.29j, 0.61 + 0.93j,
+                 0.05 + 0.31j, 0.85 + 0.56j, 0.83 + 0.41j, 0.07 + 0.16j, 0.78 + 0.39j,
+                 0.2 + 0.75j, 0.68 + 0.42j, 0.18 + 0.67j, 0.68 + 0.58j, 0.93 + 0.1j,
+                 0.96 + 0.72j]
+        rec = _Recorder(zeros)
+        found = rootfind._split_cell(rec, Rect(0.0, 1.0, 0.0, 1.0), len(zeros),
+                                     np.random.default_rng(0))
+        pts = rec.points
+        assert len(set(pts)) == len(pts)          # no point evaluated twice
+        xs = [0.0, *((np.arange(1, 4) + 0.026274) / 4), 1.0]
+        ys = [0.0, *((np.arange(1, 4) - 0.0259774) / 4), 1.0]
+        for v in (complex(x, y) for x in xs for y in ys):
+            assert pts.count(v) == 1, v
+        assert sum(child.n for child in found) == len(zeros)
+        for child in found:
+            assert child.rect.re_min in xs and child.rect.im_max in ys
+            inside = [z for z in zeros if child.rect.contains(z)]
+            assert child.n == len(inside)
+            assert abs(child.s1 - sum(inside)) <= 1e-4
+
     def test_zero_on_the_first_split_line_retries(self, monkeypatch):
         # the first split of the unit square puts its vertical line at
         # x = 0.513137, straight through the first zero; five zeros are
@@ -744,3 +768,27 @@ class TestMultipleZeroCost:
     def test_quadruple_zeros_on_the_a0_line(self, monkeypatch):
         seen = self._count(monkeypatch, family_matrix(Family.A4, 0.0, 2.5), 12)
         assert seen["points"] <= 150_000, seen
+
+
+class TestLevelCost:
+    """Guards on the calls one spectrum() makes: a split is one grid sized
+    by the cell's count, and each quadtree level runs one Newton."""
+
+    def test_calls_of_a_triangular_spectrum(self, monkeypatch):
+        calls = {"logderiv": 0, "newton": 0, "moments": 0}
+
+        def counting(key, real):
+            def wrapper(*args, **kw):
+                calls[key] += 1
+                return real(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(SecularFn, "logderiv", counting("logderiv", SecularFn.logderiv))
+        monkeypatch.setattr(rootfind, "_newton", counting("newton", rootfind._newton))
+        monkeypatch.setattr(rootfind, "_contour_moments",
+                            counting("moments", rootfind._contour_moments))
+        sp = spectrum(CMatrix2.real(1.3, 1, 0, -2.1), count=12)
+        assert len(sp.eigenvalues) == 12
+        assert calls["logderiv"] <= 25, calls
+        assert calls["newton"] <= 3, calls
+        assert calls["moments"] <= 4, calls
