@@ -16,8 +16,8 @@ from .canonical import (CanonicalForm, Certificate, Family, Locus, LocusKind,
                         Region, RegionTag, SpectralPrediction, a4_eigs,
                         classify_region, family_matrix, perturbation_coeffs,
                         predict, reduce_real, similarity_certificates)
-from .chebpath import (ChebPoint, GPoly, build_g, cheb_spectrum, chebyshev_t,
-                       lambda_curve, level_curve_d)
+from .chebpath import (ChebPoint, GPoly, build_g, cheb_spectrum, lambda_curve,
+                       level_curve_d)
 from .oracle import (Discretization, GrowthProbe, discretize, growth_probe,
                      oracle_spectrum, resolvent_norm)
 from .sweep import (SweepRecord, SweepSpec, emit, run_sweep,

@@ -1,5 +1,5 @@
 """Closed-form spectra on the rational level curves of the eigenvalue
-ratio inside the band region, via Chebyshev polynomials.
+ratio inside the band region, via a palindromic polynomial in e^{iz}.
 
 For the family ``(a, -1; 1, d)`` with both eigenvalues ``b+ > b- > 0``,
 the curves ``d = d_pm(a)`` on which ``sqrt(b+/b-) = alpha`` foliate the
@@ -8,34 +8,36 @@ region.  The secular function is kept in its cosine-sum form
 :class:`specmat.secular.SecularFn` evaluates as ``-2 sum c sin^2(f x/2)``,
 with ``f1, f2 = 1/sqrt(b+) +- 1/sqrt(b-)`` up to sign.  When ``alpha = p/q``
 is rational, ``z = x / (q sqrt(b+))`` gives ``f1 x = (p+q) z`` and
-``f2 x = +-(p-q) z``, and since cosine is even
+``f2 x = +-(p-q) z``.  Since cosine is even, ``EV(x) = G(cos z)`` with
+``G(w) = c1 (T_{p+q}(w) - 1) + c2 (T_{p-q}(w) - 1)``, and with
+``zeta = e^{iz}``, ``cos(m z) = (zeta^m + zeta^-m)/2``, so
 
-    EV(x) = G(cos z),    G(w) = c1 (T_{p+q}(w) - 1) + c2 (T_{p-q}(w) - 1),
+    EV(x) = zeta^-(p+q) P(zeta),
+    P(zeta) = c1/2 zeta^(2(p+q)) + c2/2 zeta^(2p) - (c1 + c2) zeta^(p+q)
+              + c2/2 zeta^(2q) + c1/2,
 
-so the whole zero set is generated by the roots of the degree p+q
-polynomial G, in the same gauge as the secular function itself (see
+a palindromic polynomial with five coefficients of the size of c1 and c2,
+in the same gauge as the secular function itself (see
 docs/chebyshev_reduction.md and the sampled identity test that pins it).
-``G(1) = 0`` is the structural zero at the origin.
+Each root ``zeta0`` generates the zeros ``x = (-i log zeta0 + 2 n pi) q
+sqrt(b+)``.  ``P(1) = 0`` is the structural zero at the origin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .canonical import Family, RegionTag, classify_region, family_matrix
-from .errors import DegreeTooHigh, OutOfDomain
+from .errors import NonConvergent, OutOfDomain
 from . import secular
 from .mat2 import CMatrix2
-from .rootfind import (Spectrum, _as_protocol, _canonical_sorted, _newton, cluster_roots,
-                       polyroots)
+from .rootfind import Spectrum, _canonical_sorted, _newton, cluster_roots, polyroots
 
-DEGREE_CAP_DEFAULT = 20   # polynomial rooting is unstable past this
-_G_CLUSTER_REL = 1e-5      # G roots closer than this, over 1 + |w|, form one cluster
+_CLUSTER_REL = 1e-8      # polished roots closer than this in z, over 1 + |z|, are one root
 
 
 @dataclass(frozen=True)
@@ -108,129 +110,202 @@ def lambda_curve(p: int, q: int, sign: int, a: float) -> ChebPoint:
                      b_plus=float(bp), b_minus=float(bm))
 
 
-def chebyshev_t(m: int, max_degree: int = 64) -> np.ndarray:
-    """Monomial coefficients (highest degree first) of the degree-m
-    Chebyshev polynomial of the first kind, by the three-term recurrence."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    if m > max_degree:
-        raise DegreeTooHigh(f"Chebyshev degree {m} > {max_degree}")
-    if m == 0:
-        return np.array([1.0])
-    prev = np.array([1.0])          # T_0
-    cur = np.array([1.0, 0.0])      # T_1
-    for _ in range(m - 1):
-        nxt = 2.0 * np.append(cur, 0.0)
-        nxt[2:] -= prev
-        prev, cur = cur, nxt
-    return cur
-
-
 @dataclass(frozen=True)
 class GPoly:
-    """Polynomial of degree p+q (p-q on the real-spectrum curve) whose roots
-    generate the whole spectrum: ``secular(x) = G(cos(x / (q sqrt(b+))))``."""
+    """Palindromic polynomial ``P(zeta) = zeta^(p+q) G((zeta + 1/zeta)/2)``
+    of degree 2(p+q) (2(p-q) on the real-spectrum curve) whose roots
+    generate the whole spectrum: ``secular(x) = zeta^-(p+q) P(zeta)`` at
+    ``zeta = exp(iz)``, ``z = x / (q sqrt(b+))``.
 
-    coeffs: np.ndarray      # monomial basis, highest degree first
+    P is held as a sum of two squares,
+    ``P = c1/2 (zeta^(m+n) - 1)^2 + c2/2 (zeta^m - zeta^n)^2``, the form in
+    zeta of the secular function's ``-2 sum c sin^2(f x/2)``, since
+    ``(zeta^k - 1)^2 = -4 zeta^k sin^2(k z/2)``.  ``(m, n)`` is ``(p, q)``,
+    or ``(p-q, 0)`` where c1 = 0 and the factor ``zeta^(2q)`` is dropped.
+    Evaluated in this form, P keeps its relative accuracy at a double root
+    of either square, where its five expanded terms cancel.
+
+    Called with zeta, it evaluates P.  :meth:`logderiv` and
+    :meth:`residual` take z, the variable in which the roots are polished
+    and whose lattices ``z + 2 n pi`` are the zeros.
+    """
+
+    c1: complex
+    c2: complex
+    m: int
+    n: int
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The five coefficients ``c1/2, c2/2, -(c1+c2), c2/2, c1/2`` at the
+        degrees ``2(m+n), 2m, m+n, 2n, 0``, highest degree first."""
+        m, n = self.m, self.n
+        c = np.zeros(2 * (m + n) + 1, dtype=complex)
+        c[[0, -1]] += 0.5 * self.c1
+        c[[2 * n, 2 * m]] += 0.5 * self.c2
+        c[m + n] -= self.c1 + self.c2
+        return c
 
     @property
     def degree(self) -> int:
-        return self.coeffs.size - 1
+        return 2 * (self.m + self.n)
 
-    def __call__(self, w):
-        return np.polyval(self.coeffs, w)
+    def _at(self, zeta):
+        """P, zeta P' and the rounding scale of the two-squares form at zeta."""
+        zm, zn = zeta ** self.m, zeta ** self.n
+        A, B = zm * zn - 1.0, zm - zn
+        P = 0.5 * (self.c1 * A * A + self.c2 * B * B)
+        zdP = (self.m + self.n) * self.c1 * A * zm * zn + self.c2 * B * (self.m * zm - self.n * zn)
+        scale = (abs(self.c1) * np.abs(A) * (np.abs(zm * zn) + 1.0)
+                 + abs(self.c2) * np.abs(B) * (np.abs(zm) + np.abs(zn)))
+        return P, zdP, scale
+
+    def __call__(self, zeta):
+        return self._at(np.asarray(zeta, dtype=complex))[0]
+
+    def _inside(self, z):
+        """Where ``Im z < 0``, and :meth:`_at` at ``e^{iz}`` or there at
+        ``e^{-iz}``: inside the unit circle, so that no power overflows."""
+        z = np.asarray(z, dtype=complex)
+        flip = z.imag < 0
+        return flip, self._at(np.exp(1j * np.where(flip, -z, z)))
+
+    def logderiv(self, z):
+        """``d/dz log P(e^{iz})``; infinite on a root.  Reflected through
+        ``P(zeta) = zeta^degree P(1/zeta)`` outside the unit circle."""
+        flip, (P, zdP, _) = self._inside(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ld = 1j * zdP / P
+        return np.where(flip, 1j * self.degree - ld, ld)
+
+    def residual(self, z):
+        """``|P|`` at ``e^{iz}`` over the rounding scale of its two-squares
+        form: the relative backward error of z as a root, which the
+        reflection leaves unchanged."""
+        _, (P, _, scale) = self._inside(z)
+        return np.abs(P) / scale
 
 
 def build_g(pt: ChebPoint) -> GPoly:
-    """Assemble G(w) = c1 (T_{p+q}(w) - 1) + c2 (T_{p-q}(w) - 1) from the
-    cosine-sum coefficients of the secular function of the curve point."""
+    """Assemble P from the cosine-sum coefficients of the secular function
+    of the curve point."""
     S = secular.build(pt.matrix())
-    coeffs = S.c1 * chebyshev_t(pt.p + pt.q).astype(complex)
-    coeffs[-1] -= S.c1 + S.c2
-    tlow = chebyshev_t(pt.p - pt.q)
-    coeffs[-tlow.size:] += S.c2 * tlow
     # on the real-spectrum curve a^2 - ad - 1 = 0 secular.build cancels c1
-    # exactly and G drops to degree p-q
-    return GPoly(coeffs=np.trim_zeros(coeffs, "f"))
+    # exactly, and P = c2/2 zeta^(2q) (zeta^(p-q) - 1)^2 drops its factor
+    # zeta^(2q): zeta = 0 is never a root of G
+    m, n = (pt.p, pt.q) if S.c1 != 0 else (pt.p - pt.q, 0)
+    return GPoly(c1=complex(S.c1), c2=complex(S.c2), m=m, n=n)
+
+
+def _divide(coeffs: np.ndarray, t: float):
+    """Quotient and remainder of ``coeffs / (zeta - t)`` for ``t = +-1``:
+    Horner's recurrence ``b_k = a_k + t b_(k-1)``, which for ``t = +-1`` is
+    a signed running sum."""
+    sign = t ** np.arange(coeffs.size)
+    b = sign * np.cumsum(sign * coeffs)
+    return b[:-1], b[-1]
+
+
+def _divide_square(coeffs: np.ndarray, t: float) -> np.ndarray:
+    """``coeffs / (zeta - t)^2`` for a palindromic polynomial with the root
+    t = +-1, palindromic again.  The recurrence runs from the leading
+    coefficient, so it carries the rounding of the large coefficients into
+    the small trailing ones (c1/2 at the ends near the real-spectrum curve);
+    the quotient's upper half is mirrored onto its lower half instead."""
+    q = _divide(_divide(coeffs, t)[0], t)[0]
+    half = q.size // 2
+    q[q.size - half:] = q[:half][::-1]
+    return q
 
 
 def _deflate_structural(coeffs: np.ndarray):
-    """Divide the structural roots +-1 out of G: each as many times as the
-    polynomial left vanishes there to rounding, which is as many times as
-    G and its derivatives do.  Returns the quotient and the ``(root,
-    multiplicity)`` pairs divided out.
+    """Divide the structural roots +-1 out of P: ``(zeta -+ 1)^2`` as many
+    times as the polynomial left vanishes there to rounding, which is as
+    many times as G and its derivatives do at ``w = +-1`` (since ``w -+ 1 =
+    +-(zeta -+ 1)^2 / (2 zeta)``, every root of P at +-1 is of even order).
+    Returns the quotient and the ``(t, G multiplicity)`` pairs divided
+    out.
 
     A root of G next to +-1 (at small a != 0 the root 1 + delta beside the
-    structural 1) is then a root of the quotient, away from any root it
-    could be clustered with or polished onto.
+    structural 1) gives a pair of roots of the quotient, away from any
+    root they could be clustered with or polished onto.
     """
     found = []
-    for target in (1.0, -1.0):
+    for t in (1.0, -1.0):
         mult = 0
-        while (coeffs.size > 1 and abs(np.polyval(coeffs, target))
-               <= 1e-10 * np.abs(coeffs).sum()):
-            coeffs = np.polydiv(coeffs, np.array([1.0, -target]))[0]
+        while coeffs.size > 2:
+            if abs(_divide(coeffs, t)[1]) > 1e-10 * np.abs(coeffs).sum():
+                break
+            coeffs = _divide_square(coeffs, t)
             mult += 1
         if mult:
-            found.append((complex(target), mult))
+            found.append((t, mult))
     return coeffs, found
 
 
-def _polish_roots(coeffs: np.ndarray, w0s, mults) -> np.ndarray:
-    """Full-precision roots from root cluster centres ``w0s`` of
-    multiplicities ``mults``: multiplicity-aware Newton (the
-    companion-matrix eigenvalues resolve an m-fold root only to
-    O(eps^(1/m)), and Newton with the known multiplicity restores full
-    precision), stopping once a step falls to ``1e-15 (1 + |w|)``.
-    Results within rounding of the real axis are put on it.
+def _roots(pt: ChebPoint):
+    """The roots of P as ``(z0, multiplicity)`` pairs, ``z0 = -i log zeta0``,
+    multiplicity the root multiplicity of G at ``cos z0``.
+
+    The structural roots +-1 (``z0 = 0, pi``) are divided out first
+    (:func:`_deflate_structural`).  Every root of the quotient is then
+    polished in one Newton run in z on P itself: the quotient's
+    coefficients can span many orders of magnitude (after
+    ``(zeta - 1)^4`` at a = 0), P's do not, and in z the step test is
+    relative also for the roots far from the unit circle.  Each polished
+    root must be a root of P to a relative backward error of 1e-13
+    (:meth:`GPoly.residual`), else NonConvergent is raised.  The copies of
+    a multiple root (on the real-spectrum curve every other root is
+    double) polish to one point, and are counted there.
     """
-    poly = _as_protocol(partial(np.polyval, coeffs), partial(np.polyval, np.polyder(coeffs)))
-    w, _ = _newton(poly, w0s, mults, tol=1e-12)
-    return np.where(np.abs(w.imag) <= 1e-10 * (1.0 + np.abs(w)), w.real.astype(complex), w)
+    g = build_g(pt)
+    quotient, found = _deflate_structural(g.coeffs)
+    roots = [(complex(math.acos(t)), mult) for t, mult in found]
+    if quotient.size > 1:
+        zeta = polyroots(quotient)
+        if not np.all(zeta):
+            # np.roots gives 0 where c1/2, the trailing coefficient, is
+            # below the rounding of the others (next to the real-spectrum curve)
+            raise NonConvergent(f"a root of P was found at zeta = 0 at {pt}")
+        z, _ = _newton(g, -1j * np.log(zeta), 1, tol=1e-12)
+        bad = np.count_nonzero(g.residual(z) > 1e-13)
+        if bad:
+            raise NonConvergent(f"{bad} polished roots of P are not its roots at {pt}")
+        roots += cluster_roots(z, rel_tol=_CLUSTER_REL)
+    return roots
 
 
-def root_lattices(pt: ChebPoint, n_max: int,
-                  degree_cap: int = DEGREE_CAP_DEFAULT):
-    """One ``(multiplicity, lambda2)`` pair per root w0 of G: ``lambda2``
-    holds the eigenvalues ``((+-arccos(w0) + 2 n pi) q sqrt(b+))^2`` for
-    ``-n_max <= n <= n_max``, the + branch first.
+def root_lattices(pt: ChebPoint, n_max: int):
+    """One ``(multiplicity, lambda2)`` pair per root zeta0 of P:
+    ``lambda2`` holds the eigenvalues ``((z0 + 2 n pi) q sqrt(b+))^2``,
+    ``z0 = -i log zeta0``, for ``-n_max <= n <= n_max``.
 
-    Multiplicity is the root multiplicity of G.  The structural roots +-1
-    are divided out first (:func:`_deflate_structural`); the roots of the
-    quotient are clustered, and each cluster is polished on the quotient
-    by :func:`_polish_roots`.
+    Multiplicity is the root multiplicity of G (:func:`_roots`).  The
+    roots of P come in pairs zeta0, 1/zeta0 with the same lattice.
     """
-    if pt.p + pt.q > degree_cap:
-        raise DegreeTooHigh(
-            f"p+q = {pt.p + pt.q} exceeds the stability cap {degree_cap}; "
-            "pass a larger degree_cap to override")
     if n_max < 0 or n_max > 10_000:
         raise ValueError("n_max out of range")
-    quotient, roots = _deflate_structural(build_g(pt).coeffs)
-    if quotient.size > 1:
-        centres, mults = zip(*cluster_roots(polyroots(quotient), rel_tol=_G_CLUSTER_REL))
-        roots += zip(_polish_roots(quotient, centres, mults), mults)
     step = pt.q * math.sqrt(pt.b_plus)
     shifts = 2.0 * np.pi * np.arange(-n_max, n_max + 1)
     out = []
-    for w0, mult in roots:
-        z0 = complex(np.arccos(w0 + 0j))
-        lam = np.concatenate([(z0 + shifts) * step, (-z0 + shifts) * step])
+    for z0, mult in _roots(pt):
+        lam = (z0 + shifts) * step
         out.append((mult, lam * lam))
     return out
 
 
-def cheb_spectrum(pt: ChebPoint, n_max: int, degree_cap: int = DEGREE_CAP_DEFAULT,
+def cheb_spectrum(pt: ChebPoint, n_max: int,
                   lambda2_max: Optional[float] = None) -> Spectrum:
     """Exact spectrum on a rational curve point: every zero of the secular
-    function is ``(+-arccos(w0) + 2 n pi) q sqrt(b+)`` for a root w0 of G.
+    function is ``(z0 + 2 n pi) q sqrt(b+)`` for a root ``zeta0 = e^{i z0}``
+    of P.
 
     Eigenvalue multiplicity is the root multiplicity of G; at ``w0 = +-1``
-    the two arccos branches coincide and the secular zero order doubles,
-    which is recorded in the notes rather than in the multiplicity.
+    (``zeta0 = +-1``) the secular zero order doubles, which is recorded in
+    the notes rather than in the multiplicity.
     """
     raw = [(complex(v), mult)
-           for mult, lam2 in root_lattices(pt, n_max, degree_cap) for v in lam2]
+           for mult, lam2 in root_lattices(pt, n_max) for v in lam2]
     # sorted merge: equal eigenvalues land adjacently in canonical order
     merged = []
     for v, m in _canonical_sorted(raw):

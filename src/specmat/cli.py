@@ -198,7 +198,7 @@ def _cmd_cheb(args) -> int:
         for a in np.linspace(a0, a1, steps):
             pt = chebpath.lambda_curve(frac.numerator, frac.denominator, sign, float(a))
             for idx, (_, lam2) in enumerate(
-                    chebpath.root_lattices(pt, args.nmax, args.degree_cap)):
+                    chebpath.root_lattices(pt, args.nmax)):
                 lines.extend(f"{a:.17g},{pt.d:.17g},{v.real:.17g},{v.imag:.17g},{idx}"
                              for v in lam2)
         _write_or_print("\n".join(lines) + "\n", args, "cheb_sweep.csv")
@@ -206,7 +206,7 @@ def _cmd_cheb(args) -> int:
     if args.a is None:
         raise InvalidInput("cheb needs --a VALUE (or --sweep A0:A1:STEPS)")
     pt = chebpath.lambda_curve(frac.numerator, frac.denominator, sign, args.a)
-    sp = chebpath.cheb_spectrum(pt, args.nmax, degree_cap=args.degree_cap)
+    sp = chebpath.cheb_spectrum(pt, args.nmax)
     if args.format == "json":
         print(json.dumps(_spectrum_payload(sp), indent=2))
     else:
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.add_argument("--a", type=float, help="curve parameter")
     p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--degree-cap", type=int, default=chebpath.DEGREE_CAP_DEFAULT)
     p.add_argument("--sweep", metavar="A0:A1:STEPS", help="sweep the curve")
     p.set_defaults(fn=_cmd_cheb)
 

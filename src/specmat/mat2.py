@@ -186,7 +186,7 @@ def _eigvec_for(M: np.ndarray, mu: complex) -> np.ndarray:
     c1 = np.array([B[0, 1], -B[0, 0]])
     c2 = np.array([B[1, 1], -B[1, 0]])
     v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-    if np.linalg.norm(v) <= 1e-14 * max(1.0, np.linalg.norm(M)):
+    if np.linalg.norm(v) <= 1e-14 * np.linalg.norm(M):
         # B is (numerically) zero: any vector works
         v = np.array([1.0, 0.0], dtype=complex)
     return v
@@ -208,8 +208,9 @@ def eig2(A: CMatrix2) -> Eigen2:
     am = 0.5 * (tr - sq)
     gap = abs(ap - am)
 
-    if abs(A.b) <= SCALAR_TOL * (1 + nrm) and abs(A.c) <= SCALAR_TOL * (1 + nrm) \
-            and gap <= SCALAR_TOL * (1 + nrm):
+    # the thresholds are relative to the norm, so the kind does not depend on scale
+    if abs(A.b) <= SCALAR_TOL * nrm and abs(A.c) <= SCALAR_TOL * nrm \
+            and gap <= SCALAR_TOL * nrm:
         mu = 0.5 * tr
         V = np.eye(2, dtype=complex)
         C = np.diag([mu, mu]).astype(complex)
@@ -220,7 +221,7 @@ def eig2(A: CMatrix2) -> Eigen2:
     Vcand = np.column_stack([vp / np.linalg.norm(vp), vm / np.linalg.norm(vm)])
     cond = np.linalg.cond(Vcand)
 
-    if gap <= DEFECTIVE_GAP_TOL * (1 + nrm) and cond > DEFECTIVE_COND_TOL:
+    if gap <= DEFECTIVE_GAP_TOL * nrm and cond > DEFECTIVE_COND_TOL:
         mu = 0.5 * tr  # the repeated eigenvalue, symmetrised
         w = _gauge_normalize(_eigvec_for(M, mu))
         # generalised vector: (A - mu) u = w, minimal-norm solution

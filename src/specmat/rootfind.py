@@ -416,9 +416,10 @@ def _newton(fun, z0s, mult, tol: float, steps: int = 60):
     or one per start.
 
     Returns the arrays ``(z, ok)``.  ``ok`` is True for a start once a
-    step falls to ``1e-3 tol (1 + |z|)`` (or its log-derivative is
-    infinite, on the zero), and False when ``steps`` steps do not get
-    there or the log-derivative vanishes.
+    step falls to ``1e-3 tol (1 + |z|)``, but not below two ulps of
+    ``1 + |z|`` where rounding would keep it from ever getting there (or
+    once its log-derivative is infinite, on the zero), and False when
+    ``steps`` steps do not get there or the log-derivative vanishes.
     """
     z = np.array(z0s, dtype=complex, ndmin=1)
     mult = np.full(z.shape, mult, dtype=float)
@@ -432,7 +433,7 @@ def _newton(fun, z0s, mult, tol: float, steps: int = 60):
         live = fin & (ld != 0)
         step = mult[todo] / np.where(live, ld, 1.0)
         w = z[todo] - step
-        conv = np.abs(step) <= 1e-3 * tol * (1.0 + np.abs(w))
+        conv = np.abs(step) <= max(1e-3 * tol, 4e-16) * (1.0 + np.abs(w))
         z[todo[live]] = w[live]
         # a log-derivative that blew up: sitting on the zero
         ok[todo] = ~fin | (live & conv)
@@ -949,10 +950,14 @@ def polyroots(coeffs, max_degree: int = 64) -> np.ndarray:
 
 
 def _residuals_ok(c, roots, rtol: float = 1e-10) -> bool:
-    deg = c.size - 1
-    p = np.polyval(c, roots)
-    bound = rtol * np.linalg.norm(c) * np.maximum(1.0, np.abs(roots)) ** deg
-    return bool(np.all(np.abs(p) <= bound))
+    """``|p(w)| <= rtol ||p|| max(1, |w|)^deg``; outside the unit circle
+    divided through by ``w^deg``, as the reversed polynomial at ``1/w``,
+    so that no power of a large root overflows."""
+    inside = np.abs(roots) <= 1.0
+    res = np.empty(roots.size)
+    res[inside] = np.abs(np.polyval(c, roots[inside]))
+    res[~inside] = np.abs(np.polyval(c[::-1], 1.0 / roots[~inside]))
+    return bool(np.all(res <= rtol * np.linalg.norm(c)))
 
 
 def cluster_roots(roots, rel_tol: float = 1e-5):

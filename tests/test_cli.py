@@ -66,6 +66,14 @@ class TestSpectrum:
         assert abs(vals[0]) == 0
         assert abs(vals[1] - np.pi**2) < 1e-8
 
+    def test_small_tol(self, capsys):
+        # Newton's step stop is floored at a few ulps: a tol below it works
+        code, out, _ = run(capsys, ["--tol", "1e-13", "spectrum", "--real", "1", "0", "1", "4",
+                                    "--count", "5"])
+        assert code == 0
+        vals = [complex(e["re"], e["im"]) for e in json.loads(out)["eigenvalues"]]
+        assert abs(vals[1] - np.pi**2) < 1e-12 * np.pi**2
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, ["--format", "csv", "spectrum",
                                     "--real", "1", "0", "0", "1", "--count", "3"])
@@ -204,6 +212,8 @@ class TestOthers:
 
 @pytest.mark.parametrize("argv", [
     ["cheb", "--alpha", "1/0", "--a", "0.5"],
+    # p+q = 35: degree 68 left after zeta = 1 is divided out, above polyroots' 64
+    ["cheb", "--alpha", "18/17", "--a", "0.4"],
     ["sweep", "--curve", "1/0", "--arange", "0:0.5:2", "--method", "chebyshev"],
     ["sweep", "--alphas", "3/2,1/0", "--method", "chebyshev"],
     ["sweep", "--curve", "3/2"],

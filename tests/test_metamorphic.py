@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specmat import CMatrix2, similarity_certificates, spectrum
+from specmat import CMatrix2, eig2, similarity_certificates, spectrum
 from specmat.cli import main
 from conftest import EXAMPLE, STREATER, a4
 
@@ -31,8 +31,8 @@ def _spec(A):
     return spectrum(A, count=COUNT).eigenvalues
 
 
-def _assert_same(got, want):
-    """Equal spectra to RTOL with equal multiplicities.  Values at the
+def _assert_same(got, want, rtol=RTOL):
+    """Equal spectra to rtol with equal multiplicities.  Values at the
     largest modulus are left out: a count cut-off may split a tie there."""
     edge = 0.999 * max(max(abs(v) for v, _ in got), max(abs(v) for v, _ in want))
     for a, b in ((got, want), (want, got)):
@@ -40,7 +40,7 @@ def _assert_same(got, want):
             if abs(v) >= edge:
                 continue
             u, k = min(b, key=lambda p: abs(p[0] - v))
-            assert abs(u - v) <= RTOL * (1 + abs(v)), (v, u)
+            assert abs(u - v) <= rtol * (1 + abs(v)), (v, u)
             assert m == k, (v, m, k)
 
 
@@ -149,3 +149,21 @@ def test_tiny_matrix_from_the_cli(capsys):
     got = [complex(e["re"], e["im"]) / 1e-200 for e in doc["eigenvalues"]]
     lattice = sorted({c * k * k * np.pi ** 2 for c in (1, 2) for k in range(6)})
     assert_allclose(got, lattice[:8], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-16])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_small_tol(base, name, tol):
+    """A tol below what rounding lets Newton's step reach still converges,
+    to the spectrum of the default tol."""
+    _assert_same(spectrum(CORPUS[name], count=COUNT, tol=tol).eigenvalues, base[name],
+                 rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_eig2_kind_is_scale_free(name):
+    """eig2 compares against the norm, so scaling A keeps its kind; below
+    about 1e-150 the discriminant underflows, which this does not cover."""
+    A = CORPUS[name]
+    for s in (1e-13, 1e-100, 1e-140, 1e20, 1e90):
+        assert eig2(A.scaled(s)).kind is eig2(A).kind, s
