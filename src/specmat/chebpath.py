@@ -57,6 +57,11 @@ class ChebPoint:
         return self.p / self.q
 
     def matrix(self) -> CMatrix2:
+        """``(a, -1; 1, d)`` in floating point: the float rounding of the
+        exact curve point, not the operator whose eigenvalues are ``b+-``.
+        Where ``b-`` is small the two part measurably: for
+        ``lambda_curve(31, 1, -1, 2.9118)`` this matrix's eigenvalues differ
+        from ``b+-`` by 3e-11 relative, since its ``det = a d + 1`` cancels."""
         return family_matrix(Family.A4, self.a, self.d)
 
 
@@ -303,6 +308,10 @@ def cheb_spectrum(pt: ChebPoint, n_max: int,
     Eigenvalue multiplicity is the root multiplicity of G; at ``w0 = +-1``
     (``zeta0 = +-1``) the secular zero order doubles, which is recorded in
     the notes rather than in the multiplicity.
+
+    The spectrum is that of the exact curve point, built from ``b+-``;
+    ``Spectrum.matrix`` is :meth:`ChebPoint.matrix`, only its float
+    rounding, whose own spectrum parts from it where ``b-`` is small.
     """
     raw = [(complex(v), mult)
            for mult, lam2 in root_lattices(pt, n_max) for v in lam2]

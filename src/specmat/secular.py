@@ -165,7 +165,13 @@ class SecularFn:
                     # order 0 is -2 c sin^2; sin's factor 2 rides with odd orders
                     weights[k] = (-2.0 * c if k == 0 else
                                   (1, -2, -1, 2)[k % 4] * c * f ** k)
-                m = weights[k] @ (sin2 if k == 0 else sh * ch if k % 2 else ch * ch - sin2)
+                terms = sin2 if k == 0 else sh * ch if k % 2 else ch * ch - sin2
+                # elementwise over the one or two rows: as a matrix product
+                # it would pay for BLAS threading
+                wk = weights[k]
+                m = wk[0] * terms[0]
+                if wk.size == 2:
+                    m += wk[1] * terms[1]
             else:
                 m = np.zeros(flat.shape, dtype=complex)
             if k <= 2 and self.q != 0:

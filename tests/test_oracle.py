@@ -275,9 +275,8 @@ class TestResolventNorm:
     def test_invit_matches_svd(self):
         disc = discretize(CMatrix2.real(1, 0, 1, 1), 150)
         z = 30 + 1j
-        n_svd = resolvent_norm(disc, z, method="svd")
-        n_it = resolvent_norm(disc, z, method="invit")
-        assert_allclose(n_it, n_svd, rtol=1e-6)
+        n_svd = 1.0 / scipy.linalg.svdvals(disc.M - z * np.eye(disc.size))[-1]
+        assert_allclose(resolvent_norm(disc, z), n_svd, rtol=1e-6)
 
     def test_invit_factors_once(self, monkeypatch):
         disc = discretize(CMatrix2.real(1, 0, 1, 1), 150)
@@ -290,13 +289,13 @@ class TestResolventNorm:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
         for z in (30 + 1j, -4.0, 60.0 + 2j):
-            resolvent_norm(disc, z, method="invit")
+            resolvent_norm(disc, z)
         assert calls == [(disc.size, disc.size)] * 3
 
     def test_sparse_paths_leave_dense_matrix_unbuilt(self):
         disc = discretize(EXAMPLE, 120)
         oracle_spectrum(disc, 6)
-        resolvent_norm(disc, 30 + 1j, method="invit")
+        resolvent_norm(disc, 30 + 1j)
         assert "M" not in vars(disc)
         assert_allclose(disc.M, disc.S.toarray())     # built on first access
 
@@ -306,6 +305,17 @@ class TestResolventNorm:
         ev = ev[np.argsort(np.abs(ev))]
         with pytest.raises(NearSpectrum):
             resolvent_norm(disc, complex(ev[1]) + 1e-13)
+
+    @pytest.mark.parametrize("error", [
+        scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                np.empty((0, 0))),
+        scipy.sparse.linalg.ArpackError(-9999)])
+    def test_arpack_failure_is_nonconverged(self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        with pytest.raises(NonConverged):
+            resolvent_norm(discretize(CMatrix2.real(1, 0, 1, 1), 40), 30 + 1j)
 
     def test_whole_real_line_regime_stays_bounded(self):
         # similarity to self-adjoint predicts k / dist(z, R) behaviour
@@ -331,6 +341,18 @@ class TestGrowthProbe:
         assert abs(probe.slope("fine")) <= 0.05
         for row in probe.rows:
             assert_allclose(row.norm_2n, 1.0, rtol=5e-3)
+
+    def test_self_adjoint_matches_dense_svd(self):
+        # the Dirichlet and Neumann lattices of a self-adjoint A differ only
+        # by O(h^2), so the two smallest singular values nearly coincide
+        A = CMatrix2.real(1, 0, 0, 1)
+        probe = growth_probe(A, 1.0, range(2, 7), n=300)
+        for n, attr in ((300, "norm_n"), (600, "norm_2n")):
+            disc = discretize(A, n)
+            for row in probe.rows:
+                z = disc.lattice_value(1.0, 2 * row.r) + 1j
+                ref = 1.0 / scipy.linalg.svdvals(disc.M - z * np.eye(disc.size))[-1]
+                assert_allclose(getattr(row, attr), ref, rtol=1e-9)
 
     def test_continuum_anchor_available(self):
         probe = growth_probe(CMatrix2.real(1, 0, 0, 1), 1.0, range(2, 4),

@@ -144,10 +144,6 @@ class TestIsolate:
             def logderiv(self, z):
                 return sum(1.0 / (np.asarray(z, dtype=complex) - r) for r in self.roots)
 
-            def logabs(self, z):
-                return sum(np.log(np.abs(np.asarray(z, dtype=complex) - r))
-                           for r in self.roots)
-
             def polish_multiple(self, z0, m):
                 # the (m-1)-th derivative of a degree-m polynomial vanishes
                 # at the centroid of its zeros, so this always converges
@@ -336,10 +332,6 @@ class _Recorder:
         z = np.asarray(z, dtype=complex)
         self.points.extend(z.ravel().tolist())
         return np.sum(1.0 / (z[..., None] - self.zeros), axis=-1)
-
-    def logabs(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.sum(np.log(np.abs(z[..., None] - self.zeros)), axis=-1)
 
 
 def _poly_pair(zeros):
@@ -574,10 +566,6 @@ class _Poly:
         z = np.asarray(z, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.sum(1.0 / (z[..., None] - self.zeros), axis=-1)
-
-    def logabs(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.sum(np.log(np.abs(z[..., None] - self.zeros)), axis=-1)
 
 
 class TestPowerSums:
