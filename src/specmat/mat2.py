@@ -198,20 +198,27 @@ def eig2(A: CMatrix2) -> Eigen2:
     The larger-real-part convention follows the principal square root of
     the discriminant: ``a_plus = (tr + sqrt(tr^2 - 4 det))/2``, so real
     distinct eigenvalues satisfy ``a_minus < a_plus``.
+
+    Computed on ``B = A / 2^e`` of :meth:`CMatrix2.normalized`, whose
+    discriminant neither underflows nor overflows, and multiplied back by
+    the exact power of two, so that the kind does not depend on the scale
+    of A.
     """
-    M = A.as_array()
-    nrm = max(A.norm(), 1e-300)
-    tr = A.trace
-    disc = (A.a - A.d) ** 2 + 4.0 * A.b * A.c
+    B, e = A.normalized()
+    scale = 2.0 ** e
+    M = B.as_array()
+    nrm = max(B.norm(), 1e-300)
+    tr = B.trace
+    disc = (B.a - B.d) ** 2 + 4.0 * B.b * B.c
     sq = np.sqrt(complex(disc))
     ap = 0.5 * (tr + sq)
     am = 0.5 * (tr - sq)
     gap = abs(ap - am)
 
     # the thresholds are relative to the norm, so the kind does not depend on scale
-    if abs(A.b) <= SCALAR_TOL * nrm and abs(A.c) <= SCALAR_TOL * nrm \
+    if abs(B.b) <= SCALAR_TOL * nrm and abs(B.c) <= SCALAR_TOL * nrm \
             and gap <= SCALAR_TOL * nrm:
-        mu = 0.5 * tr
+        mu = 0.5 * tr * scale
         V = np.eye(2, dtype=complex)
         C = np.diag([mu, mu]).astype(complex)
         return Eigen2(mu, mu, V[:, 0], V[:, 1], EigKind.SCALAR, V, C)
@@ -224,14 +231,17 @@ def eig2(A: CMatrix2) -> Eigen2:
     if gap <= DEFECTIVE_GAP_TOL * nrm and cond > DEFECTIVE_COND_TOL:
         mu = 0.5 * tr  # the repeated eigenvalue, symmetrised
         w = _gauge_normalize(_eigvec_for(M, mu))
-        # generalised vector: (A - mu) u = w, minimal-norm solution
-        u = np.linalg.pinv(M - mu * np.eye(2), rcond=1e-10) @ w
+        # generalised vector: (A - mu) u = w, minimal-norm solution, which
+        # is the one of B over 2^e
+        u = np.linalg.pinv(M - mu * np.eye(2), rcond=1e-10) @ w / scale
+        mu = mu * scale
         V = np.column_stack([u, w])
         C = np.array([[mu, 0.0], [1.0, mu]], dtype=complex)
         return Eigen2(mu, mu, w, w, EigKind.DEFECTIVE, V, C)
 
     vp = _gauge_normalize(vp)
     vm = _gauge_normalize(vm)
+    ap, am = ap * scale, am * scale
     V = np.column_stack([vp, vm])
     C = np.diag([ap, am]).astype(complex)
     return Eigen2(ap, am, vp, vm, EigKind.DISTINCT, V, C)

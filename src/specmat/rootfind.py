@@ -17,10 +17,13 @@ sides.  It returns, per contour, the winding number ``s0 = (1/2 pi i)
 contour integral of f'/f`` and the power sums ``s_k = (1/2 pi i) contour integral of u^k f'/f``,
 k = 1..4 (the sums of the k-th powers of the enclosed zeros), of ``u``
 the point relative to the bundle's centre and radius, all from the same
-samples.  The trapezoid rule is refined per segment and nested: each
-segment doubles only while the zeros near it are unresolved, a doubling
-evaluates only the new midpoints, and no point is evaluated twice within
-one call.
+samples.  Each segment is integrated by adaptive 16-node Gauss-Legendre
+panels (QUADPACK's QAG, Piessens et al. 1983): a panel is bisected until
+its last Legendre coefficients of ``f'/f`` have decayed, a measure of how
+far the integrand is analytic around it (Trefethen, Approximation Theory
+and Approximation Practice, SIAM 2013, ch. 19), so only the part of a
+segment near a zero refines, and no point is evaluated twice within one
+call.
 
 Every cell of the quadtree carries its count ``m`` and its power sums,
 and two rules accept it.  As m simple zeros, for ``1 <= m <= 4`` (Delves
@@ -69,8 +72,7 @@ from .errors import (BoundaryZero, DegreeTooHigh, InvalidInput, NonConvergent,
 from .mat2 import CMatrix2
 from .secular import build
 
-_EDGE_START = 64
-_EDGE_CAP = 2 ** 18    # most intervals any one edge may refine to
+_EDGE_CAP = 2 ** 18    # most samples any one segment may take
 _WINDING_TOL = 1e-3
 _CLUSTER_REL = 1e-4    # cluster size, over 1 + |centre|
 
@@ -226,7 +228,7 @@ def _grid(xs, ys) -> _Segments:
 
 def _logderiv_finite(fun, z):
     g = fun.logderiv(z)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise BoundaryZero("zero (numerically) on the contour")
     return g
 
@@ -244,6 +246,40 @@ def _powers(w, u):
     return out
 
 
+# the 16-point Gauss-Legendre rule on [-1, 1], symmetric about 0: its
+# positive nodes and their weights
+_GL_X = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499])
+_GL_W = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                  0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                  0.062253523938647456, 0.027152459411754176])
+_GL_X = np.concatenate((-_GL_X[::-1], _GL_X))
+_GL_W = np.concatenate((_GL_W[::-1], _GL_W))
+_GL_N = _GL_X.size
+_GL_T = 0.5 * (1.0 + _GL_X)     # the nodes on a panel's [0, 1]
+_GL_HW = 0.5 * _GL_W            # and their weights
+
+
+def _legendre_tail(x, w):
+    """The ``_GL_N x 3`` matrix taking a function's samples at the nodes
+    ``x`` (weights ``w``) to its last three Legendre coefficients,
+    ``a_j = (j + 1/2) sum_i w_i P_j(x_i) f(x_i)``, j = 13..15, by the
+    three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    cols = []
+    for j in range(1, _GL_N - 1):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        if j + 1 >= _GL_N - 3:
+            cols.append((j + 1.5) * w * p1)
+    return np.stack(cols, axis=1)
+
+
+_GL_TAIL = _legendre_tail(_GL_X, _GL_W).astype(complex)
+_PANEL_TAIL = 1e-4      # most hL (|a13| + |a14| + |a15|) of an accepted panel
+_PANEL_REACH = 8.0      # most hL max|g|: panel length over distance to a zero
+
+
 def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
     """Winding numbers ``s0 = (1/2 pi i) contour integral of g``, ``g =
     f'/f``, and power sums ``s_k = (1/2 pi i) contour integral of u^k g``,
@@ -252,102 +288,84 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
     Returns ``s0`` with one entry per row of the incidence matrix and the
     power sums as one row of four per contour.
 
-    Contours that share a segment share its samples: every vertex and
-    every segment is evaluated once per call, whichever contours use it.
-    Trapezoid rule with nested refinement per segment: a doubling
-    evaluates only the new midpoints, and all segments still refining
-    share one ``logderiv`` call (the first call also holds the vertices
-    and the first doubling, which every segment needs).  A segment stops
-    when it is resolved (``length / m <= dist / 3``, ``dist = 1 / max|g|``
-    on that segment) at two successive levels whose winding contributions
-    agree to ``_WINDING_TOL / e``, ``e`` the most segments any one contour
-    has.  Each contour's winding ``Re s0`` must also lie within
-    ``_WINDING_TOL`` of an integer, else that contour's segments refine
-    again.  The power sums are summed per segment from the same samples.
+    Contours that share a segment share its samples: every segment is
+    evaluated once per call, whichever contours use it.  Adaptive
+    Gauss-Legendre panels of ``_GL_N`` nodes (QUADPACK's QAG, Piessens et
+    al. 1983): each segment starts as two panels, and a panel of length
+    ``hL`` is bisected until ``hL (|a13| + |a14| + |a15|) <= _PANEL_TAIL``
+    and ``hL max|g| <= _PANEL_REACH`` on it, ``a_j`` the Legendre
+    coefficients of g on the panel from its own samples.  Their decay
+    measures how far g is analytic around the panel, which is what the
+    rule's accuracy rests on (Trefethen, ATAP, SIAM 2013, ch. 19), so only
+    the part of a segment near a zero refines.  All panels still to be
+    evaluated, of every segment, share one ``logderiv`` call per level,
+    and the power sums come from the same nodes.  Each contour's winding
+    ``Re s0`` must also lie within ``_WINDING_TOL`` of an integer, else
+    every panel of that contour's segments is bisected again.
 
     Raises BoundaryZero for a non-finite sample or a zero within
     ``4 diam / cap`` of a contour, too close to resolve below the cap
     (``diam`` that contour's longest segment; the caller may dilate and
-    retry), and NonConvergent when a segment would need more than ``cap``
-    intervals.
+    retry), and NonConvergent when a segment would take more than ``cap``
+    samples.
     """
     inc = segs.incidence
     centre, radius = segs.frame()
-    za, zb = segs.vertices[segs.ends[:, 0]], segs.vertices[segs.ends[:, 1]]
-    dz = zb - za
-    lengths = np.abs(dz)
+    za = segs.vertices[segs.ends[:, 0]]
+    dz = segs.vertices[segs.ends[:, 1]] - za
     member = inc != 0
-    n = lengths.size
-    e = int(member.sum(axis=1).max())
-    diam = np.where(member, lengths, 0.0).max(axis=1)
-    m = np.full(n, _EDGE_START)
-    # one call for the vertices, the start level's interior samples (even
-    # j of t = j/k, j = 1..k-1) and its first doubling (odd j): every
-    # segment needs all of them
-    k = 2 * _EDGE_START
-    nv = segs.vertices.size
-    z = za[:, None] + (np.arange(1, k) / k) * dz[:, None]
-    g = _logderiv_finite(fun, np.concatenate((segs.vertices, z.ravel())))
-    ga, gb = g[segs.ends[:, 0]], g[segs.ends[:, 1]]
-    g = g[nv:].reshape(n, k - 1)
-    gdz, absg = g * dz[:, None], np.abs(g)
-    # running sums without the 1/m factor: a doubling only adds midpoints.
-    # The power sums take the start level and its first doubling at once:
-    # every segment adds that doubling
-    s0 = gdz[:, 1::2].sum(axis=1) + 0.5 * (ga * dz + gb * dz)
-    ends = 0.5 * (_powers(ga * dz, (za - centre) / radius)
-                  + _powers(gb * dz, (zb - centre) / radius))
-    sk = _powers(gdz, (z - centre) / radius).sum(axis=2) + ends
-    gmax = np.maximum(absg[:, 1::2].max(axis=1), np.maximum(np.abs(ga), np.abs(gb)))
-    first = (gdz[:, ::2].sum(axis=1), absg[:, ::2].max(axis=1))
-    prev0 = np.full(n, np.nan)      # winding contribution at the last resolved level
-    todo = np.ones(n, dtype=bool)
-    fresh = todo.copy()             # segments sampled at a new level
+    n = dz.size
+    # per segment, the longest segment of any contour it belongs to
+    diam = np.where(member, np.abs(dz), 0.0).max(axis=1)
+    diam = np.where(member, diam[:, None], 0.0).max(axis=0)
+    used = np.zeros(n, dtype=int)       # samples taken on each segment
+    # the panels to evaluate: segment, start point and complex width
+    seg = np.repeat(np.arange(n), 2)
+    zd = np.repeat(0.5 * dz, 2)
+    zs = np.repeat(za, 2)
+    zs[1::2] += zd[1::2]
+    done = []                           # accepted panels, one tuple per level
     while True:
-        # diam / dist per contour, dist = 1 / max|g| on its segments
-        reach = np.where(member, gmax, 0.0).max(axis=1) * diam
-        if np.any(reach > cap / 4.0):
-            # a zero close enough to the contour that the trapezoid can
-            # never resolve it within the sample cap: bail out early so
+        used += _GL_N * np.bincount(seg, minlength=n)
+        if (used > cap).any():
+            raise NonConvergent("contour integral did not stabilise below the sample cap")
+        z = zs[:, None] + zd[:, None] * _GL_T
+        g = _logderiv_finite(fun, z)
+        pmax = np.abs(g).max(axis=1)
+        # diam / dist, dist = 1 / max|g| on a panel
+        if (pmax * diam[seg] > cap / 4.0).any():
+            # a zero so close to the contour that the panels would need
+            # more than the sample cap to resolve it: bail out early so
             # the caller can dilate or re-split
             raise BoundaryZero("zero unresolvably close to the contour")
-        w0 = (s0 / (2j * np.pi * m)).real
-        # two coarse levels can agree on a wrong value before the nearest
-        # zero is even resolved by the sampling
-        resolved = gmax * lengths <= m / 3.0
-        agree = resolved & (np.abs(w0 - prev0) <= _WINDING_TOL / e)
-        todo[fresh & agree] = False
-        prev0 = np.where(fresh, np.where(resolved, w0, np.nan), prev0)
-        if not todo.any():
-            w = inc @ w0
+        size = np.abs(zd)
+        # elementwise contraction: a matrix product would start BLAS threads
+        tail = np.abs(np.einsum("pi,ij->pj", g, _GL_TAIL)).sum(axis=1)
+        ok = (size * tail <= _PANEL_TAIL) & (size * pmax <= _PANEL_REACH)
+        gdz = g[ok] * (zd[ok, None] * _GL_HW)
+        done.append((seg[ok], zs[ok], zd[ok], gdz.sum(axis=1),
+                     _powers(gdz, (z[ok] - centre) / radius).sum(axis=2)))
+        split = ~ok
+        if not split.any():
+            dseg, dzs, dzd, d0, dk = (np.concatenate(a, axis=-1) for a in zip(*done))
+            s0 = np.zeros(n, dtype=complex)
+            sk = np.zeros((n, _ORDERS), dtype=complex)
+            np.add.at(s0, dseg, d0)
+            np.add.at(sk, dseg, dk.T)
+            w = inc @ (s0 / (2j * np.pi)).real
             off = np.abs(w - np.round(w)) > _WINDING_TOL
             if not off.any():
-                return inc @ (s0 / m) / (2j * np.pi), inc @ (sk / m).T / (2j * np.pi)
-            todo = member[off].any(axis=0)
-        idx = np.flatnonzero(todo)
-        if np.any(2 * m[idx] > cap):
-            raise NonConvergent("contour integral did not stabilise below the sample cap")
-        if first is not None:
-            # the first doubling, of every segment (none can have converged
-            # at the start level), was sampled with the start level
-            add0, addmax = first
-            first = None
-        else:
-            # one doubling of every segment still refining: the new midpoints only
-            counts = m[idx]
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            local = np.arange(counts.sum()) - np.repeat(starts, counts)
-            seg = np.repeat(idx, counts)
-            z = za[seg] + ((local + 0.5) / np.repeat(counts, counts)) * dz[seg]
-            g = _logderiv_finite(fun, z)
-            gdz = g * dz[seg]
-            add0 = np.add.reduceat(gdz, starts)
-            addmax = np.maximum.reduceat(np.abs(g), starts)
-            sk[:, idx] += np.add.reduceat(_powers(gdz, (z - centre) / radius), starts, axis=1)
-        s0[idx] += add0
-        gmax[idx] = np.maximum(gmax[idx], addmax)
-        m[idx] *= 2
-        fresh = todo.copy()
+                return inc @ s0 / (2j * np.pi), inc @ sk / (2j * np.pi)
+            # refine every panel of the segments of the contours that failed
+            split = member[off].any(axis=0)[dseg]
+            seg, zs, zd = dseg, dzs, dzd
+            keep = ~split
+            done = [(dseg[keep], dzs[keep], dzd[keep], d0[keep], dk[:, keep])]
+        # bisect: each panel to split becomes its two halves
+        seg = np.repeat(seg[split], 2)
+        zd = np.repeat(0.5 * zd[split], 2)
+        zs = np.repeat(zs[split], 2)
+        zs[1::2] += zd[1::2]
 
 
 class _Cell(NamedTuple):

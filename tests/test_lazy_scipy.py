@@ -1,5 +1,6 @@
 """scipy is loaded only by the commands that call it: classification, the
-secular route and the Chebyshev route start without it.
+secular route and the Chebyshev route start without it.  numpy.polynomial
+(2-11 ms to import) is loaded by none of them.
 
 Each check runs in a fresh interpreter, because the test process already
 holds scipy.
@@ -16,19 +17,24 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # imports specmat, then runs each argv through specmat.cli.main, recording
-# the exit code and the scipy modules loaded so far after each step
+# the exit code and the scipy and numpy.polynomial modules loaded so far
+# after each step
 _PROBE = r"""
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+def modules(prefix):
+    return sorted(m for m in sys.modules if m.startswith(prefix))
+
+def loaded(argv, code):
+    return {"argv": argv, "code": code, "scipy": modules("scipy"),
+            "polynomial": modules("numpy.polynomial")}
 
 import specmat
-steps = [{"argv": None, "code": 0, "scipy": scipy_modules()}]
+steps = [loaded(None, 0)]
 from specmat.cli import main
 for argv in json.loads(sys.argv[1]):
     code = main(argv)
-    steps.append({"argv": argv, "code": code, "scipy": scipy_modules()})
+    steps.append(loaded(argv, code))
 sys.stdout.flush()
 print("\nPROBE " + json.dumps(steps))
 """
@@ -57,10 +63,12 @@ def fresh_run(commands):
 def test_cold_commands_load_no_scipy():
     imported, *steps = fresh_run(COLD_COMMANDS)
     assert imported["scipy"] == [], "import specmat loaded scipy"
+    assert imported["polynomial"] == [], "import specmat loaded numpy.polynomial"
     assert len(steps) == len(COLD_COMMANDS)
     for step in steps:
         assert step["code"] == 0, step["argv"]
         assert step["scipy"] == [], step["argv"]
+        assert step["polynomial"] == [], step["argv"]
 
 
 @pytest.mark.parametrize("argv", [

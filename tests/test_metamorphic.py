@@ -3,12 +3,15 @@ exact symmetries of the eigenvalue problem that every route must respect,
 on a small seeded corpus."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from specmat import CMatrix2, eig2, similarity_certificates, spectrum
+from specmat.mat2 import EigKind
+from specmat.secular import build
 from specmat.cli import main
 from conftest import EXAMPLE, STREATER, a4
 
@@ -162,8 +165,33 @@ def test_small_tol(base, name, tol):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_eig2_kind_is_scale_free(name):
-    """eig2 compares against the norm, so scaling A keeps its kind; below
-    about 1e-150 the discriminant underflows, which this does not cover."""
+    """eig2 compares against the norm, so scaling A keeps its kind."""
     A = CORPUS[name]
     for s in (1e-13, 1e-100, 1e-140, 1e20, 1e90):
         assert eig2(A.scaled(s)).kind is eig2(A).kind, s
+
+
+# 9.3e-9 off the defective line: the discriminant (a - d)^2 + 4bc of A
+# itself underflows below about 1e-150, and the matrix would read DEFECTIVE
+UNDERFLOW = CMatrix2.real(0.5511256392525916, -1, 1, 2.5511256485669924)
+
+
+@pytest.mark.parametrize("s", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["underflow"])
+def test_tiny_scale_eigenstructure(name, s):
+    """eig2 works on the normalised matrix: below the discriminant's
+    underflow A s keeps its kind and its eigenvalues scale by s, and the
+    secular function builds without a floating-point warning."""
+    A = CORPUS.get(name, UNDERFLOW)
+    want, got = eig2(A), eig2(A.scaled(s))
+    assert got.kind is want.kind
+    assert_allclose([got.a_plus / s, got.a_minus / s], [want.a_plus, want.a_minus],
+                    rtol=RTOL)
+    if got.kind is EigKind.DEFECTIVE:
+        # in eig2's gauge the defective form's q = v2^2 v4^2 / (4 a+^3) is
+        # of order s^-3, beyond the float range
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = build(A.scaled(s))
+    assert S.kind is want.kind

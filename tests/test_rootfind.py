@@ -317,7 +317,7 @@ class TestPolyroots:
             polyroots([0, 1, 1])
 
 
-# -- nested per-edge quadrature -------------------------------------------
+# -- per-segment panel quadrature ------------------------------------------
 
 
 class _Recorder:
@@ -348,32 +348,59 @@ class TestEdgeQuadrature:
         assert winding_count(rec, Rect(0.0, 1.0, 0.0, 1.0), dilate=False) == 1
         pts = rec.points
         assert len(set(pts)) == len(pts)          # no point evaluated twice
-        corners = {0j, 1 + 0j, 1 + 1j, 1j}
-        side = lambda on: sum(1 for z in pts if on(z) and z not in corners)
+        assert not {0j, 1 + 0j, 1 + 1j, 1j} & set(pts)   # panels sample no vertex
+        side = lambda on: sum(1 for z in pts if on(z))
         per_edge = {
             "bottom": side(lambda z: z.imag == 0.0),
             "right": side(lambda z: z.real == 1.0),
             "top": side(lambda z: z.imag == 1.0),
             "left": side(lambda z: z.real == 0.0),
         }
-        # far edges stop at the first doubling that confirms the start level
+        # far edges stop at their first two panels; the near one bisects
         for side in ("bottom", "top", "left"):
-            assert per_edge[side] == 2 * rootfind._EDGE_START - 1, per_edge
-        assert per_edge["right"] >= 8 * rootfind._EDGE_START - 1, per_edge
-        assert len(pts) == sum(per_edge.values()) + 4    # plus the corners
+            assert per_edge[side] == 2 * rootfind._GL_N, per_edge
+        assert per_edge["right"] >= 4 * rootfind._GL_N, per_edge
+        assert len(pts) == sum(per_edge.values())
 
     def test_moments_of_known_zeros(self):
         zeros = [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.35j]
         segs = rootfind._polygon(Rect(-1, 1, -1, 1).corners())
         (s0,), (sums,) = rootfind._contour_moments(_Recorder(zeros), segs)
-        # second order on a polygon: the winding's tolerance, not machine accuracy
-        assert abs(s0 - 3) <= rootfind._WINDING_TOL
+        # Gauss-Legendre panels are spectrally accurate: far below the
+        # winding's tolerance
+        assert abs(s0 - 3) <= 1e-8
         centre, radius = segs.frame()
-        assert abs(3 * centre + radius * sums[0] - sum(zeros)) <= 1e-4
-        # the higher power sums, in the frame's units, to the winding's tolerance
+        assert abs(3 * centre + radius * sums[0] - sum(zeros)) <= 1e-8
+        # the higher power sums, in the frame's units
         u = (np.array(zeros) - centre) / radius
         for k in range(2, 5):
-            assert abs(sums[k - 1] - np.sum(u ** k)) <= rootfind._WINDING_TOL, k
+            assert abs(sums[k - 1] - np.sum(u ** k)) <= 1e-8, k
+
+    def test_non_integer_winding_refines_the_contour(self):
+        # conj(z) is no log-derivative: linear, so every panel passes its own
+        # tests at once, but its integral over the unit square is 2i, a
+        # winding of 1/pi.  The integer check bisects every panel of the
+        # contour again, level after level, until the sample cap
+        class Conj(_Recorder):
+            def logderiv(self, z):
+                super().logderiv(z)
+                return np.conj(z)
+
+        rec = Conj([])
+        with pytest.raises(NonConvergent):
+            rootfind._contour_moments(rec, rootfind._polygon(Rect(0, 1, 0, 1).corners()),
+                                      cap=2 ** 10)
+        assert len(set(rec.points)) == len(rec.points)
+        # 2, 4, .., 32 panels of 16 nodes on each of the four edges
+        assert len(rec.points) == 4 * rootfind._GL_N * (2 + 4 + 8 + 16 + 32)
+
+    def test_gauss_legendre_table(self):
+        # the 16-point rule integrates every polynomial of degree <= 31
+        # exactly on [-1, 1]
+        x, w = rootfind._GL_X, rootfind._GL_W
+        for k in range(2 * rootfind._GL_N):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.sum(w * x ** k) - exact) <= 1e-15, k
 
     @pytest.mark.parametrize("zeros, rect, expected", [
         ([0.5, 1.5 + 0.2j, 3.0], Rect(0.0, 2.0, -1.0, 1.0), 2),
@@ -397,8 +424,29 @@ class TestEdgeQuadrature:
     def test_tiny_cap_raises(self):
         rec = _Recorder([0.5 + 0.5j])
         with pytest.raises(NonConvergent):
+            # the two start panels of each edge take 32 samples
             rootfind._contour_moments(rec, rootfind._polygon(Rect(0, 1, 0, 1).corners()),
-                                      cap=rootfind._EDGE_START)
+                                      cap=16)
+
+
+def _assert_sampled_once(pts, xs, ys):
+    """Every sample lies on exactly one segment of the grid over the
+    abscissae ``xs`` and ordinates ``ys`` (never on a vertex), and every
+    segment, a piece of an interior line shared by two cells included, is
+    sampled as whole panels; with no point evaluated twice, each is
+    sampled once."""
+    per_seg = {}
+    for z in pts:
+        on = [("h", i, j) for j, y in enumerate(ys) for i in range(len(xs) - 1)
+              if z.imag == y and xs[i] < z.real < xs[i + 1]]
+        on += [("v", i, j) for i, x in enumerate(xs) for j in range(len(ys) - 1)
+               if z.real == x and ys[j] < z.imag < ys[j + 1]]
+        assert len(on) == 1, (z, on)
+        per_seg[on[0]] = per_seg.get(on[0], 0) + 1
+    k, l = len(xs) - 1, len(ys) - 1
+    assert len(per_seg) == k * (l + 1) + l * (k + 1)
+    for piece, n in per_seg.items():
+        assert n % rootfind._GL_N == 0 and n >= 2 * rootfind._GL_N, (piece, n)
 
 
 class TestSharedSegments:
@@ -411,10 +459,8 @@ class TestSharedSegments:
         pts = rec.points
         assert len(set(pts)) == len(pts)          # no point evaluated twice
         ll, lr, ul, _ = cell.split(0.513137, 0.4870113)
-        grid = [complex(x, y) for x in (ll.re_min, ll.re_max, lr.re_max)
-                for y in (ll.im_min, ll.im_max, ul.im_max)]
-        for v in grid:
-            assert pts.count(v) == 1, v
+        _assert_sampled_once(pts, [ll.re_min, ll.re_max, lr.re_max],
+                             [ll.im_min, ll.im_max, ul.im_max])
         assert sum(child.n for child in found) == len(zeros)
         for child in found:
             inside = [z for z in zeros if child.rect.contains(z)]
@@ -436,8 +482,7 @@ class TestSharedSegments:
         assert len(set(pts)) == len(pts)          # no point evaluated twice
         xs = [0.0, *((np.arange(1, 4) + 0.026274) / 4), 1.0]
         ys = [0.0, *((np.arange(1, 4) - 0.0259774) / 4), 1.0]
-        for v in (complex(x, y) for x in xs for y in ys):
-            assert pts.count(v) == 1, v
+        _assert_sampled_once(pts, xs, ys)
         assert sum(child.n for child in found) == len(zeros)
         for child in found:
             assert child.rect.re_min in xs and child.rect.im_max in ys
@@ -756,6 +801,34 @@ class TestMultipleZeroCost:
     def test_quadruple_zeros_on_the_a0_line(self, monkeypatch):
         seen = self._count(monkeypatch, family_matrix(Family.A4, 0.0, 2.5), 12)
         assert seen["points"] <= 150_000, seen
+
+
+class TestPointBudget:
+    """Guards on the logderiv points one spectrum() takes where a long box
+    edge passes near a zero: only the panels near it refine.  Counted with
+    the default rng so that the counts repeat exactly."""
+
+    @staticmethod
+    def _points(monkeypatch, A, **kw):
+        seen = [0]
+        real_ld = SecularFn.logderiv
+
+        def logderiv(self, z):
+            seen[0] += np.size(z)
+            return real_ld(self, z)
+
+        monkeypatch.setattr(SecularFn, "logderiv", logderiv)
+        spectrum(A, **kw)
+        return seen[0]
+
+    def test_a5_rectangle_of_a_curve_point(self, monkeypatch):
+        A = lambda_curve(7, 2, +1, 0.23813524139118686).matrix()
+        points = self._points(monkeypatch, A, lambda_rect=Rect(0, 14.5, -14.47, 14.53))
+        assert points <= 108_000, points
+
+    def test_first_box_with_a_zero_by_its_long_edge(self, monkeypatch):
+        points = self._points(monkeypatch, CMatrix2.real(3.478, 1, 1, 3.253), count=20)
+        assert points <= 140_000, points
 
 
 class TestLevelCost:
