@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import canonical, chebpath, oracle, rootfind, secular, sweep
-from .errors import InvalidInput, SpecmatError
+from .errors import InvalidInput, NumericalFailure, SpecmatError
 from .mat2 import CMatrix2
 
 
@@ -64,6 +64,15 @@ def _parse_point(text: str, what: str) -> complex:
     if not np.isfinite(z):
         raise InvalidInput(f"{what} is not finite: {text!r}")
     return z
+
+
+def _json(payload, **kw) -> str:
+    """``payload`` as standard JSON: a NaN or infinity in it is a numerical
+    failure (exit 3), never written as the non-standard NaN or Infinity."""
+    try:
+        return json.dumps(payload, allow_nan=False, **kw)
+    except ValueError as exc:
+        raise NumericalFailure(f"non-finite result: {exc}") from None
 
 
 def _write_or_print(text: str, args, name: str):
@@ -120,7 +129,7 @@ def _cmd_classify(args) -> int:
              "similarity_r": c.similarity_r, "residual": c.residual,
              "detail": c.detail}
             for c in certs]
-    print(json.dumps(result, indent=2))
+    print(_json(result, indent=2))
     return 0
 
 
@@ -144,9 +153,10 @@ def _cmd_ev(args) -> int:
         return 0
     x = _parse_point(args.at, "--at")
     val = complex(S.value(np.array([x]))[0])
-    print(json.dumps({"x": [x.real, x.imag], "value": [val.real, val.imag],
-                      "log10_abs": float(S.logabs(np.array([x]))[0]
-                                         / np.log(10.0))}))
+    la = float(S.logabs(np.array([x]))[0] / np.log(10.0))
+    # log10 |EV| of an exact zero (the origin) is -inf: null
+    print(_json({"x": [x.real, x.imag], "value": [val.real, val.imag],
+                 "log10_abs": None if la == -np.inf else la}))
     return 0
 
 
@@ -170,8 +180,8 @@ def _spectrum_csv(sp) -> str:
 def _cmd_spectrum(args) -> int:
     A = _parse_matrix(args)
     if A.is_singular:
-        print(json.dumps({"spectrum": "whole-plane",
-                          "reason": "singular matrix: operator not closed"}))
+        print(_json({"spectrum": "whole-plane",
+                     "reason": "singular matrix: operator not closed"}))
         return 4
     rng = np.random.default_rng(args.seed)
     rect = None
@@ -185,7 +195,7 @@ def _cmd_spectrum(args) -> int:
     if args.format == "csv":
         _write_or_print(_spectrum_csv(sp), args, "spectrum.csv")
     else:
-        print(json.dumps(_spectrum_payload(sp), indent=2))
+        print(_json(_spectrum_payload(sp), indent=2))
     return 0
 
 
@@ -208,7 +218,7 @@ def _cmd_cheb(args) -> int:
     pt = chebpath.lambda_curve(frac.numerator, frac.denominator, sign, args.a)
     sp = chebpath.cheb_spectrum(pt, args.nmax)
     if args.format == "json":
-        print(json.dumps(_spectrum_payload(sp), indent=2))
+        print(_json(_spectrum_payload(sp), indent=2))
     else:
         _write_or_print(_spectrum_csv(sp), args, "cheb_spectrum.csv")
     return 0
@@ -221,7 +231,7 @@ def _cmd_oracle(args) -> int:
     payload = _spectrum_payload(sp)
     payload["n"] = args.n
     payload["richardson_errors"] = list(sp.residuals)
-    print(json.dumps(payload, indent=2))
+    print(_json(payload, indent=2))
     return 0
 
 
@@ -230,8 +240,8 @@ def _cmd_resolvent(args) -> int:
     z = _parse_point(args.z, "--z")
     disc = oracle.discretize(A, args.n)
     norm = oracle.resolvent_norm(disc, z)
-    print(json.dumps({"z": [z.real, z.imag], "n": args.n, "norm": norm,
-                      "caveat": "discretization proxy"}))
+    print(_json({"z": [z.real, z.imag], "n": args.n, "norm": norm,
+                 "caveat": "discretization proxy"}))
     return 0
 
 

@@ -8,22 +8,24 @@ implement it natively (overflow-free); plain callables are adapted on
 the fly.
 
 Every contour integral (rectangle windings and quadtree splits) goes
-through one primitive, :func:`_contour_moments`.  Its input is a set of
-straight segments between numbered vertices and a signed incidence matrix
-with one row per closed contour: a rectangle is one row of four segments,
-and a split into a k x k grid k^2 rows over its 2k(k + 1) segments, so
-each piece of an interior line is integrated once for the cells on both
-sides.  It returns, per contour, the winding number ``s0 = (1/2 pi i)
-contour integral of f'/f`` and the power sums ``s_k = (1/2 pi i) contour integral of u^k f'/f``,
-k = 1..4 (the sums of the k-th powers of the enclosed zeros), of ``u``
-the point relative to the bundle's centre and radius, all from the same
-samples.  Each segment is integrated by adaptive 16-node Gauss-Legendre
-panels (QUADPACK's QAG, Piessens et al. 1983): a panel is bisected until
-its last Legendre coefficients of ``f'/f`` have decayed, a measure of how
-far the integrand is analytic around it (Trefethen, Approximation Theory
-and Approximation Practice, SIAM 2013, ch. 19), so only the part of a
-segment near a zero refines, and no point is evaluated twice within one
-call.
+through one primitive, :func:`_contour_moments`.  Its input is a bundle
+of straight segments between numbered vertices and a signed incidence
+matrix with one row per closed contour: a rectangle is one row of four
+segments, and a split into a k x k grid k^2 rows over its 2k(k + 1)
+segments, so each piece of an interior line is integrated once for the
+cells on both sides.  A bundle may hold several such parts, each with its
+own frame (centre and radius).  It returns, per contour, the winding
+number ``s0 = (1/2 pi i) contour integral of f'/f`` and the power sums
+``s_k = (1/2 pi i) contour integral of u^k f'/f``, k = 1..4 (the sums of
+the k-th powers of the enclosed zeros), of ``u`` the point relative to
+its part's centre and radius, all from the same samples.  Each segment
+is integrated by adaptive 16-node Gauss-Legendre panels (QUADPACK's QAG,
+Piessens et al. 1983): it starts as four panels, and a panel is cut into
+four until its last Legendre coefficients of ``f'/f`` have decayed, a
+measure of how far the integrand is analytic around it (Trefethen,
+Approximation Theory and Approximation Practice, SIAM 2013, ch. 19), so
+only the part of a segment near a zero refines, and no point is evaluated
+twice within one call.
 
 Every cell of the quadtree carries its count ``m`` and its power sums,
 and two rules accept it.  As m simple zeros, for ``1 <= m <= 4`` (Delves
@@ -43,20 +45,26 @@ is resolved only to O(eps^(1/m)) by any contour, so m simple zeros closer
 than the cluster size are reported as one m-fold zero.  Any other cell is
 split, and a split that cannot be counted raises NonConvergent.
 
-The quadtree is worked breadth first.  A cell of n zeros that must split
-is cut into one k x k grid, ``k = max(2, ceil(sqrt(n / 1.5)))``, so that
-each child holds about 1.5 of its zeros and most children are solved by
-the first rule on the next level; one contour-moment call counts every
-child.  On each level the Newton starts of every cell the first rule may
-solve go through one vectorised Newton, so the per-call overhead of a
-step is paid once per level, not once per cell.
+The quadtree is worked breadth first, with at most two contour-moment
+calls per level.  A cell of n zeros that must split is cut into one
+k x k grid, ``k = max(2, ceil(sqrt(n / 1.5)))``, so that each child holds
+about 1.5 of its zeros and most children are solved by the first rule on
+the next level.  One call counts every child of every cell of a level
+that splits, each grid in its own frame and with its own count-sum check,
+and one call counts the certifying squares of a level; a cell that its
+level's call does not split goes on to jittered grids of its own.  On
+each level the Newton starts of every cell the first rule may solve go
+through one vectorised Newton, so the per-call overhead of a step is paid
+once per level, not once per cell.
 
 ``spectrum`` sizes its first search box by the secular function's zero
 density (Polya: about ``P R / (2 pi)`` zeros in ``|x| < R``, P the
-perimeter of the convex hull of its exponents) and grows it
-incrementally when that falls short: the zeros already isolated are
-kept, only the strips the larger box adds are isolated, and one winding
-count of the larger box certifies the union.
+perimeter of the convex hull of its exponents), and counts the box with
+its first grid in one call: the box's own polygon gives the count, which
+the grid's children must add up to.  It grows the box incrementally when
+that falls short: the zeros already isolated are kept, only the strips
+the larger box adds are isolated, and one winding count of the larger
+box certifies the union.
 """
 
 from __future__ import annotations
@@ -177,27 +185,56 @@ class _Segments(NamedTuple):
 
     Segment k runs from vertex ``ends[k, 0]`` to vertex ``ends[k, 1]``.
     Row c of ``incidence`` describes contour c: +1 for a segment it
-    traverses forwards, -1 backwards, 0 for one it does not use.
+    traverses forwards, -1 backwards, 0 for one it does not use.  Segment
+    k carries the frame ``centre[k]``, ``radius[k]`` of the part it
+    belongs to (see :func:`_bundle`); all segments of one contour share a
+    frame, in which its power sums are taken.
     """
 
     vertices: np.ndarray
     ends: np.ndarray
     incidence: np.ndarray
+    centre: np.ndarray
+    radius: np.ndarray
 
-    def frame(self):
-        """Centre and radius of the bundle: the midpoint and half the
-        diagonal of its vertices' bounding box."""
-        x, y = self.vertices.real, self.vertices.imag
-        x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
-        return (complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)),
-                0.5 * float(np.hypot(x1 - x0, y1 - y0)))
+
+def _part(vertices, ends, incidence) -> _Segments:
+    """Contours of one part, all in its frame: the midpoint and half the
+    diagonal of its vertices' bounding box."""
+    vertices = np.asarray(vertices, dtype=complex)
+    x, y = vertices.real, vertices.imag
+    x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
+    n = len(ends)
+    return _Segments(vertices, np.asarray(ends), incidence,
+                     np.full(n, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))),
+                     np.full(n, 0.5 * float(np.hypot(x1 - x0, y1 - y0))))
+
+
+def _bundle(parts) -> _Segments:
+    """The contours of several parts as one bundle, for one
+    :func:`_contour_moments` call: the parts' contours in order, each
+    over its own part's segments and in its own part's frame."""
+    if len(parts) == 1:
+        return parts[0]
+    offsets = np.cumsum([0] + [len(p.vertices) for p in parts[:-1]])
+    incidence = np.zeros((sum(p.incidence.shape[0] for p in parts),
+                          sum(p.incidence.shape[1] for p in parts)))
+    r = c = 0
+    for p in parts:
+        rows, cols = p.incidence.shape
+        incidence[r:r + rows, c:c + cols] = p.incidence
+        r, c = r + rows, c + cols
+    return _Segments(np.concatenate([p.vertices for p in parts]),
+                     np.concatenate([p.ends + o for p, o in zip(parts, offsets)]),
+                     incidence,
+                     np.concatenate([p.centre for p in parts]),
+                     np.concatenate([p.radius for p in parts]))
 
 
 def _polygon(vertices) -> _Segments:
     """One closed polyline: segment k runs from vertex k to vertex k+1."""
     n = len(vertices)
-    return _Segments(np.asarray(vertices, dtype=complex),
-                     np.array([(k, (k + 1) % n) for k in range(n)]), np.ones((1, n)))
+    return _part(vertices, [(k, (k + 1) % n) for k in range(n)], np.ones((1, n)))
 
 
 def _grid(xs, ys) -> _Segments:
@@ -223,7 +260,7 @@ def _grid(xs, ys) -> _Segments:
             incidence[c, nh + j + l * (i + 1)] = 1.0     # right, upwards
             incidence[c, i + k * (j + 1)] = -1.0         # top, leftwards
             incidence[c, nh + j + l * i] = -1.0          # left, downwards
-    return _Segments(np.array(vertices), np.array(horiz + vert), incidence)
+    return _part(vertices, horiz + vert, incidence)
 
 
 def _logderiv_finite(fun, z):
@@ -280,50 +317,60 @@ _PANEL_TAIL = 1e-4      # most hL (|a13| + |a14| + |a15|) of an accepted panel
 _PANEL_REACH = 8.0      # most hL max|g|: panel length over distance to a zero
 
 
-def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
+_CUTS = 4       # panels a segment starts as, and that a rejected panel is cut into
+
+
+def _cut(seg, zs, zd):
+    """Each panel (segment, start point, complex width) as its ``_CUTS``
+    equal pieces, in order along it."""
+    zd = zd / _CUTS
+    zs = (zs[:, None] + zd[:, None] * np.arange(_CUTS)).ravel()
+    return np.repeat(seg, _CUTS), zs, np.repeat(zd, _CUTS)
+
+
+def _contour_moments(fun, segs: _Segments, cap=_EDGE_CAP):
     """Winding numbers ``s0 = (1/2 pi i) contour integral of g``, ``g =
     f'/f``, and power sums ``s_k = (1/2 pi i) contour integral of u^k g``,
-    k = 1..4, of ``u = (z - centre) / radius`` in the bundle's
-    :meth:`_Segments.frame`, over each closed contour of ``segs``.
-    Returns ``s0`` with one entry per row of the incidence matrix and the
-    power sums as one row of four per contour.
+    k = 1..4, of ``u = (z - centre) / radius`` in each contour's frame
+    (:class:`_Segments`), over each closed contour of ``segs``.  Returns
+    ``s0`` with one entry per row of the incidence matrix and the power
+    sums as one row of four per contour.  ``cap`` is one sample cap for
+    every segment or one per segment.
 
     Contours that share a segment share its samples: every segment is
     evaluated once per call, whichever contours use it.  Adaptive
     Gauss-Legendre panels of ``_GL_N`` nodes (QUADPACK's QAG, Piessens et
-    al. 1983): each segment starts as two panels, and a panel of length
-    ``hL`` is bisected until ``hL (|a13| + |a14| + |a15|) <= _PANEL_TAIL``
-    and ``hL max|g| <= _PANEL_REACH`` on it, ``a_j`` the Legendre
-    coefficients of g on the panel from its own samples.  Their decay
-    measures how far g is analytic around the panel, which is what the
-    rule's accuracy rests on (Trefethen, ATAP, SIAM 2013, ch. 19), so only
-    the part of a segment near a zero refines.  All panels still to be
-    evaluated, of every segment, share one ``logderiv`` call per level,
-    and the power sums come from the same nodes.  Each contour's winding
-    ``Re s0`` must also lie within ``_WINDING_TOL`` of an integer, else
-    every panel of that contour's segments is bisected again.
+    al. 1983): each segment starts as four panels, and a panel of length
+    ``hL`` is cut into four until ``hL (|a13| + |a14| + |a15|) <=
+    _PANEL_TAIL`` and ``hL max|g| <= _PANEL_REACH`` on it, ``a_j`` the
+    Legendre coefficients of g on the panel from its own samples.  Their
+    decay measures how far g is analytic around the panel, which is what
+    the rule's accuracy rests on (Trefethen, ATAP, SIAM 2013, ch. 19), so
+    only the part of a segment near a zero refines.  All panels still to
+    be evaluated, of every segment of every part, share one ``logderiv``
+    call per level, and the power sums come from the same nodes.  Each
+    contour's winding ``Re s0`` must also lie within ``_WINDING_TOL`` of
+    an integer, else every panel of that contour's segments is cut again.
 
     Raises BoundaryZero for a non-finite sample or a zero within
-    ``4 diam / cap`` of a contour, too close to resolve below the cap
-    (``diam`` that contour's longest segment; the caller may dilate and
-    retry), and NonConvergent when a segment would take more than ``cap``
-    samples.
+    ``4 diam / cap`` of a contour, too close to resolve below its
+    segments' cap (``diam`` that contour's longest segment; the caller may
+    dilate and retry), and NonConvergent when a segment would take more
+    than its cap of samples.
     """
     inc = segs.incidence
-    centre, radius = segs.frame()
     za = segs.vertices[segs.ends[:, 0]]
     dz = segs.vertices[segs.ends[:, 1]] - za
     member = inc != 0
     n = dz.size
+    cap = np.broadcast_to(cap, (n,))
+    inv_radius = 1.0 / segs.radius
     # per segment, the longest segment of any contour it belongs to
     diam = np.where(member, np.abs(dz), 0.0).max(axis=1)
     diam = np.where(member, diam[:, None], 0.0).max(axis=0)
     used = np.zeros(n, dtype=int)       # samples taken on each segment
     # the panels to evaluate: segment, start point and complex width
-    seg = np.repeat(np.arange(n), 2)
-    zd = np.repeat(0.5 * dz, 2)
-    zs = np.repeat(za, 2)
-    zs[1::2] += zd[1::2]
+    seg, zs, zd = _cut(np.arange(n), za, dz)
     done = []                           # accepted panels, one tuple per level
     while True:
         used += _GL_N * np.bincount(seg, minlength=n)
@@ -333,7 +380,7 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
         g = _logderiv_finite(fun, z)
         pmax = np.abs(g).max(axis=1)
         # diam / dist, dist = 1 / max|g| on a panel
-        if (pmax * diam[seg] > cap / 4.0).any():
+        if (pmax * diam[seg] > cap[seg] / 4.0).any():
             # a zero so close to the contour that the panels would need
             # more than the sample cap to resolve it: bail out early so
             # the caller can dilate or re-split
@@ -343,8 +390,9 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
         tail = np.abs(np.einsum("pi,ij->pj", g, _GL_TAIL)).sum(axis=1)
         ok = (size * tail <= _PANEL_TAIL) & (size * pmax <= _PANEL_REACH)
         gdz = g[ok] * (zd[ok, None] * _GL_HW)
-        done.append((seg[ok], zs[ok], zd[ok], gdz.sum(axis=1),
-                     _powers(gdz, (z[ok] - centre) / radius).sum(axis=2)))
+        sok = seg[ok]
+        u = (z[ok] - segs.centre[sok, None]) * inv_radius[sok, None]
+        done.append((sok, zs[ok], zd[ok], gdz.sum(axis=1), _powers(gdz, u).sum(axis=2)))
         split = ~ok
         if not split.any():
             dseg, dzs, dzd, d0, dk = (np.concatenate(a, axis=-1) for a in zip(*done))
@@ -361,11 +409,7 @@ def _contour_moments(fun, segs: _Segments, cap: int = _EDGE_CAP):
             seg, zs, zd = dseg, dzs, dzd
             keep = ~split
             done = [(dseg[keep], dzs[keep], dzd[keep], d0[keep], dk[:, keep])]
-        # bisect: each panel to split becomes its two halves
-        seg = np.repeat(seg[split], 2)
-        zd = np.repeat(0.5 * zd[split], 2)
-        zs = np.repeat(zs[split], 2)
-        zs[1::2] += zd[1::2]
+        seg, zs, zd = _cut(seg[split], zs[split], zd[split])
 
 
 class _Cell(NamedTuple):
@@ -378,6 +422,8 @@ class _Cell(NamedTuple):
     sums: np.ndarray
     centre: complex
     radius: float
+    # its first grid was counted and did not split it (see _split_level)
+    tried: bool = False
 
     @property
     def s1(self) -> complex:
@@ -407,13 +453,47 @@ def _winding_with_rect(fun, rect: Rect, rng, dilate: bool) -> _Cell:
             n = int(round(s0[0].real))
             if n < 0:
                 raise NonConvergent(f"negative winding {s0[0].real}; derivative inconsistent?")
-            return _Cell(r, n, sums[0], *segs.frame())
+            return _Cell(r, n, sums[0], segs.centre[0], segs.radius[0])
         except (BoundaryZero, NonConvergent):
             # either failure mode signals structure too close to the contour
             if not dilate or attempt == 5:
                 raise
             r = r.dilated(1.0 + 1e-3 * float(rng.uniform(0.1, 1.0)))
     raise BoundaryZero("persistent boundary zero after 5 dilations")
+
+
+def _count_and_split(fun, rect: Rect, k: int, rng):
+    """The winding count of ``rect`` and its first split into a k x k
+    grid, both from one :func:`_contour_moments` call.
+
+    The bundle holds the rectangle's own four-segment polygon, whose
+    winding is the count, and the grid of :func:`_split_grid`'s first
+    attempt, so the split's count-sum check compares two independent
+    integrals.  Returns ``(counted, children)``: the counted :class:`_Cell`
+    and the children that hold zeros, or None when the grid does not
+    split it (its counts do not add up, or the call failed), and the cell
+    is then marked as tried.  When the call fails the count is taken
+    again alone, by :func:`_winding_with_rect` with its dilations.
+    """
+    box = _polygon(rect.corners())
+    xs, ys, grid = _split_grid(rect, k, 0, rng)
+    # the grid's outer segments (one cell uses each) lie on the box's edge
+    # and take its cap: no later attempt, which moves only the interior
+    # lines, could resolve a zero near that edge under a smaller one
+    outer = np.count_nonzero(grid.incidence, axis=0) == 1
+    caps = np.concatenate((np.full(len(box.ends), _EDGE_CAP),
+                           np.where(outer, _EDGE_CAP, _SPLIT_CAPS[0])))
+    try:
+        s0, sums = _contour_moments(fun, _bundle([box, grid]), cap=caps)
+        n = int(round(s0[0].real))
+        if n < 0:
+            raise NonConvergent(f"negative winding {s0[0].real}; derivative inconsistent?")
+    except (BoundaryZero, NonConvergent):
+        counted = _winding_with_rect(fun, rect, rng, dilate=True)
+        return counted._replace(tried=counted.rect == rect), None
+    counted = _Cell(rect, n, sums[0], box.centre[0], box.radius[0])
+    children = _children(xs, ys, grid, s0[1:], sums[1:], n)
+    return counted._replace(tried=children is None), children
 
 
 def _newton(fun, z0s, mult, tol: float, steps: int = 60):
@@ -474,35 +554,40 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
                             tol, rng)
 
 
-def _isolate_counted(fun, counted: _Cell, tol: float, rng):
+def _isolate_counted(fun, counted: _Cell, tol: float, rng, children=None):
     """Quadtree isolation in the rectangle of a winding count already
     taken, one level at a time: the power sums of every cell of a level
-    start one batched Newton (:func:`_power_sum_zeros`), and the cells
-    they leave unresolved go to :func:`_multiple_zero` and then, one by
-    one, to :func:`_split_cell`, whose children form the next level."""
+    start one batched Newton (:func:`_power_sum_zeros`), the cells they
+    leave unresolved go to :func:`_multiple_zeros`, and those left then
+    to :func:`_split_level`, whose children form the next level.
+    ``children``, when given, is the counted cell's first split (see
+    :func:`_count_and_split`), and the first level."""
     if counted.n == 0:
         return []
     results = []
-    level = [counted]
+    level = [counted] if children is None else children
     while level:
         simple = iter(_power_sum_zeros(fun, [c for c in level if c.n <= _ORDERS], tol))
-        below = []
+        rest = []
         for cell in level:
             zs = next(simple) if cell.n <= _ORDERS else None
-            if zs is not None:
+            if zs is None:
+                rest.append(cell)
+            else:
                 results.extend((z, 1) for z in zs)
+        multiple = iter(_multiple_zeros(fun, [c for c in rest if c.n > 1], tol))
+        split = []
+        for cell in rest:
+            z = next(multiple) if cell.n > 1 else None
+            if z is not None:
+                results.append((z, cell.n))
                 continue
-            if cell.n > 1:
-                z = _multiple_zero(fun, cell, tol)
-                if z is not None:
-                    results.append((z, cell.n))
-                    continue
             rect = cell.rect
             if rect.diameter <= 1e-11 * (1.0 + abs(rect.center)):
                 raise NonConvergent(f"cannot resolve {cell.n} zeros near {rect.center}: "
                                     "cell exhausted")
-            below.extend(_split_cell(fun, rect, cell.n, rng))
-        level = below
+            split.append(cell)
+        level = _split_level(fun, split, rng) if split else []
     found = sum(m for _, m in results)
     if found != counted.n:
         raise NumericalFailure(
@@ -518,7 +603,7 @@ def _power_sum_zeros(fun, cells, tol: float):
     the cell's ``s_1..s_n`` (Newton's identities; Delves and Lyness, Math.
     Comp. 21, 1967); for n = 1 the one start is the centroid ``s1``.
     Starts closer than 1/50 of the cell diameter mark a multiple zero or a
-    cluster, which is left to :func:`_multiple_zero`.  The starts of all
+    cluster, which is left to :func:`_multiple_zeros`.  The starts of all
     the cells take at most 10 simple Newton steps in one :func:`_newton`
     call.  A cell is accepted when every start converges inside it (with
     a slack of ``1e-7 (1 + |z|)``; a result outside is another zero
@@ -574,8 +659,9 @@ def _power_sum_roots(cells):
     return roots
 
 
-def _multiple_zero(fun, cell: _Cell, tol: float):
-    """The cell's ``n >= 2`` zeros as one n-fold zero, or None.
+def _multiple_zeros(fun, cells, tol: float):
+    """Each cell's ``n >= 2`` zeros as one n-fold zero, or None; one entry
+    per cell.
 
     The centroid ``s1 / n`` is polished by the function's
     ``polish_multiple`` when it has one (a true n-fold zero is a simple
@@ -587,76 +673,156 @@ def _multiple_zero(fun, cell: _Cell, tol: float):
     square one cluster size wide around the point, clipped to the cell.
     That square lies inside a cell of n zeros, so a count of n puts all of
     them within its diameter of the point (Kravanja and Van Barel, LNM
-    1727, 2000).  Any other count, or a square that cannot be counted,
-    leaves the cell to the split.
+    1727, 2000).  The squares of all the cells are counted together by
+    :func:`_square_counts`.  Any other count, or a square that cannot be
+    counted, leaves the cell to the split.
     """
-    rect, n = cell.rect, cell.n
-    small = rect.diameter <= _CLUSTER_REL * (1.0 + abs(rect.center))
-    if not small and n > _ORDERS:
-        return None
-    base = getattr(fun, "base", fun)
-    if hasattr(base, "polish_multiple"):
-        z, ok = base.polish_multiple(cell.s1 / n, n)
-    else:
-        (z,), (ok,) = _newton(fun, cell.s1 / n, n, tol)
-        z = complex(z)
-    if not (ok and rect.contains(z, slack=1e-7 * (1.0 + abs(z)))):
-        return None
-    if small:
-        return z
-    h = 0.5 * _CLUSTER_REL * (1.0 + abs(z))
-    x0, x1 = max(z.real - h, rect.re_min), min(z.real + h, rect.re_max)
-    y0, y1 = max(z.imag - h, rect.im_min), min(z.imag + h, rect.im_max)
-    if not (x0 < x1 and y0 < y1):
-        return None
+    out = [None] * len(cells)
+    squares = []                # (cell index, polished point, square)
+    for i, cell in enumerate(cells):
+        rect, n = cell.rect, cell.n
+        small = rect.diameter <= _CLUSTER_REL * (1.0 + abs(rect.center))
+        if not small and n > _ORDERS:
+            continue
+        base = getattr(fun, "base", fun)
+        if hasattr(base, "polish_multiple"):
+            z, ok = base.polish_multiple(cell.s1 / n, n)
+        else:
+            (z,), (ok,) = _newton(fun, cell.s1 / n, n, tol)
+            z = complex(z)
+        if not (ok and rect.contains(z, slack=1e-7 * (1.0 + abs(z)))):
+            continue
+        if small:
+            out[i] = z
+            continue
+        h = 0.5 * _CLUSTER_REL * (1.0 + abs(z))
+        x0, x1 = max(z.real - h, rect.re_min), min(z.real + h, rect.re_max)
+        y0, y1 = max(z.imag - h, rect.im_min), min(z.imag + h, rect.im_max)
+        if x0 < x1 and y0 < y1:
+            squares.append((i, z, Rect(x0, x1, y0, y1)))
+    if squares:
+        counts = _square_counts(fun, [sq for _, _, sq in squares])
+        for (i, z, _), m in zip(squares, counts):
+            if m == cells[i].n:
+                out[i] = z
+    return out
+
+
+def _square_counts(fun, rects):
+    """The winding counts of the rectangles, from one
+    :func:`_contour_moments` call; when that call fails, of each
+    rectangle alone, None for one that cannot be counted."""
     try:
-        s0, _ = _contour_moments(fun, _polygon(Rect(x0, x1, y0, y1).corners()))
+        s0, _ = _contour_moments(fun, _bundle([_polygon(r.corners()) for r in rects]))
     except (BoundaryZero, NonConvergent):
+        if len(rects) == 1:
+            return [None]
+        return [_square_counts(fun, [r])[0] for r in rects]
+    return [int(round(w)) for w in s0.real]
+
+
+_SPLIT_CAPS = (2 ** 12, 2 ** 15, 2 ** 18)   # sample caps of split attempts 0-2, 3-5, 6-8
+
+
+def _grid_size(n: float) -> int:
+    """Side k of the grid a cell of about ``n`` zeros is cut into, so that
+    each child holds about 1.5 of them."""
+    return max(2, int(np.ceil(np.sqrt(n / 1.5))))
+
+
+def _split_grid(rect: Rect, k: int, attempt: int, rng):
+    """Split attempt ``attempt`` of ``rect`` into a k x k grid: its
+    abscissae, ordinates and :func:`_grid`.
+
+    The first attempt's lines sit deliberately off the regular grid at
+    ``i / k``: the secular functions are even, so symmetric lines pass
+    straight through axis zeros, where the principal-value winding is
+    silently integer for even-order zeros.  Later attempts move every line
+    by up to 0.24 / k of the cell from ``i / k``.
+    """
+    lines = np.arange(1, k)
+    if attempt == 0:
+        fx, fy = (lines + 0.026274) / k, (lines - 0.0259774) / k
+    else:
+        fx = (lines + rng.uniform(-0.24, 0.24, size=k - 1)) / k
+        fy = (lines + rng.uniform(-0.24, 0.24, size=k - 1)) / k
+    xs, ys = rect.grid_lines(fx, fy)
+    return xs, ys, _grid(xs, ys)
+
+
+def _children(xs, ys, grid: _Segments, s0, sums, cnt: int):
+    """The children that hold zeros of a cell of ``cnt`` zeros split by
+    ``grid`` over ``xs`` and ``ys``, from its contours' windings ``s0``
+    and power sums, or None unless every count is non-negative and they
+    add up to ``cnt``."""
+    counts = [int(round(w)) for w in s0.real]
+    if min(counts) < 0 or sum(counts) != cnt:
         return None
-    return z if int(round(s0[0].real)) == n else None
+    k = len(xs) - 1
+    children = [Rect(xs[i], xs[i + 1], ys[j], ys[j + 1]) for j in range(k) for i in range(k)]
+    return [_Cell(ch, n, p, grid.centre[0], grid.radius[0])
+            for ch, n, p in zip(children, counts, sums) if n > 0]
+
+
+def _split_level(fun, cells, rng):
+    """The children that hold zeros of every cell of one quadtree level
+    that must split, each cell cut into one k x k grid, ``k = max(2,
+    ceil(sqrt(n / 1.5)))`` for its n zeros, so that each child holds about
+    1.5 of them.
+
+    The first grids of all the cells not yet tried are counted in one
+    :func:`_contour_moments` call (see :func:`_grid`: each piece of an
+    interior line is integrated once for both cells it borders), each in
+    its own frame, so that its children's power sums are those of its own
+    split.  A cell's split is accepted only when every count is
+    non-negative and they sum to its own count.  A cell whose sum does not
+    match, every cell of a call that fails, and a cell already tried go on
+    to :func:`_split_cell`'s later attempts.
+    """
+    grids = [None if cell.tried else _split_grid(cell.rect, _grid_size(cell.n), 0, rng)
+             for cell in cells]
+    first = [None] * len(cells)
+    parts = [g[2] for g in grids if g is not None]
+    if parts:
+        try:
+            s0, sums = _contour_moments(fun, _bundle(parts), cap=_SPLIT_CAPS[0])
+        except (BoundaryZero, NonConvergent):
+            pass
+        else:
+            row = 0
+            for i, g in enumerate(grids):
+                if g is not None:
+                    xs, ys, grid = g
+                    rows = slice(row, row + grid.incidence.shape[0])
+                    first[i] = _children(xs, ys, grid, s0[rows], sums[rows], cells[i].n)
+                    row = rows.stop
+    out = []
+    for cell, children in zip(cells, first):
+        out.extend(_split_cell(fun, cell.rect, cell.n, rng) if children is None
+                   else children)
+    return out
 
 
 def _split_cell(fun, cell: Rect, cnt: int, rng):
-    """Split a cell of ``cnt`` zeros into a k x k grid of children, ``k =
-    max(2, ceil(sqrt(cnt / 1.5)))`` so that each holds about 1.5 zeros,
-    whose counts add up to the parent's; returns the children that hold
-    zeros as :class:`_Cell` records.
-
-    All k^2 children are counted in one :func:`_contour_moments` call
-    over the segments of the grid (see :func:`_grid`), so each piece of an
-    interior line is integrated once for both cells it borders.  The split
-    is accepted only when every count is non-negative and they sum to
-    ``cnt``; otherwise the next attempt moves every line by up to 0.24 / k
-    of the cell from its place at ``i / k``.  The first attempt's lines sit
-    deliberately off the regular grid: the secular functions are even, so
-    symmetric lines pass straight through axis zeros, where the
-    principal-value winding is silently integer for even-order zeros.
+    """The children that hold zeros of a cell of ``cnt`` zeros whose first
+    grid (:func:`_split_level`) did not split it: attempts 1 to 8 of
+    :func:`_split_grid`, each counted in one :func:`_contour_moments` call
+    and accepted when every count is non-negative and they sum to
+    ``cnt``.  The sample cap escalates from ``2^12`` to ``2^15`` and
+    ``2^18`` every three attempts: zeros near an inherited parent edge
+    need more samples than a fresh jittered line would.  Raises
+    NonConvergent when no attempt splits the cell.
     """
-    k = max(2, int(np.ceil(np.sqrt(cnt / 1.5))))
-    lines = np.arange(1, k)
-    for attempt in range(9):
-        if attempt == 0:
-            fx, fy = (lines + 0.026274) / k, (lines - 0.0259774) / k
-        else:
-            fx = (lines + rng.uniform(-0.24, 0.24, size=k - 1)) / k
-            fy = (lines + rng.uniform(-0.24, 0.24, size=k - 1)) / k
-        # escalate the sample budget: zeros near an inherited parent edge
-        # need more samples than a fresh jittered line would
-        cap = (2 ** 12, 2 ** 15, 2 ** 18)[min(attempt // 3, 2)]
-        xs, ys = cell.grid_lines(fx, fy)
-        segs = _grid(xs, ys)
+    k = _grid_size(cnt)
+    for attempt in range(1, 9):
+        xs, ys, segs = _split_grid(cell, k, attempt, rng)
         try:
-            s0, sums = _contour_moments(fun, segs, cap=cap)
+            s0, sums = _contour_moments(fun, segs, cap=_SPLIT_CAPS[attempt // 3])
         except (BoundaryZero, NonConvergent):
             continue
-        counts = [int(round(w)) for w in s0.real]
-        if min(counts) < 0 or sum(counts) != cnt:
-            continue
-        centre, radius = segs.frame()
-        children = [Rect(xs[i], xs[i + 1], ys[j], ys[j + 1])
-                    for j in range(k) for i in range(k)]
-        return [_Cell(ch, n, p, centre, radius)
-                for ch, n, p in zip(children, counts, sums) if n > 0]
+        children = _children(xs, ys, segs, s0, sums, cnt)
+        if children is not None:
+            return children
     raise NonConvergent(f"could not split cell {cell} conservatively")
 
 
@@ -830,7 +996,11 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
             re_lo = min(re_lo, 0.0) - margin
             im_lo = min(im_lo, -0.9173 * margin)
         box = Rect(re_lo, lambda_rect.re_max, im_lo, lambda_rect.im_max)
-        kept = _canonical_zeros(isolate_zeros(fun, box, tol=tol, rng=rng))
+        # the first grid sized by the zero density: about P R / (4 pi)
+        # zeros in the right half of |x| < R
+        k = _grid_size(S.indicator_perimeter() * np.abs(box.corners()).max() / (4.0 * np.pi))
+        counted, first = _count_and_split(fun, box, k, rng)
+        kept = _canonical_zeros(_isolate_counted(fun, counted, tol, rng, first))
         sel = []
         for z, m in kept:
             ax = 1e-7 * (1.0 + abs(z))
@@ -839,6 +1009,7 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
             if lambda_rect.contains(z, slack=1e-9) or on_axis:
                 sel.append((z, m))
         kept = sel
+        merged = _merge_values([(z * z, m) for z, m in kept])
     else:
         want = 12 if count is None else int(count)
         # first box from the zero density: a half-disc of radius R holds
@@ -850,16 +1021,19 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
         def grow_box():
             return Rect(-margin, L, -1.031731 * H, 0.968413 * H)
 
-        # cheap pre-pass: grow by winding count alone before isolating; the
+        # pre-pass: grow by winding count before isolating; each box is
+        # counted with its first grid (for about want + 2 zeros), and the
         # last count is the first isolation's certificate
-        counted = _winding_with_rect(fun, grow_box(), rng, dilate=True)
+        k = _grid_size(want + 2)
+        counted, first = _count_and_split(fun, grow_box(), k, rng)
         for _ in range(13):
             if counted.n >= want + 1:
                 break
             L *= 1.45
             H *= 1.2
-            counted = _winding_with_rect(fun, grow_box(), rng, dilate=True)
-        # `zeros` are all the zeros inside `counted.rect`, the contour last counted
+            counted, first = _count_and_split(fun, grow_box(), k, rng)
+        # `zeros` are all the zeros inside `counted.rect`, the contour last
+        # counted, and `first` its first split when the count came with it
         zeros = None
         ok = False
         last_n, stall = -1, 0
@@ -867,11 +1041,12 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
             try:
                 if zeros is None:
                     if counted is None:
-                        counted = _winding_with_rect(fun, grow_box(), rng, dilate=True)
-                    zeros = _isolate_counted(fun, counted, tol, rng)
+                        counted, first = _count_and_split(fun, grow_box(), k, rng)
+                    zeros = _isolate_counted(fun, counted, tol, rng, first)
                 else:
                     zeros, counted = _grow_zeros(fun, zeros, counted.rect, grow_box(),
                                                  tol, rng)
+                    first = None
             except (BoundaryZero, NonConvergent):
                 # a box edge landed too close to spectral structure: nudge
                 # and isolate the whole box again
@@ -914,7 +1089,7 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
                 f"could not isolate eigenvalues; last box {grow_box()}")
         lambda_rect = counted.rect
 
-    eigs = _canonical_sorted([(0j, 1)] + _merge_values([(z * z, m) for z, m in kept]))
+    eigs = _canonical_sorted([(0j, 1)] + merged)
     if count is not None:
         eigs = eigs[:count]
 

@@ -40,7 +40,7 @@ units away from the real axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -90,9 +90,11 @@ class SecularFn:
     """Evaluatable secular function of one matrix, immutable and reentrant.
 
     ``kind`` mirrors the Jordan structure.  The function is kept in the
-    gauge fixed by the normalised eigenvectors of :func:`specmat.mat2.eig2`;
-    :meth:`gauge_to` returns the constant relating it to any other valid
-    eigenvector convention.
+    gauge fixed by the normalised eigenvectors of :func:`specmat.mat2.eig2`
+    (for the defective kind, ``eigen.V`` is eig2's times ``2^(k/2)``, ``2^k``
+    the scale of :meth:`CMatrix2.normalized`, so that its coefficients stay
+    in the float range at every scale); :meth:`gauge_to` returns the
+    constant relating it to any other valid eigenvector convention.
 
     Internally the function is stored in the versine form::
 
@@ -322,17 +324,24 @@ def _build_diagonalizable(A: CMatrix2, e: Eigen2) -> SecularFn:
 
 
 def _build_defective(A: CMatrix2, e: Eigen2) -> SecularFn:
-    v2, v4 = e.V[0, 1], e.V[1, 1]
+    # in eig2's gauge q is of order |A|^-3, which overflows below |A| =
+    # 1e-103: V times 2^(k/2), 2^k the scale of A.normalized(), gives the
+    # coefficients of A / 2^k carried to A, q of order 2^-k and s of order
+    # 1 (exact: 2^(k/2) is a power of two)
+    beta = 2.0 ** (A.normalized()[1] // 2)
     ap = complex(e.a_plus)
-    sp = np.sqrt(ap)
-    det_v = e.V[0, 0] * e.V[1, 1] - e.V[0, 1] * e.V[1, 0]
-    s = _snap_cancel(det_v + v2 * v4 / (2.0 * ap),
-                     abs(det_v) + abs(v2 * v4 / (2.0 * ap)))
-    # EV = q x^2 - s^2 sin^2(x/sqrt(a+)), the versine term of c2 = s^2/2
+    with np.errstate(all="ignore"):     # checked below
+        e = replace(e, v_plus=beta * e.v_plus, v_minus=beta * e.v_minus, V=beta * e.V)
+        v2, v4 = e.V[0, 1], e.V[1, 1]
+        det_v = e.V[0, 0] * e.V[1, 1] - e.V[0, 1] * e.V[1, 0]
+        r = v2 * v4 / (2.0 * ap)
+        s = _snap_cancel(det_v + r, abs(det_v) + abs(r))
+        # EV = q x^2 - s^2 sin^2(x/sqrt(a+)), the versine term of c2 = s^2/2
+        q, c2 = r * r / ap, 0.5 * s ** 2
+    if not np.isfinite([q, c2]).all():
+        raise IllConditioned(f"defective secular coefficients of {A} overflow")
     return SecularFn(kind=EigKind.DEFECTIVE, matrix=A, eigen=e,
-                     q=v2 ** 2 * v4 ** 2 / (4.0 * ap ** 3),
-                     c1=0.0, c2=0.5 * s ** 2,
-                     f1=0.0, f2=2.0 / sp)
+                     q=q, c1=0.0, c2=c2, f1=0.0, f2=2.0 / np.sqrt(ap))
 
 
 def build(A: CMatrix2) -> SecularFn:

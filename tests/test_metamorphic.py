@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from specmat import CMatrix2, eig2, similarity_certificates, spectrum
+from specmat import CMatrix2, IllConditioned, eig2, similarity_certificates, spectrum
 from specmat.mat2 import EigKind
 from specmat.secular import build
 from specmat.cli import main
@@ -187,11 +187,45 @@ def test_tiny_scale_eigenstructure(name, s):
     assert got.kind is want.kind
     assert_allclose([got.a_plus / s, got.a_minus / s], [want.a_plus, want.a_minus],
                     rtol=RTOL)
-    if got.kind is EigKind.DEFECTIVE:
-        # in eig2's gauge the defective form's q = v2^2 v4^2 / (4 a+^3) is
-        # of order s^-3, beyond the float range
-        return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         S = build(A.scaled(s))
     assert S.kind is want.kind
+
+
+@pytest.mark.parametrize("s", [1e-110, 1e-200, 1e-300, 1e90])
+def test_defective_secular_function_at_extreme_scales(s):
+    """The defective form's q is of order |A|^-3 in eig2's gauge: build()
+    takes the gauge of the normalised matrix, so that at every scale its
+    coefficients are finite and its log-derivative is the unscaled one's,
+    ``g_s(x sqrt(s)) = g_1(x) / sqrt(s)``."""
+    A = a4(0.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = build(A.scaled(s))
+        x = np.array([1.3 + 0.2j, 4.1 - 0.7j, 7.9 + 3.0j])
+        got = S.logderiv(x * np.sqrt(s)) * np.sqrt(s)
+    assert S.kind is EigKind.DEFECTIVE
+    assert np.isfinite([S.q, S.c2, S.f2]).all()
+    assert_allclose(got, build(A).logderiv(x), rtol=1e-12)
+
+
+def test_defective_secular_function_out_of_range():
+    """Below the normal range eig2's generalised vector overflows: build()
+    says so instead of returning infinite coefficients."""
+    with warnings.catch_warnings(), pytest.raises(IllConditioned):
+        warnings.simplefilter("ignore")
+        build(a4(0.0, 2.0).scaled(1e-310))
+
+
+def test_cli_ev_of_a_tiny_defective_matrix(capsys):
+    """`ev` of a defective matrix at 1e-110 prints a finite value, without
+    a floating-point warning (NaN at the parent, with exit 0)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["ev", "--real", "0", " -1e-110", "1e-110", "2e-110", "--at=1e-55,0"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert np.isfinite(doc["value"]).all() and np.isfinite(doc["log10_abs"])
+    S = build(CMatrix2.real(0, -1e-110, 1e-110, 2e-110))
+    assert abs(complex(*doc["value"]) - complex(S.value(np.array([1e-55]))[0])) == 0

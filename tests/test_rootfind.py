@@ -151,7 +151,7 @@ class TestIsolate:
 
         def refuse(*args):
             raise NonConvergent("split refused")
-        monkeypatch.setattr(rootfind, "_split_cell", refuse)
+        monkeypatch.setattr(rootfind, "_split_level", refuse)
         zeros = isolate_zeros(Poly([1.0, 1.0]), Rect(0.999, 1.001, -0.001, 0.0011))
         assert zeros == [(1.0, 2)]
         # two simple zeros 0.01 apart are not one double zero: the power
@@ -356,10 +356,12 @@ class TestEdgeQuadrature:
             "top": side(lambda z: z.imag == 1.0),
             "left": side(lambda z: z.real == 0.0),
         }
-        # far edges stop at their first two panels; the near one bisects
+        # far edges stop at their four start panels; on the near one at
+        # least one panel is cut into four
+        start = rootfind._CUTS * rootfind._GL_N
         for side in ("bottom", "top", "left"):
-            assert per_edge[side] == 2 * rootfind._GL_N, per_edge
-        assert per_edge["right"] >= 4 * rootfind._GL_N, per_edge
+            assert per_edge[side] == start, per_edge
+        assert per_edge["right"] >= start + rootfind._CUTS * rootfind._GL_N, per_edge
         assert len(pts) == sum(per_edge.values())
 
     def test_moments_of_known_zeros(self):
@@ -369,7 +371,8 @@ class TestEdgeQuadrature:
         # Gauss-Legendre panels are spectrally accurate: far below the
         # winding's tolerance
         assert abs(s0 - 3) <= 1e-8
-        centre, radius = segs.frame()
+        centre, radius = segs.centre[0], segs.radius[0]
+        assert (centre, radius) == (0j, np.sqrt(2))
         assert abs(3 * centre + radius * sums[0] - sum(zeros)) <= 1e-8
         # the higher power sums, in the frame's units
         u = (np.array(zeros) - centre) / radius
@@ -379,8 +382,8 @@ class TestEdgeQuadrature:
     def test_non_integer_winding_refines_the_contour(self):
         # conj(z) is no log-derivative: linear, so every panel passes its own
         # tests at once, but its integral over the unit square is 2i, a
-        # winding of 1/pi.  The integer check bisects every panel of the
-        # contour again, level after level, until the sample cap
+        # winding of 1/pi.  The integer check cuts every panel of the
+        # contour into four again, level after level, until the sample cap
         class Conj(_Recorder):
             def logderiv(self, z):
                 super().logderiv(z)
@@ -389,10 +392,11 @@ class TestEdgeQuadrature:
         rec = Conj([])
         with pytest.raises(NonConvergent):
             rootfind._contour_moments(rec, rootfind._polygon(Rect(0, 1, 0, 1).corners()),
-                                      cap=2 ** 10)
+                                      cap=2 ** 12)
         assert len(set(rec.points)) == len(rec.points)
-        # 2, 4, .., 32 panels of 16 nodes on each of the four edges
-        assert len(rec.points) == 4 * rootfind._GL_N * (2 + 4 + 8 + 16 + 32)
+        # 4, 16 and 64 panels of 16 nodes on each of the four edges, 1344
+        # samples an edge; the next level's 256 panels would pass the cap
+        assert len(rec.points) == 4 * rootfind._GL_N * (4 + 16 + 64)
 
     def test_gauss_legendre_table(self):
         # the 16-point rule integrates every polynomial of degree <= 31
@@ -433,8 +437,8 @@ def _assert_sampled_once(pts, xs, ys):
     """Every sample lies on exactly one segment of the grid over the
     abscissae ``xs`` and ordinates ``ys`` (never on a vertex), and every
     segment, a piece of an interior line shared by two cells included, is
-    sampled as whole panels; with no point evaluated twice, each is
-    sampled once."""
+    sampled as whole panels, at least its four start panels; with no point
+    evaluated twice, each is sampled once."""
     per_seg = {}
     for z in pts:
         on = [("h", i, j) for j, y in enumerate(ys) for i in range(len(xs) - 1)
@@ -446,7 +450,12 @@ def _assert_sampled_once(pts, xs, ys):
     k, l = len(xs) - 1, len(ys) - 1
     assert len(per_seg) == k * (l + 1) + l * (k + 1)
     for piece, n in per_seg.items():
-        assert n % rootfind._GL_N == 0 and n >= 2 * rootfind._GL_N, (piece, n)
+        assert n % rootfind._GL_N == 0 and n >= rootfind._CUTS * rootfind._GL_N, (piece, n)
+
+
+def _counted(rect, n):
+    """A quadtree cell of n zeros, for the split (which reads no power sums)."""
+    return rootfind._Cell(rect, n, np.zeros(4, dtype=complex), rect.center, 1.0)
 
 
 class TestSharedSegments:
@@ -454,8 +463,8 @@ class TestSharedSegments:
         zeros = [0.2 + 0.3j, 0.7 + 0.8j, 0.8 + 0.1j, 0.3 + 0.75j]
         rec = _Recorder(zeros)
         cell = Rect(0.0, 1.0, 0.0, 1.0)
-        found = rootfind._split_cell(rec, cell, len(zeros),
-                                     np.random.default_rng(0))
+        found = rootfind._split_level(rec, [_counted(cell, len(zeros))],
+                                      np.random.default_rng(0))
         pts = rec.points
         assert len(set(pts)) == len(pts)          # no point evaluated twice
         ll, lr, ul, _ = cell.split(0.513137, 0.4870113)
@@ -476,8 +485,8 @@ class TestSharedSegments:
                  0.2 + 0.75j, 0.68 + 0.42j, 0.18 + 0.67j, 0.68 + 0.58j, 0.93 + 0.1j,
                  0.96 + 0.72j]
         rec = _Recorder(zeros)
-        found = rootfind._split_cell(rec, Rect(0.0, 1.0, 0.0, 1.0), len(zeros),
-                                     np.random.default_rng(0))
+        found = rootfind._split_level(rec, [_counted(Rect(0.0, 1.0, 0.0, 1.0), len(zeros))],
+                                      np.random.default_rng(0))
         pts = rec.points
         assert len(set(pts)) == len(pts)          # no point evaluated twice
         xs = [0.0, *((np.arange(1, 4) + 0.026274) / 4), 1.0]
@@ -516,12 +525,12 @@ class TestSharedSegments:
 
 class TestIsolationInvariant:
     def test_count_mismatch_raises_numerical_failure(self, monkeypatch):
-        real_split = rootfind._split_cell
+        real_split = rootfind._split_level
 
         def lossy(*args, **kw):
             return real_split(*args, **kw)[:-1]     # loses a child's zeros
 
-        monkeypatch.setattr(rootfind, "_split_cell", lossy)
+        monkeypatch.setattr(rootfind, "_split_level", lossy)
         # five zeros: more than the power sums resolve, so the box splits
         f, fp = _poly_pair([1.0, 2.0, 3.0, 1.5 + 0.3j, 2.5 - 0.2j])
         with pytest.raises(NumericalFailure):
@@ -619,18 +628,18 @@ class TestPowerSums:
     @staticmethod
     def _spy(monkeypatch):
         calls = []
-        real = rootfind._split_cell
+        real = rootfind._split_level
 
-        def spy(fun, cell, cnt, rng):
-            calls.append(cnt)
-            return real(fun, cell, cnt, rng)
-        monkeypatch.setattr(rootfind, "_split_cell", spy)
+        def spy(fun, cells, rng):
+            calls.extend(cell.n for cell in cells)
+            return real(fun, cells, rng)
+        monkeypatch.setattr(rootfind, "_split_level", spy)
         return calls
 
     def test_three_separated_zeros_need_no_split(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("split")
-        monkeypatch.setattr(rootfind, "_split_cell", refuse)
+        monkeypatch.setattr(rootfind, "_split_level", refuse)
         zeros = [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.35j]
         found = isolate_zeros(_Poly(zeros), Rect(-1, 1.1, -0.9, 1))
         assert [m for _, m in found] == [1, 1, 1]
@@ -687,7 +696,7 @@ class TestCertifiedCluster:
     def _refuse_splits(monkeypatch):
         def refuse(*args):
             raise NonConvergent("split refused")
-        monkeypatch.setattr(rootfind, "_split_cell", refuse)
+        monkeypatch.setattr(rootfind, "_split_level", refuse)
 
     @staticmethod
     def _squares(monkeypatch):
@@ -748,22 +757,46 @@ class TestCertifiedCluster:
         assert fun.polished == []
 
     def test_square_that_cannot_be_counted(self, monkeypatch):
-        self._refuse_splits(monkeypatch)
-        widths = []
+        # the squares of one level are counted in one call; when it fails,
+        # each square alone, and a square that cannot be counted leaves
+        # its cell to the split
+        calls = []
         real = rootfind._contour_moments
 
         def failing(fun, segs, *args, **kw):
-            if segs.incidence.shape[0] == 1 and np.ptp(segs.vertices.real) < 0.1:
-                widths.append(np.ptp(segs.vertices.real))
-                raise BoundaryZero("square refused")
+            if segs.radius.max() < 0.1:             # certifying squares only
+                squares = segs.vertices.reshape(-1, 4)
+                calls.append([(sq.mean(), np.ptp(sq.real)) for sq in squares])
+                if any(abs(sq.mean() - z) < 1e-3 for sq in squares):
+                    raise BoundaryZero("square refused")
             return real(fun, segs, *args, **kw)
         monkeypatch.setattr(rootfind, "_contour_moments", failing)
-        z = 0.3 + 0.2j
+
+        def assert_tried(*squares):
+            assert len(calls) == len(squares), calls
+            for call, points in zip(calls, squares):
+                assert len(call) == len(points), calls
+                for (centre, width), v in zip(call, points):
+                    assert abs(centre - v) <= 1e-12
+                    assert width == pytest.approx(rootfind._CLUSTER_REL * (1 + abs(v)))
+
+        z, w = 0.3 + 0.2j, -0.4 + 0.5j
+        fun = _PolyWithPolish([z, z, w, w])
+        cells = [rootfind._Cell(Rect(0, 1, 0, 1), 2, np.zeros(4, dtype=complex), z, 1.0),
+                 rootfind._Cell(Rect(-1, 0, 0, 1), 2, np.zeros(4, dtype=complex), w, 1.0)]
+        found = rootfind._multiple_zeros(fun, cells, 1e-10)
+        assert found[0] is None and abs(found[1] - w) <= 1e-12
+        # the two squares together, then each alone: the one around z is
+        # refused, the other counts its two zeros
+        assert_tried([z, w], [z], [w])
+
+        # a lone square is tried once, in its level's one call, then the
+        # (refused) split
+        self._refuse_splits(monkeypatch)
+        calls.clear()
         with pytest.raises(NonConvergent):
             isolate_zeros(_PolyWithPolish([z, z]), Rect(-1, 1.1, -0.9, 1))
-        # one square one cluster size wide is tried, then the split
-        size = rootfind._CLUSTER_REL * (1 + abs(z))
-        assert widths == pytest.approx([size])
+        assert_tried([z])
 
 
 class TestMultipleZeroCost:
@@ -832,10 +865,13 @@ class TestPointBudget:
 
 
 class TestLevelCost:
-    """Guards on the calls one spectrum() makes: a split is one grid sized
-    by the cell's count, and each quadtree level runs one Newton."""
+    """Guards on the calls one spectrum() makes: the first box is counted
+    with its first grid in one contour call, each later quadtree level
+    makes at most one call for its certifying squares and one for its
+    splits, and each level runs one Newton."""
 
-    def test_calls_of_a_triangular_spectrum(self, monkeypatch):
+    @staticmethod
+    def _calls(monkeypatch, A, **kw):
         calls = {"logderiv": 0, "newton": 0, "moments": 0}
 
         def counting(key, real):
@@ -848,8 +884,135 @@ class TestLevelCost:
         monkeypatch.setattr(rootfind, "_newton", counting("newton", rootfind._newton))
         monkeypatch.setattr(rootfind, "_contour_moments",
                             counting("moments", rootfind._contour_moments))
-        sp = spectrum(CMatrix2.real(1.3, 1, 0, -2.1), count=12)
+        return spectrum(A, **kw), calls
+
+    def test_calls_of_a_triangular_spectrum(self, monkeypatch):
+        sp, calls = self._calls(monkeypatch, CMatrix2.real(1.3, 1, 0, -2.1), count=12)
         assert len(sp.eigenvalues) == 12
-        assert calls["logderiv"] <= 25, calls
-        assert calls["newton"] <= 3, calls
-        assert calls["moments"] <= 4, calls
+        assert calls["logderiv"] <= 9, calls
+        assert calls["newton"] <= 2, calls
+        assert calls["moments"] <= 2, calls
+
+    def test_calls_of_an_a5_rectangle(self, monkeypatch):
+        # a zero within 1e-2 of the rectangle's right edge: the first
+        # grid's outer segments take the box's cap, so one call counts the
+        # box and splits it
+        A = lambda_curve(7, 2, +1, 0.23813524139118686).matrix()
+        sp, calls = self._calls(monkeypatch, A, lambda_rect=Rect(0, 14.5, -14.47, 14.53))
+        assert len(sp.eigenvalues) == 10
+        assert calls["logderiv"] <= 9, calls
+        assert calls["newton"] <= 1, calls
+        assert calls["moments"] <= 1, calls
+
+
+class TestBatchedLevels:
+    """Each quadtree level counts the first grids of all the cells that must
+    split in one contour call, each cell in its own frame and with its own
+    count-sum check; a cell the call does not split goes on to the later,
+    jittered attempts of :func:`rootfind._split_cell`."""
+
+    CELLS = [(Rect(0.0, 1.0, 0.0, 1.0), [0.2 + 0.3j, 0.7 + 0.8j, 0.8 + 0.1j, 0.3 + 0.75j, 0.6 + 0.5j]),
+             (Rect(2.0, 3.1, 0.0, 0.9), [2.1 + 0.1j, 2.3 + 0.7j, 2.5 + 0.4j, 2.8 + 0.2j,
+                                         2.9 + 0.8j, 2.45 + 0.15j, 2.65 + 0.6j]),
+             (Rect(0.0, 1.0, 2.0, 3.0), [0.4 + 2.4j, 0.6 + 2.7j])]
+
+    @staticmethod
+    def _moments_calls(monkeypatch):
+        rows = []
+        real = rootfind._contour_moments
+
+        def watching(fun, segs, *args, **kw):
+            rows.append(segs.incidence.shape[0])
+            return real(fun, segs, *args, **kw)
+        monkeypatch.setattr(rootfind, "_contour_moments", watching)
+        return rows
+
+    @staticmethod
+    def _assert_children(cell, zeros, children):
+        """The children hold every zero of the cell, each child's count and
+        power sums those of the zeros inside, in the frame of the cell."""
+        assert sum(child.n for child in children) == len(zeros)
+        for child in children:
+            assert (child.centre, child.radius) == (cell.center, 0.5 * cell.diameter)
+            inside = np.array([z for z in zeros if child.rect.contains(z)])
+            assert child.n == inside.size
+            u = (inside - child.centre) / child.radius
+            assert_allclose(child.sums, [np.sum(u ** k) for k in range(1, 5)],
+                            rtol=0, atol=1e-10)
+
+    def test_batched_level_matches_per_cell_splits(self, monkeypatch):
+        zeros = [z for _, zs in self.CELLS for z in zs]
+        cells = [_counted(rect, len(zs)) for rect, zs in self.CELLS]
+        rows = self._moments_calls(monkeypatch)
+        batched = rootfind._split_level(_Poly(zeros), cells, np.random.default_rng(0))
+        # one call: two 2 x 2 grids (5 and 2 zeros) and one 3 x 3 (7 zeros)
+        assert rows == [4 + 9 + 4]
+        alone = [rootfind._split_level(_Poly(zeros), [cell], np.random.default_rng(0))
+                 for cell in cells]
+        assert rows[1:] == [4, 9, 4]
+        assert len(batched) == sum(len(children) for children in alone)
+        for b, a in zip(batched, [child for children in alone for child in children]):
+            assert (b.rect, b.n, b.centre, b.radius) == (a.rect, a.n, a.centre, a.radius)
+            assert_allclose(b.sums, a.sums, rtol=0, atol=1e-10)
+        at = 0
+        for (rect, zs), children in zip(self.CELLS, alone):
+            self._assert_children(rect, zs, batched[at:at + len(children)])
+            at += len(children)
+
+    def test_batch_with_a_zero_on_one_grid_line(self, monkeypatch):
+        # the first vertical line of the unit square's 2 x 2 grid passes
+        # through a zero at x = 0.513137: the batched call fails, and every
+        # cell of it is split by its own later attempts
+        cells = [(Rect(0.0, 1.0, 0.0, 1.0), [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j,
+                                             0.3 + 0.2j, 0.75 + 0.45j])] + self.CELLS[1:]
+        zeros = [z for _, zs in cells for z in zs]
+        rows = self._moments_calls(monkeypatch)
+        failed = []
+        real = rootfind._contour_moments
+
+        def watching(fun, segs, *args, **kw):
+            try:
+                return real(fun, segs, *args, **kw)
+            except BoundaryZero:
+                failed.append(segs.incidence.shape[0])
+                raise
+        monkeypatch.setattr(rootfind, "_contour_moments", watching)
+        children = rootfind._split_level(_Poly(zeros), [_counted(r, len(zs)) for r, zs in cells],
+                                         np.random.default_rng(0))
+        assert failed[0] == 4 + 9 + 4 and rows[0] == 4 + 9 + 4
+        for rect, zs in cells:
+            self._assert_children(rect, zs, [c for c in children if rect.contains(c.rect.center)])
+
+    def test_first_box_count_sum_check(self, monkeypatch):
+        # the first grid of spectrum()'s box loses the cell that holds the
+        # zero sqrt(1.3) pi: its children add up to one less than the box's
+        # own polygon, so the split goes to the later attempts, and the
+        # spectrum is the same
+        A = CMatrix2.real(1.3, 1, 0, -2.1)
+        real_grid = rootfind._grid
+        lost = []
+
+        def lossy(xs, ys):
+            segs = real_grid(xs, ys)
+            if not lost:
+                k = len(xs) - 1
+                i = int(np.searchsorted(xs, np.sqrt(1.3) * np.pi)) - 1
+                j = int(np.searchsorted(ys, 0.0)) - 1
+                segs.incidence[i + k * j] = 0.0
+                lost.append(Rect(xs[0], xs[-1], ys[0], ys[-1]))
+            return segs
+
+        splits = []
+        real_split = rootfind._split_cell
+
+        def spy(fun, cell, cnt, rng):
+            splits.append(cell)
+            return real_split(fun, cell, cnt, rng)
+
+        monkeypatch.setattr(rootfind, "_grid", lossy)
+        monkeypatch.setattr(rootfind, "_split_cell", spy)
+        sp = spectrum(A, count=12)
+        assert splits[0] == lost[0]
+        lattice = sorted({c * k * k * np.pi ** 2 for c in (1.3, -2.1) for k in range(12)}, key=abs)
+        assert [m for _, m in sp.eigenvalues] == [1] * 12
+        assert_allclose(sp.values(), lattice[:12], rtol=1e-10, atol=1e-10)
