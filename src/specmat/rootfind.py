@@ -47,12 +47,13 @@ split, and a split that cannot be counted raises NonConvergent.
 
 The quadtree is worked breadth first, with at most two contour-moment
 calls per level.  A cell of n zeros that must split is cut into one
-k x k grid, ``k = max(2, ceil(sqrt(n / 1.5)))``, so that each child holds
-about 1.5 of its zeros and most children are solved by the first rule on
-the next level.  One call counts every child of every cell of a level
-that splits, each grid in its own frame and with its own count-sum check,
-and one call counts the certifying squares of a level; a cell that its
-level's call does not split goes on to jittered grids of its own.  On
+k x k grid, ``k = max(2, ceil(sqrt(n / 1.5)))`` up to 16, so that each
+child holds about 1.5 of its zeros and most children are solved by the
+first rule on the next level.  One call counts every child of every cell
+of a level that splits, each grid in its own frame and with its own
+count-sum check, and one call counts the certifying squares of a level.
+When a level's call fails each cell's grid is counted alone, and a cell
+that its grid does not split goes on to jittered grids of its own.  On
 each level the Newton starts of every cell the first rule may solve go
 through one vectorised Newton, so the per-call overhead of a step is paid
 once per level, not once per cell.
@@ -61,7 +62,9 @@ once per level, not once per cell.
 density (Polya: about ``P R / (2 pi)`` zeros in ``|x| < R``, P the
 perimeter of the convex hull of its exponents), and counts the box with
 its first grid in one call: the box's own polygon gives the count, which
-the grid's children must add up to.  It grows the box incrementally when
+the grid's children must add up to.  A given rectangle's first grid is
+sized by the same density for the zeros between its nearest and farthest
+point from the origin.  It grows the box incrementally when
 that falls short: the zeros already isolated are kept, only the strips
 the larger box adds are isolated, and one winding count of the larger
 box certifies the union.
@@ -422,8 +425,6 @@ class _Cell(NamedTuple):
     sums: np.ndarray
     centre: complex
     radius: float
-    # its first grid was counted and did not split it (see _split_level)
-    tried: bool = False
 
     @property
     def s1(self) -> complex:
@@ -471,9 +472,10 @@ def _count_and_split(fun, rect: Rect, k: int, rng):
     attempt, so the split's count-sum check compares two independent
     integrals.  Returns ``(counted, children)``: the counted :class:`_Cell`
     and the children that hold zeros, or None when the grid does not
-    split it (its counts do not add up, or the call failed), and the cell
-    is then marked as tried.  When the call fails the count is taken
-    again alone, by :func:`_winding_with_rect` with its dilations.
+    split it (its counts do not add up, or the call failed); the counted
+    cell is then the first level, as in :func:`isolate_zeros` without a
+    grid.  When the call fails the count is taken again alone, by
+    :func:`_winding_with_rect` with its dilations.
     """
     box = _polygon(rect.corners())
     xs, ys, grid = _split_grid(rect, k, 0, rng)
@@ -489,11 +491,9 @@ def _count_and_split(fun, rect: Rect, k: int, rng):
         if n < 0:
             raise NonConvergent(f"negative winding {s0[0].real}; derivative inconsistent?")
     except (BoundaryZero, NonConvergent):
-        counted = _winding_with_rect(fun, rect, rng, dilate=True)
-        return counted._replace(tried=counted.rect == rect), None
+        return _winding_with_rect(fun, rect, rng, dilate=True), None
     counted = _Cell(rect, n, sums[0], box.centre[0], box.radius[0])
-    children = _children(xs, ys, grid, s0[1:], sums[1:], n)
-    return counted._replace(tried=children is None), children
+    return counted, _children(xs, ys, grid, s0[1:], sums[1:], n)
 
 
 def _newton(fun, z0s, mult, tol: float, steps: int = 60):
@@ -533,7 +533,8 @@ def _require_tol(tol) -> None:
         raise InvalidInput(f"tol must be finite and positive, got {tol}")
 
 
-def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
+def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None,
+                  first_grid: Optional[int] = None):
     """All zeros of ``f`` in ``rect`` as (location, multiplicity) pairs.
 
     Breadth-first subdivision into grids (with jittered lines when a zero
@@ -545,13 +546,18 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
     size wide around the point).
     The multiplicity sum equals the top-level winding count, else
     NumericalFailure is raised, and InvalidInput unless ``tol`` is finite
-    and positive.
+    and positive.  With ``first_grid`` k the rectangle is counted together
+    with its first split into a k x k grid, in one contour call (see
+    :func:`_count_and_split`).
     """
     _require_tol(tol)
     fun = _as_protocol(f, fprime)
     rng = np.random.default_rng(0) if rng is None else rng
-    return _isolate_counted(fun, _winding_with_rect(fun, rect, rng, dilate=True),
-                            tol, rng)
+    if first_grid is None:
+        counted, children = _winding_with_rect(fun, rect, rng, dilate=True), None
+    else:
+        counted, children = _count_and_split(fun, rect, first_grid, rng)
+    return _isolate_counted(fun, counted, tol, rng, children)
 
 
 def _isolate_counted(fun, counted: _Cell, tol: float, rng, children=None):
@@ -722,12 +728,14 @@ def _square_counts(fun, rects):
 
 
 _SPLIT_CAPS = (2 ** 12, 2 ** 15, 2 ** 18)   # sample caps of split attempts 0-2, 3-5, 6-8
+_GRID_MAX = 16      # the largest grid side: a grid's incidence matrix is k^2 x 2k(k+1)
 
 
 def _grid_size(n: float) -> int:
     """Side k of the grid a cell of about ``n`` zeros is cut into, so that
-    each child holds about 1.5 of them."""
-    return max(2, int(np.ceil(np.sqrt(n / 1.5))))
+    each child holds about 1.5 of them, and at most ``_GRID_MAX``: a cell
+    of more zeros leaves its children to split again."""
+    return min(_GRID_MAX, max(2, int(np.ceil(np.sqrt(n / 1.5)))))
 
 
 def _split_grid(rect: Rect, k: int, attempt: int, rng):
@@ -766,36 +774,33 @@ def _children(xs, ys, grid: _Segments, s0, sums, cnt: int):
 
 def _split_level(fun, cells, rng):
     """The children that hold zeros of every cell of one quadtree level
-    that must split, each cell cut into one k x k grid, ``k = max(2,
-    ceil(sqrt(n / 1.5)))`` for its n zeros, so that each child holds about
-    1.5 of them.
+    that must split, each cell cut into one k x k grid, ``k =
+    _grid_size(n)`` for its n zeros, so that each child holds about 1.5
+    of them.
 
-    The first grids of all the cells not yet tried are counted in one
+    The first grids of all the cells are counted in one
     :func:`_contour_moments` call (see :func:`_grid`: each piece of an
     interior line is integrated once for both cells it borders), each in
     its own frame, so that its children's power sums are those of its own
     split.  A cell's split is accepted only when every count is
-    non-negative and they sum to its own count.  A cell whose sum does not
-    match, every cell of a call that fails, and a cell already tried go on
-    to :func:`_split_cell`'s later attempts.
+    non-negative and they sum to its own count.  When the call fails each
+    cell's first grid is counted alone; a cell whose sum does not match,
+    or whose own call fails, goes on to :func:`_split_cell`'s later
+    attempts.
     """
-    grids = [None if cell.tried else _split_grid(cell.rect, _grid_size(cell.n), 0, rng)
-             for cell in cells]
-    first = [None] * len(cells)
-    parts = [g[2] for g in grids if g is not None]
-    if parts:
-        try:
-            s0, sums = _contour_moments(fun, _bundle(parts), cap=_SPLIT_CAPS[0])
-        except (BoundaryZero, NonConvergent):
-            pass
-        else:
-            row = 0
-            for i, g in enumerate(grids):
-                if g is not None:
-                    xs, ys, grid = g
-                    rows = slice(row, row + grid.incidence.shape[0])
-                    first[i] = _children(xs, ys, grid, s0[rows], sums[rows], cells[i].n)
-                    row = rows.stop
+    grids = [_split_grid(cell.rect, _grid_size(cell.n), 0, rng) for cell in cells]
+    try:
+        s0, sums = _contour_moments(fun, _bundle([g[2] for g in grids]), cap=_SPLIT_CAPS[0])
+    except (BoundaryZero, NonConvergent):
+        if len(cells) > 1:
+            return [ch for cell in cells for ch in _split_level(fun, [cell], rng)]
+        first = [None]
+    else:
+        first, row = [], 0
+        for cell, (xs, ys, grid) in zip(cells, grids):
+            rows = slice(row, row + grid.incidence.shape[0])
+            first.append(_children(xs, ys, grid, s0[rows], sums[rows], cell.n))
+            row = rows.stop
     out = []
     for cell, children in zip(cells, first):
         out.extend(_split_cell(fun, cell.rect, cell.n, rng) if children is None
@@ -997,10 +1002,13 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
             im_lo = min(im_lo, -0.9173 * margin)
         box = Rect(re_lo, lambda_rect.re_max, im_lo, lambda_rect.im_max)
         # the first grid sized by the zero density: about P R / (4 pi)
-        # zeros in the right half of |x| < R
-        k = _grid_size(S.indicator_perimeter() * np.abs(box.corners()).max() / (4.0 * np.pi))
-        counted, first = _count_and_split(fun, box, k, rng)
-        kept = _canonical_zeros(_isolate_counted(fun, counted, tol, rng, first))
+        # zeros in the right half of |x| < R, so at most P (R1 - R0) / (4 pi)
+        # in a box between the radii R0 and R1
+        r0 = abs(complex(max(box.re_min, 0.0, -box.re_max),
+                         max(box.im_min, 0.0, -box.im_max)))
+        r1 = np.abs(box.corners()).max()
+        k = _grid_size(S.indicator_perimeter() * (r1 - r0) / (4.0 * np.pi))
+        kept = _canonical_zeros(isolate_zeros(fun, box, tol=tol, rng=rng, first_grid=k))
         sel = []
         for z, m in kept:
             ax = 1e-7 * (1.0 + abs(z))

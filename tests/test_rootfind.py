@@ -872,11 +872,13 @@ class TestLevelCost:
 
     @staticmethod
     def _calls(monkeypatch, A, **kw):
-        calls = {"logderiv": 0, "newton": 0, "moments": 0}
+        calls = {"logderiv": 0, "newton": 0, "moments": 0, "points": 0}
 
         def counting(key, real):
             def wrapper(*args, **kw):
                 calls[key] += 1
+                if key == "logderiv":
+                    calls["points"] += np.size(args[1])
                 return real(*args, **kw)
             return wrapper
 
@@ -904,12 +906,51 @@ class TestLevelCost:
         assert calls["newton"] <= 1, calls
         assert calls["moments"] <= 1, calls
 
+    def test_calls_of_a_far_small_rectangle(self, monkeypatch):
+        # the first grid is sized by the zeros the box can hold, those
+        # between its nearest and farthest point from the origin, not by
+        # all the zeros out to its farthest corner (about 6,400 here)
+        A = CMatrix2.real(1.3, 1, 0, -2.1)
+        rows = []
+        real = rootfind._contour_moments
+
+        def watching(fun, segs, *args, **kw):
+            rows.append(segs.incidence.shape[0])
+            return real(fun, segs, *args, **kw)
+        monkeypatch.setattr(rootfind, "_contour_moments", watching)
+        sp, calls = self._calls(monkeypatch, A, lambda_rect=Rect(1e4, 1e4 + 1, -0.5, 0.5))
+        # the box's polygon and a 2 x 2 grid
+        assert rows == [1 + 4], rows
+        assert calls["points"] <= 2000, calls
+        # the one zero inside, sqrt(1.3) pi k for k = 2792
+        assert [m for _, m in sp.eigenvalues] == [1, 1]
+        assert_allclose(sp.eigenvalues[1][0], 1.3 * (2792 * np.pi) ** 2, rtol=1e-12)
+
+    def test_a_rectangle_goes_through_isolate_zeros(self, monkeypatch):
+        # the isolation of a given rectangle is one isolate_zeros call,
+        # which counts the box with its first grid
+        A = CMatrix2.real(1.3, 1, 0, -2.1)
+        seen = []
+        real = rootfind.isolate_zeros
+
+        def spy(f, rect, **kw):
+            seen.append(kw.get("first_grid"))
+            return real(f, rect, **kw)
+        monkeypatch.setattr(rootfind, "isolate_zeros", spy)
+        sp = spectrum(A, lambda_rect=Rect(0, 14.5, -14.47, 14.53))
+        assert len(seen) == 1 and seen[0] >= 2
+        assert len(sp.eigenvalues) > 1
+
+    def test_grid_size_is_capped(self):
+        assert [rootfind._grid_size(n) for n in (1, 6, 7, 384, 385, 1e6)] == [2, 2, 3, 16, 16, 16]
+
 
 class TestBatchedLevels:
     """Each quadtree level counts the first grids of all the cells that must
     split in one contour call, each cell in its own frame and with its own
-    count-sum check; a cell the call does not split goes on to the later,
-    jittered attempts of :func:`rootfind._split_cell`."""
+    count-sum check.  When that call fails each cell's first grid is counted
+    alone; a cell its grid does not split goes on to the later, jittered
+    attempts of :func:`rootfind._split_cell`."""
 
     CELLS = [(Rect(0.0, 1.0, 0.0, 1.0), [0.2 + 0.3j, 0.7 + 0.8j, 0.8 + 0.1j, 0.3 + 0.75j, 0.6 + 0.5j]),
              (Rect(2.0, 3.1, 0.0, 0.9), [2.1 + 0.1j, 2.3 + 0.7j, 2.5 + 0.4j, 2.8 + 0.2j,
@@ -961,8 +1002,9 @@ class TestBatchedLevels:
 
     def test_batch_with_a_zero_on_one_grid_line(self, monkeypatch):
         # the first vertical line of the unit square's 2 x 2 grid passes
-        # through a zero at x = 0.513137: the batched call fails, and every
-        # cell of it is split by its own later attempts
+        # through a zero at x = 0.513137: the batched call fails, each cell's
+        # first grid is counted alone, and only the unit square goes on to
+        # its later attempts
         cells = [(Rect(0.0, 1.0, 0.0, 1.0), [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j,
                                              0.3 + 0.2j, 0.75 + 0.45j])] + self.CELLS[1:]
         zeros = [z for _, zs in cells for z in zs]
@@ -977,17 +1019,33 @@ class TestBatchedLevels:
                 failed.append(segs.incidence.shape[0])
                 raise
         monkeypatch.setattr(rootfind, "_contour_moments", watching)
+        later = []
+        real_split = rootfind._split_cell
+
+        def spy(fun, cell, cnt, rng):
+            later.append(cell)
+            return real_split(fun, cell, cnt, rng)
+        monkeypatch.setattr(rootfind, "_split_cell", spy)
         children = rootfind._split_level(_Poly(zeros), [_counted(r, len(zs)) for r, zs in cells],
                                          np.random.default_rng(0))
-        assert failed[0] == 4 + 9 + 4 and rows[0] == 4 + 9 + 4
+        assert failed[:2] == [4 + 9 + 4, 4] and rows[:2] == [4 + 9 + 4, 4]
+        assert rows[-2:] == [9, 4] and later == [cells[0][0]]
         for rect, zs in cells:
             self._assert_children(rect, zs, [c for c in children if rect.contains(c.rect.center)])
+
+    def test_first_grid_changes_no_zero(self):
+        rect, zs = self.CELLS[1]
+        plain = isolate_zeros(_Poly(zs), rect)
+        for k in (2, 3, 5):
+            gridded = isolate_zeros(_Poly(zs), rect, first_grid=k)
+            assert [m for _, m in gridded] == [m for _, m in plain]
+            assert_allclose([z for z, _ in gridded], [z for z, _ in plain], rtol=1e-12)
 
     def test_first_box_count_sum_check(self, monkeypatch):
         # the first grid of spectrum()'s box loses the cell that holds the
         # zero sqrt(1.3) pi: its children add up to one less than the box's
-        # own polygon, so the split goes to the later attempts, and the
-        # spectrum is the same
+        # own polygon, so the box itself is the first level, its split
+        # comes from that level's own call, and the spectrum is the same
         A = CMatrix2.real(1.3, 1, 0, -2.1)
         real_grid = rootfind._grid
         lost = []
@@ -1002,17 +1060,17 @@ class TestBatchedLevels:
                 lost.append(Rect(xs[0], xs[-1], ys[0], ys[-1]))
             return segs
 
-        splits = []
-        real_split = rootfind._split_cell
+        levels = []
+        real_level = rootfind._split_level
 
-        def spy(fun, cell, cnt, rng):
-            splits.append(cell)
-            return real_split(fun, cell, cnt, rng)
+        def spy(fun, cells, rng):
+            levels.append([cell.rect for cell in cells])
+            return real_level(fun, cells, rng)
 
         monkeypatch.setattr(rootfind, "_grid", lossy)
-        monkeypatch.setattr(rootfind, "_split_cell", spy)
+        monkeypatch.setattr(rootfind, "_split_level", spy)
         sp = spectrum(A, count=12)
-        assert splits[0] == lost[0]
+        assert levels[0] == [lost[0]]
         lattice = sorted({c * k * k * np.pi ** 2 for c in (1.3, -2.1) for k in range(12)}, key=abs)
         assert [m for _, m in sp.eigenvalues] == [1] * 12
         assert_allclose(sp.values(), lattice[:12], rtol=1e-10, atol=1e-10)
