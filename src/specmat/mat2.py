@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, SingularMatrix
+from .errors import IllConditioned, InvalidInput, SingularMatrix
 
 # Classification thresholds.  The secular function changes formula across
 # the defective split, so the cutoffs are part of the module contract.
@@ -232,8 +232,12 @@ def eig2(A: CMatrix2) -> Eigen2:
         mu = 0.5 * tr  # the repeated eigenvalue, symmetrised
         w = _gauge_normalize(_eigvec_for(M, mu))
         # generalised vector: (A - mu) u = w, minimal-norm solution, which
-        # is the one of B over 2^e
-        u = np.linalg.pinv(M - mu * np.eye(2), rcond=1e-10) @ w / scale
+        # is the one of B over 2^e; below the normal range 2^e is
+        # subnormal and the quotient overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.linalg.pinv(M - mu * np.eye(2), rcond=1e-10) @ w / scale
+        if not np.isfinite(u).all():
+            raise IllConditioned(f"generalised eigenvector of {A} overflows")
         mu = mu * scale
         V = np.column_stack([u, w])
         C = np.array([[mu, 0.0], [1.0, mu]], dtype=complex)

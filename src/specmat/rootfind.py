@@ -64,10 +64,14 @@ perimeter of the convex hull of its exponents), and counts the box with
 its first grid in one call: the box's own polygon gives the count, which
 the grid's children must add up to.  A given rectangle's first grid is
 sized by the same density for the zeros between its nearest and farthest
-point from the origin.  It grows the box incrementally when
-that falls short: the zeros already isolated are kept, only the strips
-the larger box adds are isolated, and one winding count of the larger
-box certifies the union.
+point from the origin.  The density counts zeros with multiplicity, and
+``spectrum`` wants distinct eigenvalues, so one bounded loop resizes the
+box: a box that counts too few zeros, or whose isolation gives too few
+distinct eigenvalues, is scaled by the ratio of the zeros wanted to those
+found (zeros grow in proportion to the radius), and one whose eigenvalues
+lie beyond the disc it covers jumps once to that radius; each new box is
+counted and isolated whole.  A secular function without cosine terms is
+``q x^2``, whose only zero is the origin: its first box is the last.
 """
 
 from __future__ import annotations
@@ -927,44 +931,20 @@ def _merge_values(pairs):
     return merged
 
 
-def _grow_zeros(fun, zeros, done: Rect, box: Rect, tol: float, rng):
-    """Extend the zeros isolated in ``done`` to the hull of ``done`` and
-    ``box``, whose left edge is ``done``'s.
-
-    Only the strips the hull adds are isolated: at most three rectangles
-    bordering ``done`` (right, then above and below).  One winding count of
-    the hull certifies the union: it must equal the zeros in hand plus the
-    strips' (all inside the contour counted).  Returns
-    ``(zeros or None, hull count)``; None means the certificate failed, and
-    the count is then the one to isolate the hull on.
-    """
-    hull = Rect(done.re_min, max(done.re_max, box.re_max),
-                min(done.im_min, box.im_min), max(done.im_max, box.im_max))
-    strips = []
-    if hull.re_max > done.re_max:
-        strips.append(Rect(done.re_max, hull.re_max, hull.im_min, hull.im_max))
-    if hull.im_max > done.im_max:
-        strips.append(Rect(done.re_min, done.re_max, done.im_max, hull.im_max))
-    if hull.im_min < done.im_min:
-        strips.append(Rect(done.re_min, done.re_max, hull.im_min, done.im_min))
-    found = list(zeros)
-    for strip in strips:
-        found.extend(isolate_zeros(fun, strip, tol=tol, rng=rng))
-    counted = _winding_with_rect(fun, hull, rng, dilate=True)
-    inside = all(counted.rect.contains(z, slack=1e-7 * (1.0 + abs(z))) for z, _ in found)
-    if not inside or sum(m for _, m in found) != counted.n:
-        return None, counted
-    return found, counted
-
-
 def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10,
              count: Optional[int] = None, rng=None) -> Spectrum:
     """Eigenvalues ``lambda^2`` from the secular zeros in a rectangle.
 
     When no rectangle is given the first one is sized by the zero density
     of the secular function to hold about ``count`` eigenvalues (default
-    12).  Where that falls short (multiple zeros, a sparse spectrum) it is
-    grown until it encloses the ``count`` smallest.  The rectangle always
+    12).  Each of at most 16 rounds counts a box and, when it holds more
+    than ``count`` zeros, isolates it whole.  Where that falls short
+    (multiple eigenvalues, which the density counts with multiplicity) the
+    box is scaled by the ratio of the zeros wanted to those found, and
+    where the ``count`` smallest reach beyond the disc it covers, it jumps
+    to that radius; NonConvergent names the last box when the rounds run
+    out.  The defective singleton, whose secular function ``q x^2`` has no
+    zero but the origin, stops after its first box.  The rectangle always
     gets a small margin past the imaginary axis so that axis zeros (the
     origin, and the square roots of negative eigenvalues) are interior
     points; mirror images are removed afterwards.  InvalidInput is raised
@@ -1025,76 +1005,47 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
         perimeter = S.indicator_perimeter()
         R = 4.0 * np.pi * (want + 2) / perimeter if perimeter > 0 else 0.0
         L, H = max(4.0 * scale, R / 0.92), max(3.0 * scale, R / 0.90)
-
-        def grow_box():
-            return Rect(-margin, L, -1.031731 * H, 0.968413 * H)
-
-        # pre-pass: grow by winding count before isolating; each box is
-        # counted with its first grid (for about want + 2 zeros), and the
-        # last count is the first isolation's certificate
+        # each round counts the box with its first grid (for about want + 2
+        # zeros) in one call, and isolates it whole when it holds enough
         k = _grid_size(want + 2)
-        counted, first = _count_and_split(fun, grow_box(), k, rng)
-        for _ in range(13):
-            if counted.n >= want + 1:
-                break
-            L *= 1.45
-            H *= 1.2
-            counted, first = _count_and_split(fun, grow_box(), k, rng)
-        # `zeros` are all the zeros inside `counted.rect`, the contour last
-        # counted, and `first` its first split when the count came with it
-        zeros = None
-        ok = False
-        last_n, stall = -1, 0
         for _ in range(16):
+            box = Rect(-margin, L, -1.031731 * H, 0.968413 * H)
             try:
-                if zeros is None:
-                    if counted is None:
-                        counted, first = _count_and_split(fun, grow_box(), k, rng)
-                    zeros = _isolate_counted(fun, counted, tol, rng, first)
-                else:
-                    zeros, counted = _grow_zeros(fun, zeros, counted.rect, grow_box(),
-                                                 tol, rng)
-                    first = None
+                counted, first = _count_and_split(fun, box, k, rng)
+                zeros = (_isolate_counted(fun, counted, tol, rng, first)
+                         if counted.n > want or perimeter == 0 else None)
             except (BoundaryZero, NonConvergent):
                 # a box edge landed too close to spectral structure: nudge
-                # and isolate the whole box again
-                zeros = counted = None
-                ok = False
                 L *= 1.0489
                 H *= 1.0171
                 continue
-            ok = zeros is not None
-            if not ok:
-                # the strips did not add up to the grown box's count: the
-                # next round isolates the whole box on that count
-                continue
-            kept = _canonical_zeros(zeros)
-            merged = _merge_values([(z * z, m) for z, m in kept])
-            n_eigs = 1 + len(merged)
-            if n_eigs > want:
-                # completeness: the smallest `want` eigenvalues must come
-                # from the disc the box fully covers, else an off-axis
-                # direction may still hide smaller ones
-                done = counted.rect
-                coverage = 0.95 * min(done.re_max, done.im_max, -done.im_min)
-                need = float(np.sqrt(abs(merged[want - 1][0])))
-                if need <= coverage:
+            if zeros is None:
+                found = counted.n
+            else:
+                merged = _merge_values([(z * z, m) for z, m in _canonical_zeros(zeros)])
+                if perimeter == 0:
+                    # no cosine term: EV = q x^2, whose only zero is the origin
                     break
-                # jump straight to the required coverage radius
-                L = max(L * 1.02, need / 0.92)
-                H = max(H * 1.02, need / 0.90)
-                continue
-            # sparse spectra (down to the defective singleton {0}) stop
-            # producing new eigenvalues no matter how far the box grows
-            stall = stall + 1 if n_eigs == last_n else 0
-            if stall >= 2 and L > 40.0 * scale and H > 40.0 * scale:
-                break
-            last_n = n_eigs
-            L *= 1.4
-            H *= 1.3
-        if not ok:
-            raise NonConvergent(
-                f"could not isolate eigenvalues; last box {grow_box()}")
+                found = len(merged)
+                if found >= want:
+                    # completeness: the smallest `want` eigenvalues must come
+                    # from the disc the box fully covers, else an off-axis
+                    # direction may still hide smaller ones
+                    done = counted.rect
+                    coverage = 0.95 * min(done.re_max, done.im_max, -done.im_min)
+                    need = float(np.sqrt(abs(merged[want - 1][0])))
+                    if need <= coverage:
+                        break
+                    # jump straight to the required coverage radius
+                    L, H = max(L, need / 0.92), max(H, need / 0.90)
+                    continue
+            # too few zeros counted, or too few distinct eigenvalues among
+            # them (multiple ones): zeros grow in proportion to the radius
+            grow = (want + 2) / max(found, 1)
+            L *= grow
+            H *= grow
+        else:
+            raise NonConvergent(f"could not isolate eigenvalues; last box {box}")
         lambda_rect = counted.rect
 
     eigs = _canonical_sorted([(0j, 1)] + merged)

@@ -84,6 +84,13 @@ class TestSpectrum:
         assert code == 4
         assert json.loads(out)["spectrum"] == "whole-plane"
 
+    def test_defective_singleton(self, capsys):
+        # A4(0.5, -1.5): the secular function q x^2 has no zero but the origin
+        code, out, _ = run(capsys, ["spectrum", "--real", "0.5", "-1", "1", "-1.5",
+                                    "--count", "6"])
+        assert code == 0
+        assert [(e["re"], e["im"]) for e in json.loads(out)["eigenvalues"]] == [(0.0, 0.0)]
+
     def test_invalid_matrix_exit_code(self, capsys):
         code, _, err = run(capsys, ["spectrum", "--matrix", "1,2,3"])
         assert code == 2

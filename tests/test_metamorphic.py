@@ -218,6 +218,28 @@ def test_defective_secular_function_out_of_range():
         build(a4(0.0, 2.0).scaled(1e-310))
 
 
+def test_eig2_out_of_range_raises_without_warning(capsys):
+    """Below the normal range eig2's generalised vector would divide by a
+    subnormal 2^e: it raises IllConditioned, without a floating-point
+    warning, and the CLI exits 3 with one message line.  spectrum() works
+    on the normalised matrix and still scales."""
+    A = a4(0.0, 2.0).scaled(1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditioned):
+            eig2(A)
+        code = main(["ev", "--real", "0", " -1e-310", "1e-310", "2e-310", "--at=1,0"])
+        got = spectrum(A, count=COUNT)
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("specmat:") and out.err.count("\n") == 1
+    want = spectrum(a4(0.0, 2.0), count=COUNT)
+    assert got.analytic_order_at_zero == want.analytic_order_at_zero
+    assert [m for _, m in got.eigenvalues] == [m for _, m in want.eigenvalues]
+    # the entries are subnormal, exact only to about 2^-44 of themselves
+    assert_allclose(got.values(), 1e-310 * want.values(), rtol=1e-12, atol=0)
+
+
 def test_cli_ev_of_a_tiny_defective_matrix(capsys):
     """`ev` of a defective matrix at 1e-110 prints a finite value, without
     a floating-point warning (NaN at the parent, with exit 0)."""

@@ -538,31 +538,80 @@ class TestIsolationInvariant:
 
 
 class TestIncrementalGrowth:
-    @pytest.mark.parametrize("A, count", [(CMatrix2.real(1, 0, 1, 4), 12),
-                                          (CMatrix2.real(1, 0, 0, -1), 24)])
-    def test_matches_one_isolation_of_the_final_box(self, monkeypatch, A, count):
-        # no zero-density estimate: growth starts from the fixed
-        # 4 scale x 3 scale box and must run for several rounds
-        monkeypatch.setattr(SecularFn, "indicator_perimeter", lambda self: 0.0)
+    """spectrum()'s one loop resizes the box where its first, sized by the
+    zero density, falls short: all-multiple spectra, whose zeros the
+    density counts with multiplicity, and a first box made too small by an
+    overstated perimeter.  The result is one isolation of the final box."""
+
+    HARD = {"2I": CMatrix2.real(2, 0, 0, 2), "lower(1,1)": CMatrix2.real(1, 0, 1, 1),
+            "lower(1,4)": CMatrix2.real(1, 0, 1, 4),
+            "A4(0,2.5)": family_matrix(Family.A4, 0.0, 2.5)}
+    CASES = ([(name, count, 1.0) for name in HARD for count in (6, 12, 20)]
+             + [("lower(1,4)", 12, 8.0), ("diag(1,-1)", 24, 8.0)])
+
+    @pytest.mark.parametrize("name, count, overstate", CASES,
+                             ids=[f"{n}-{c}" + ("-overstated" if o > 1 else "")
+                                  for n, c, o in CASES])
+    def test_matches_one_isolation_of_the_final_box(self, monkeypatch, name, count,
+                                                    overstate):
+        A = self.HARD.get(name, CMatrix2.real(1, 0, 0, -1))
+        real_perimeter = SecularFn.indicator_perimeter
+        monkeypatch.setattr(SecularFn, "indicator_perimeter",
+                            lambda self: overstate * real_perimeter(self))
         rounds = []
-        real_grow = rootfind._grow_zeros
+        real_count = rootfind._count_and_split
 
         def counting(*args, **kw):
-            out = real_grow(*args, **kw)
-            rounds.append(out[0] is not None)
-            return out
+            rounds.append(args[1])
+            return real_count(*args, **kw)
 
-        monkeypatch.setattr(rootfind, "_grow_zeros", counting)
+        monkeypatch.setattr(rootfind, "_count_and_split", counting)
         sp = spectrum(A, count=count)
-        assert sum(rounds) >= 2
+        assert len(rounds) >= 2                   # the first box fell short
         S = build(A)
         fun = rootfind._OriginDeflated(S, S.order_at_origin())
         zeros = rootfind._canonical_zeros(isolate_zeros(fun, sp.search_region))
         once = rootfind._merge_values([(0j, 1)] + [(z * z, m) for z, m in zeros])
         once = once[:count]
-        assert len(once) == len(sp.eigenvalues)
+        assert len(once) == len(sp.eigenvalues) == count
         for (v, m), (u, k) in zip(sp.eigenvalues, once):
             assert abs(v - u) <= 1e-9 * (1 + abs(v)) and m == k
+
+    @pytest.mark.parametrize("count", [1, 6, 12])
+    @pytest.mark.parametrize("a, d", [(0.5, -1.5), (-0.5, 1.5)])
+    def test_defective_singleton_takes_one_contour_call(self, monkeypatch, a, d, count):
+        # no cosine term: EV = q x^2 has no zero but the origin, and the
+        # first box, which counts none, is the last
+        calls = []
+        real_moments = rootfind._contour_moments
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return real_moments(*args, **kw)
+
+        monkeypatch.setattr(rootfind, "_contour_moments", counting)
+        sp = spectrum(family_matrix(Family.A4, a, d), count=count)
+        assert sp.eigenvalues == ((0j, 1),)
+        assert sp.analytic_order_at_zero == 2
+        assert len(calls) == 1
+
+    def test_the_loop_is_bounded(self, monkeypatch):
+        # a box that can never be isolated: 16 rounds, then NonConvergent
+        counts = []
+        real_count = rootfind._count_and_split
+
+        def counting(*args, **kw):
+            counts.append(1)
+            return real_count(*args, **kw)
+
+        def fail(*args, **kw):
+            raise BoundaryZero("zero on every box")
+
+        monkeypatch.setattr(rootfind, "_count_and_split", counting)
+        monkeypatch.setattr(rootfind, "_isolate_counted", fail)
+        with pytest.raises(NonConvergent, match="last box"):
+            spectrum(CMatrix2.real(1.3, 1, 0, -2.1), count=6)
+        assert 1 <= len(counts) <= 16
 
 
 class TestZeroDensity:
