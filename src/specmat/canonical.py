@@ -316,7 +316,10 @@ def _lattice_values(units, lambda_max: float):
         k = np.arange(1, int(kmax) + 2)
         k = k[abs(u) * k * k <= lambda_max]
         parts.append(u * k * k)
-    vals = np.unique(np.concatenate(parts).astype(complex))
+    # sort, then keep the first of each run of equal values (np.unique
+    # would load numpy.ma)
+    vals = np.sort(np.concatenate(parts).astype(complex))
+    vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
     return tuple(complex(v) for v in vals[np.lexsort((vals.real, np.abs(vals)))])
 
 

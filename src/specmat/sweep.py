@@ -121,6 +121,10 @@ def _match_tracks(prev, cur, next_track: int):
     (births and deaths are honest).  Returns (track ids for cur, next free
     track id).
     """
+    # statistics.median, not np.median, which would load numpy.ma; imported
+    # here so that importing specmat does not load it
+    import statistics
+
     if not prev:
         return list(range(next_track, next_track + len(cur))), next_track + len(cur)
     cand = sorted((abs(cv - pv), i, j)
@@ -133,7 +137,7 @@ def _match_tracks(prev, cur, next_track: int):
         assigned[i] = (j, dist)
         used_prev.add(j)
     dists = [d for _, d in assigned.values()]
-    cap = 5.0 * float(np.median(dists)) if dists else 0.0
+    cap = 5.0 * float(statistics.median(dists)) if dists else 0.0
     tracks = [-1] * len(cur)
     for i, (j, dist) in assigned.items():
         if dist <= max(cap, 1e-12):

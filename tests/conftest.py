@@ -15,6 +15,24 @@ def a4(a, d):
     return CMatrix2.real(a, -1.0, 1.0, d)
 
 
+def corpus30():
+    """The 30-matrix regional corpus of acceptance criterion 6, on which the
+    oracle must agree with the secular spectra."""
+    pts_a4 = [(0.0, 2.0), (0.5, 2.5), (3.0, 5.0), (-0.3, 1.7),   # R1
+              (2.0, -1.0), (-3.0, 1.0), (1.5, -2.0), (4.0, -0.5),  # R2
+              (0.5, 3.0), (1.0, 4.0), (2.0, 4.5), (-0.5, 1.55),    # R3
+              (-0.5, -3.0), (-1.0, -4.0), (-2.0, -4.3), (0.4, -2.7),  # R4
+              (0.3, 1.1), (-1.0, 0.0), (1.2, 0.4), (0.0, 0.0),     # R5
+              (1.0, 2.9), (-0.8, 0.9)]
+    mats = [a4(a, d) for a, d in pts_a4]
+    mats += [CMatrix2.real(1, 0, 0, 4), CMatrix2.real(2.5, 0, 0, -1.5),
+             CMatrix2.real(1, 0, 1, 4), CMatrix2.real(0.8, 1, 0, -2.0),
+             CMatrix2.real(3, 0, 0, 2), CMatrix2.real(1, 1, 0.5, 1),
+             CMatrix2.real(2, 1, 1, 3), CMatrix2.real(-1, 1, 1, -3)]
+    assert len(mats) == 30
+    return mats
+
+
 @pytest.fixture(scope="session")
 def region_corpus():
     """Matrices spanning all qualitative regimes, used for cross-checks.

@@ -12,7 +12,7 @@ from specmat import (CMatrix2, Rect, SweepSpec, build, cheb_spectrum,
                      discretize, growth_probe, lambda_curve, oracle_spectrum,
                      perturbation_coeffs, run_sweep, spectrum, winding_count)
 from specmat.rootfind import _OriginDeflated
-from conftest import EXAMPLE, a4
+from conftest import EXAMPLE, a4, corpus30
 
 import scipy.linalg
 
@@ -141,21 +141,6 @@ class TestAcceptance:
         report(5, "chebyshev-secular equivalence", ok,
                f"worst rel gap {worst:.2e}, {elapsed:.1f}s for 10 points")
 
-    def _corpus30(self):
-        pts_a4 = [(0.0, 2.0), (0.5, 2.5), (3.0, 5.0), (-0.3, 1.7),   # R1
-                  (2.0, -1.0), (-3.0, 1.0), (1.5, -2.0), (4.0, -0.5),  # R2
-                  (0.5, 3.0), (1.0, 4.0), (2.0, 4.5), (-0.5, 1.55),    # R3
-                  (-0.5, -3.0), (-1.0, -4.0), (-2.0, -4.3), (0.4, -2.7),  # R4
-                  (0.3, 1.1), (-1.0, 0.0), (1.2, 0.4), (0.0, 0.0),     # R5
-                  (1.0, 2.9), (-0.8, 0.9)]
-        mats = [a4(a, d) for a, d in pts_a4]
-        mats += [CMatrix2.real(1, 0, 0, 4), CMatrix2.real(2.5, 0, 0, -1.5),
-                 CMatrix2.real(1, 0, 1, 4), CMatrix2.real(0.8, 1, 0, -2.0),
-                 CMatrix2.real(3, 0, 0, 2), CMatrix2.real(1, 1, 0.5, 1),
-                 CMatrix2.real(2, 1, 1, 3), CMatrix2.real(-1, 1, 1, -3)]
-        assert len(mats) == 30
-        return mats
-
     def test_06_discretization_convergence(self):
         # second-order Richardson ratios for diagonal and lower-triangular
         ratio_ok = True
@@ -175,7 +160,7 @@ class TestAcceptance:
         # error bars across the 30-matrix regional corpus
         agree_ok = True
         worst = ("", 0.0)
-        for A in self._corpus30():
+        for A in corpus30():
             sec_vals = spectrum(A, count=9).with_multiplicity()
             orc = oracle_spectrum(discretize(A, 200), 6,
                                   companion=discretize(A, 100))

@@ -1,6 +1,7 @@
 """scipy is loaded only by the commands that call it: classification, the
 secular route and the Chebyshev route start without it.  numpy.polynomial
-(2-11 ms to import) is loaded by none of them.
+(2-11 ms to import) and numpy.ma (about 7 ms, loaded by np.unique and
+np.median) are loaded by none of them.
 
 Each check runs in a fresh interpreter, because the test process already
 holds scipy.
@@ -17,17 +18,19 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # imports specmat, then runs each argv through specmat.cli.main, recording
-# the exit code and the scipy and numpy.polynomial modules loaded so far
-# after each step
+# the exit code and the scipy, numpy.polynomial and numpy.ma modules loaded
+# so far after each step
 _PROBE = r"""
 import json, sys
 
-def modules(prefix):
-    return sorted(m for m in sys.modules if m.startswith(prefix))
+def modules(package):
+    return sorted(m for m in sys.modules
+                  if m == package or m.startswith(package + "."))
 
 def loaded(argv, code):
     return {"argv": argv, "code": code, "scipy": modules("scipy"),
-            "polynomial": modules("numpy.polynomial")}
+            "polynomial": modules("numpy.polynomial"),
+            "ma": modules("numpy.ma")}
 
 import specmat
 steps = [loaded(None, 0)]
@@ -64,11 +67,13 @@ def test_cold_commands_load_no_scipy():
     imported, *steps = fresh_run(COLD_COMMANDS)
     assert imported["scipy"] == [], "import specmat loaded scipy"
     assert imported["polynomial"] == [], "import specmat loaded numpy.polynomial"
+    assert imported["ma"] == [], "import specmat loaded numpy.ma"
     assert len(steps) == len(COLD_COMMANDS)
     for step in steps:
         assert step["code"] == 0, step["argv"]
         assert step["scipy"] == [], step["argv"]
         assert step["polynomial"] == [], step["argv"]
+        assert step["ma"] == [], step["argv"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,10 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from specmat import (CMatrix2, InvalidInput, NearSpectrum, NonConverged,
-                     ResolutionTooLow, discretize, growth_probe,
+                     ResolutionTooLow, discretize, growth_probe, lambda_curve,
                      oracle_spectrum, resolvent_norm, spectrum)
 from specmat.oracle import _canonical_order
-from conftest import EXAMPLE, a4
+from conftest import EXAMPLE, a4, corpus30
 
 import scipy.linalg
 import scipy.sparse.linalg
@@ -75,6 +75,18 @@ def dense_low_end(A, n):
             used[j] = True
             ev[i] = 0.5 * (v + dn[j])
     return ev[_canonical_order(ev)]
+
+
+def spy_eigs(monkeypatch):
+    """Record the keyword arguments of every scipy.sparse.linalg.eigs call."""
+    asked = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def counting(*args, **kwargs):
+        asked.append(kwargs)
+        return eigs(*args, **kwargs)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
+    return asked
 
 
 class TestDiscretize:
@@ -249,18 +261,33 @@ class TestShiftInvertAgainstDense:
 
     def test_doubling_until_certified(self, monkeypatch):
         # a near-singular A puts a cluster of ~n tiny eigenvalues around 0:
-        # the first 2k values nearest the shift do not certify the low end
+        # the 8, 16 and 32 values nearest the shift do not certify the low
+        # end, and the request doubles from its start of k + 2
         A = CMatrix2.real(1, 2, 2, 4.0001)
-        asked = []
-        eigs = scipy.sparse.linalg.eigs
-
-        def counting(*args, **kwargs):
-            asked.append(kwargs["k"])
-            return eigs(*args, **kwargs)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
+        asked = spy_eigs(monkeypatch)
         got = oracle_spectrum(discretize(A, 100), 6).values()
-        assert asked[:3] == [12, 24, 48]
+        assert [kw["k"] for kw in asked[:3]] == [8, 16, 32]
         assert_allclose(got, dense_low_end(A, 100)[:6], rtol=1e-8, atol=1e-10)
+
+
+class TestOracleCost:
+    """An oracle_spectrum call at k = 6 makes one shift-invert Arnoldi call
+    per resolution, each for k + 2 = 8 values at Ritz tolerance 1e-12, and
+    none of them has to double."""
+
+    @pytest.mark.parametrize("A", [CMatrix2.real(1, 0, 1, 4),
+                                   lambda_curve(3, 2, +1, 0.5).matrix()],
+                             ids=["triangular", "a4-curve"])
+    def test_one_request_per_resolution(self, monkeypatch, A):
+        asked = spy_eigs(monkeypatch)
+        oracle_spectrum(discretize(A, 200), 6, companion=discretize(A, 100))
+        assert [(kw["k"], kw["tol"]) for kw in asked] == [(8, 1e-12)] * 2
+
+    def test_corpus_never_doubles(self, monkeypatch):
+        asked = spy_eigs(monkeypatch)
+        for A in corpus30():
+            oracle_spectrum(discretize(A, 200), 6, companion=discretize(A, 100))
+        assert asked and all(kw["k"] == 8 for kw in asked)
 
 
 class TestResolventNorm:
