@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -65,12 +66,24 @@ class ChebPoint:
         return family_matrix(Family.A4, self.a, self.d)
 
 
+def ratio_float(ratio) -> float:
+    """``float(ratio)``, or OutOfDomain for a ratio beyond the float range."""
+    try:
+        return float(ratio)
+    except OverflowError:
+        raise OutOfDomain("ratio beyond the float range") from None
+
+
 def level_curve_d(alpha: float, sign: int, a: float) -> float:
     """The two solutions d_pm(a) of sqrt(b+/b-) = alpha:
     ``[a (alpha^4 + 1) +- sqrt((alpha^4 - 1)^2 a^2 + 4 alpha^2 (alpha^2 + 1)^2)]
-    / (2 alpha^2)``."""
-    a4 = alpha ** 4
-    disc = (a4 - 1.0) ** 2 * a * a + 4.0 * alpha ** 2 * (alpha ** 2 + 1.0) ** 2
+    / (2 alpha^2)``.  OutOfDomain where alpha is so large that these
+    powers overflow a float."""
+    try:
+        a4 = alpha ** 4
+        disc = (a4 - 1.0) ** 2 * a * a + 4.0 * alpha ** 2 * (alpha ** 2 + 1.0) ** 2
+    except OverflowError:
+        raise OutOfDomain(f"level curve of ratio {alpha} overflows a float") from None
     return (a * (a4 + 1.0) + sign * math.sqrt(disc)) / (2.0 * alpha ** 2)
 
 
@@ -94,7 +107,7 @@ def lambda_curve(p: int, q: int, sign: int, a: float) -> ChebPoint:
         raise OutOfDomain(f"upper branch needs a > -1, got a = {a}")
     if sign < 0 and not a > 1.0:
         raise OutOfDomain(f"lower branch needs a > 1, got a = {a}")
-    alpha = p / q
+    alpha = ratio_float(Fraction(p, q))
     d = level_curve_d(alpha, sign, a)
     # on the curve the ratio is alpha exactly, so the trace fixes both
     # eigenvalues: b- = (a+d)/(alpha^2+1), b+ = alpha^2 b-.  The quadratic

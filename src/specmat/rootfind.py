@@ -46,32 +46,35 @@ than the cluster size are reported as one m-fold zero.  Any other cell is
 split, and a split that cannot be counted raises NonConvergent.
 
 The quadtree is worked breadth first, with at most two contour-moment
-calls per level.  A cell of n zeros that must split is cut into one
-k x k grid, ``k = max(2, ceil(sqrt(n / 1.5)))`` up to 16, so that each
-child holds about 1.5 of its zeros and most children are solved by the
-first rule on the next level.  One call counts every child of every cell
-of a level that splits, each grid in its own frame and with its own
-count-sum check, and one call counts the certifying squares of a level.
-When a level's call fails each cell's grid is counted alone, and a cell
-that its grid does not split goes on to jittered grids of its own.  On
-each level the Newton starts of every cell the first rule may solve go
-through one vectorised Newton, so the per-call overhead of a step is paid
-once per level, not once per cell.
+calls per level when none fails.  A cell of n zeros that must split is
+cut into one k x k grid, ``k = max(2, ceil(sqrt(n / 1.5)))`` up to 16, so
+that each child holds about 1.5 of its zeros and most children are solved
+by the first rule on the next level.  One call counts every child of
+every cell of a level that splits, each grid in its own frame and with
+its own count-sum check, and one call counts the certifying squares of a
+level.  A failed call over several cells is made again once per cell
+(:func:`_moments_each`), and the cells that their grid does not split go
+on together to the level's next attempt, whose grids have jittered
+lines.  On each level the Newton starts of every cell the first rule may
+solve go through one vectorised Newton, so the per-call overhead of a
+step is paid once per level, not once per cell.
 
 ``spectrum`` sizes its first search box by the secular function's zero
 density (Polya: about ``P R / (2 pi)`` zeros in ``|x| < R``, P the
 perimeter of the convex hull of its exponents), and counts the box with
 its first grid in one call: the box's own polygon gives the count, which
-the grid's children must add up to.  A given rectangle's first grid is
-sized by the same density for the zeros between its nearest and farthest
-point from the origin.  The density counts zeros with multiplicity, and
-``spectrum`` wants distinct eigenvalues, so one bounded loop resizes the
-box: a box that counts too few zeros, or whose isolation gives too few
-distinct eigenvalues, is scaled by the ratio of the zeros wanted to those
-found (zeros grow in proportion to the radius), and one whose eigenvalues
-lie beyond the disc it covers jumps once to that radius; each new box is
-counted and isolated whole.  A secular function without cosine terms is
-``q x^2``, whose only zero is the origin: its first box is the last.
+the grid's children must add up to.  When that call fails the grid is
+dropped, and the box is counted alone, then dilated (:func:`_count_box`).
+A given rectangle's first grid is sized by the same density for the
+zeros between its nearest and farthest point from the origin.  The
+density counts zeros with multiplicity, and ``spectrum`` wants distinct
+eigenvalues, so one bounded loop resizes the box: a box that counts too
+few zeros, or whose isolation gives too few distinct eigenvalues, is
+scaled by the ratio of the zeros wanted to those found (zeros grow in
+proportion to the radius), and one whose eigenvalues lie beyond the disc
+it covers jumps once to that radius; each new box is counted and
+isolated whole.  A secular function without cosine terms is ``q x^2``,
+whose only zero is the origin: its first box is the last.
 """
 
 from __future__ import annotations
@@ -142,13 +145,6 @@ class Rect:
         w, h = self.re_max - self.re_min, self.im_max - self.im_min
         return ([self.re_min, *(self.re_min + f * w for f in fx), self.re_max],
                 [self.im_min, *(self.im_min + f * h for f in fy), self.im_max])
-
-    def split(self, fx: float = 0.5, fy: float = 0.5):
-        """The four cells of the grid with one line at each fraction, in
-        the order lower left, lower right, upper left, upper right."""
-        xs, ys = self.grid_lines([fx], [fy])
-        return tuple(Rect(xs[i], xs[i + 1], ys[j], ys[j + 1])
-                     for j in range(2) for i in range(2))
 
 
 class _CallableAdapter:
@@ -436,68 +432,65 @@ class _Cell(NamedTuple):
         return self.n * self.centre + self.radius * complex(self.sums[0])
 
 
-def winding_count(f, rect: Rect, fprime=None, rng=None, dilate: bool = True) -> int:
+def winding_count(f, rect: Rect, fprime=None, rng=None) -> int:
     """Number of zeros of ``f`` inside ``rect``, counted with multiplicity.
 
     If a zero sits (numerically) on the boundary the rectangle is dilated
     by a random factor in [1.0001, 1.001) and the count retried, up to
-    five times.
+    five times (see :func:`_count_box`).
     """
     fun = _as_protocol(f, fprime)
     rng = np.random.default_rng(0) if rng is None else rng
-    return _winding_with_rect(fun, rect, rng, dilate).n
+    return _count_box(fun, rect, rng)[0].n
 
 
-def _winding_with_rect(fun, rect: Rect, rng, dilate: bool) -> _Cell:
-    """Winding count of ``rect``, dilated as :func:`winding_count` does."""
-    r = rect
-    for attempt in range(6):
+def _count_box(fun, rect: Rect, rng, k: Optional[int] = None):
+    """The winding count of ``rect`` and, with ``k``, its first split into
+    a k x k grid.  Returns ``(counted, children)``: the counted
+    :class:`_Cell` and the children that hold zeros, or None when there is
+    no grid or it does not split the box (its counts do not add up); the
+    counted cell is then the first level of :func:`_isolate_counted`.
+
+    With ``k`` the first :func:`_contour_moments` call bundles the box's
+    own four-segment polygon, whose winding is the count, with the grid of
+    :func:`_split_grid`'s first attempt, so the split's count-sum check
+    compares two independent integrals.  When that call fails the grid is
+    dropped and the box counted alone; when the box alone fails, a zero
+    sits (numerically) on its edge, and it is dilated by a random factor
+    in [1.0001, 1.001) and counted again, up to five times.
+    """
+    grid = None if k is None else _split_grid(rect, k, 0, rng)
+    r, dilations = rect, 0
+    while True:
+        box = _polygon(r.corners())
+        if grid is None:
+            segs, caps = box, _EDGE_CAP
+        else:
+            # the grid's outer segments (one cell uses each) lie on the
+            # box's edge and take its cap: no later attempt, which moves
+            # only the interior lines, could resolve a zero near that edge
+            # under a smaller one
+            outer = np.count_nonzero(grid[2].incidence, axis=0) == 1
+            segs = _bundle([box, grid[2]])
+            caps = np.concatenate((np.full(len(box.ends), _EDGE_CAP),
+                                   np.where(outer, _EDGE_CAP, _SPLIT_CAPS[0])))
         try:
-            segs = _polygon(r.corners())
-            s0, sums = _contour_moments(fun, segs)
+            s0, sums = _contour_moments(fun, segs, cap=caps)
             n = int(round(s0[0].real))
             if n < 0:
                 raise NonConvergent(f"negative winding {s0[0].real}; derivative inconsistent?")
-            return _Cell(r, n, sums[0], segs.centre[0], segs.radius[0])
         except (BoundaryZero, NonConvergent):
             # either failure mode signals structure too close to the contour
-            if not dilate or attempt == 5:
+            if grid is not None:
+                grid = None
+            elif dilations < 5:
+                r = r.dilated(1.0 + 1e-3 * float(rng.uniform(0.1, 1.0)))
+                dilations += 1
+            else:
                 raise
-            r = r.dilated(1.0 + 1e-3 * float(rng.uniform(0.1, 1.0)))
-    raise BoundaryZero("persistent boundary zero after 5 dilations")
-
-
-def _count_and_split(fun, rect: Rect, k: int, rng):
-    """The winding count of ``rect`` and its first split into a k x k
-    grid, both from one :func:`_contour_moments` call.
-
-    The bundle holds the rectangle's own four-segment polygon, whose
-    winding is the count, and the grid of :func:`_split_grid`'s first
-    attempt, so the split's count-sum check compares two independent
-    integrals.  Returns ``(counted, children)``: the counted :class:`_Cell`
-    and the children that hold zeros, or None when the grid does not
-    split it (its counts do not add up, or the call failed); the counted
-    cell is then the first level, as in :func:`isolate_zeros` without a
-    grid.  When the call fails the count is taken again alone, by
-    :func:`_winding_with_rect` with its dilations.
-    """
-    box = _polygon(rect.corners())
-    xs, ys, grid = _split_grid(rect, k, 0, rng)
-    # the grid's outer segments (one cell uses each) lie on the box's edge
-    # and take its cap: no later attempt, which moves only the interior
-    # lines, could resolve a zero near that edge under a smaller one
-    outer = np.count_nonzero(grid.incidence, axis=0) == 1
-    caps = np.concatenate((np.full(len(box.ends), _EDGE_CAP),
-                           np.where(outer, _EDGE_CAP, _SPLIT_CAPS[0])))
-    try:
-        s0, sums = _contour_moments(fun, _bundle([box, grid]), cap=caps)
-        n = int(round(s0[0].real))
-        if n < 0:
-            raise NonConvergent(f"negative winding {s0[0].real}; derivative inconsistent?")
-    except (BoundaryZero, NonConvergent):
-        return _winding_with_rect(fun, rect, rng, dilate=True), None
-    counted = _Cell(rect, n, sums[0], box.centre[0], box.radius[0])
-    return counted, _children(xs, ys, grid, s0[1:], sums[1:], n)
+            continue
+        counted = _Cell(r, n, sums[0], box.centre[0], box.radius[0])
+        return counted, None if grid is None else _children(*grid, s0[1:], sums[1:], n)
 
 
 def _newton(fun, z0s, mult, tol: float, steps: int = 60):
@@ -550,17 +543,14 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None,
     size wide around the point).
     The multiplicity sum equals the top-level winding count, else
     NumericalFailure is raised, and InvalidInput unless ``tol`` is finite
-    and positive.  With ``first_grid`` k the rectangle is counted together
-    with its first split into a k x k grid, in one contour call (see
-    :func:`_count_and_split`).
+    and positive.  The rectangle is counted by :func:`_count_box`, with
+    ``first_grid`` k together with its first split into a k x k grid in
+    one contour call.
     """
     _require_tol(tol)
     fun = _as_protocol(f, fprime)
     rng = np.random.default_rng(0) if rng is None else rng
-    if first_grid is None:
-        counted, children = _winding_with_rect(fun, rect, rng, dilate=True), None
-    else:
-        counted, children = _count_and_split(fun, rect, first_grid, rng)
+    counted, children = _count_box(fun, rect, rng, first_grid)
     return _isolate_counted(fun, counted, tol, rng, children)
 
 
@@ -571,7 +561,7 @@ def _isolate_counted(fun, counted: _Cell, tol: float, rng, children=None):
     leave unresolved go to :func:`_multiple_zeros`, and those left then
     to :func:`_split_level`, whose children form the next level.
     ``children``, when given, is the counted cell's first split (see
-    :func:`_count_and_split`), and the first level."""
+    :func:`_count_box`), and the first level."""
     if counted.n == 0:
         return []
     results = []
@@ -684,7 +674,7 @@ def _multiple_zeros(fun, cells, tol: float):
     That square lies inside a cell of n zeros, so a count of n puts all of
     them within its diameter of the point (Kravanja and Van Barel, LNM
     1727, 2000).  The squares of all the cells are counted together by
-    :func:`_square_counts`.  Any other count, or a square that cannot be
+    :func:`_moments_each`.  Any other count, or a square that cannot be
     counted, leaves the cell to the split.
     """
     out = [None] * len(cells)
@@ -711,24 +701,30 @@ def _multiple_zeros(fun, cells, tol: float):
         if x0 < x1 and y0 < y1:
             squares.append((i, z, Rect(x0, x1, y0, y1)))
     if squares:
-        counts = _square_counts(fun, [sq for _, _, sq in squares])
+        counts = _moments_each(fun, [_polygon(sq.corners()) for _, _, sq in squares])
         for (i, z, _), m in zip(squares, counts):
-            if m == cells[i].n:
+            if m is not None and round(m[0][0].real) == cells[i].n:
                 out[i] = z
     return out
 
 
-def _square_counts(fun, rects):
-    """The winding counts of the rectangles, from one
-    :func:`_contour_moments` call; when that call fails, of each
-    rectangle alone, None for one that cannot be counted."""
+def _moments_each(fun, parts, cap=_EDGE_CAP):
+    """Each part's windings and power sums (as :func:`_contour_moments`
+    returns them for that part alone) from one call over the bundle of
+    ``parts``; when that call fails, from one call per part, None for a
+    part that cannot be counted."""
     try:
-        s0, _ = _contour_moments(fun, _bundle([_polygon(r.corners()) for r in rects]))
+        s0, sums = _contour_moments(fun, _bundle(parts), cap=cap)
     except (BoundaryZero, NonConvergent):
-        if len(rects) == 1:
+        if len(parts) == 1:
             return [None]
-        return [_square_counts(fun, [r])[0] for r in rects]
-    return [int(round(w)) for w in s0.real]
+        return [_moments_each(fun, [p], cap)[0] for p in parts]
+    out, row = [], 0
+    for p in parts:
+        rows = slice(row, row + p.incidence.shape[0])
+        out.append((s0[rows], sums[rows]))
+        row = rows.stop
+    return out
 
 
 _SPLIT_CAPS = (2 ** 12, 2 ** 15, 2 ** 18)   # sample caps of split attempts 0-2, 3-5, 6-8
@@ -780,59 +776,32 @@ def _split_level(fun, cells, rng):
     """The children that hold zeros of every cell of one quadtree level
     that must split, each cell cut into one k x k grid, ``k =
     _grid_size(n)`` for its n zeros, so that each child holds about 1.5
-    of them.
+    of them, in the order of the cells.
 
-    The first grids of all the cells are counted in one
-    :func:`_contour_moments` call (see :func:`_grid`: each piece of an
-    interior line is integrated once for both cells it borders), each in
-    its own frame, so that its children's power sums are those of its own
-    split.  A cell's split is accepted only when every count is
-    non-negative and they sum to its own count.  When the call fails each
-    cell's first grid is counted alone; a cell whose sum does not match,
-    or whose own call fails, goes on to :func:`_split_cell`'s later
-    attempts.
-    """
-    grids = [_split_grid(cell.rect, _grid_size(cell.n), 0, rng) for cell in cells]
-    try:
-        s0, sums = _contour_moments(fun, _bundle([g[2] for g in grids]), cap=_SPLIT_CAPS[0])
-    except (BoundaryZero, NonConvergent):
-        if len(cells) > 1:
-            return [ch for cell in cells for ch in _split_level(fun, [cell], rng)]
-        first = [None]
-    else:
-        first, row = [], 0
-        for cell, (xs, ys, grid) in zip(cells, grids):
-            rows = slice(row, row + grid.incidence.shape[0])
-            first.append(_children(xs, ys, grid, s0[rows], sums[rows], cell.n))
-            row = rows.stop
-    out = []
-    for cell, children in zip(cells, first):
-        out.extend(_split_cell(fun, cell.rect, cell.n, rng) if children is None
-                   else children)
-    return out
-
-
-def _split_cell(fun, cell: Rect, cnt: int, rng):
-    """The children that hold zeros of a cell of ``cnt`` zeros whose first
-    grid (:func:`_split_level`) did not split it: attempts 1 to 8 of
-    :func:`_split_grid`, each counted in one :func:`_contour_moments` call
-    and accepted when every count is non-negative and they sum to
-    ``cnt``.  The sample cap escalates from ``2^12`` to ``2^15`` and
+    Attempts 0 to 8 of :func:`_split_grid`: each counts the grids of every
+    cell not yet split by :func:`_moments_each` (see :func:`_grid`: each
+    piece of an interior line is integrated once for both cells it
+    borders), each grid in its own frame, so that its children's power
+    sums are those of its own split.  A cell's split is accepted when
+    every count is non-negative and they sum to its own count; any other
+    cell, or one whose grid cannot be counted, goes on to the next
+    attempt.  The sample cap escalates from ``2^12`` to ``2^15`` and
     ``2^18`` every three attempts: zeros near an inherited parent edge
     need more samples than a fresh jittered line would.  Raises
-    NonConvergent when no attempt splits the cell.
+    NonConvergent when no attempt splits a cell.
     """
-    k = _grid_size(cnt)
-    for attempt in range(1, 9):
-        xs, ys, segs = _split_grid(cell, k, attempt, rng)
-        try:
-            s0, sums = _contour_moments(fun, segs, cap=_SPLIT_CAPS[attempt // 3])
-        except (BoundaryZero, NonConvergent):
-            continue
-        children = _children(xs, ys, segs, s0, sums, cnt)
-        if children is not None:
-            return children
-    raise NonConvergent(f"could not split cell {cell} conservatively")
+    out = [None] * len(cells)
+    todo = list(range(len(cells)))
+    for attempt in range(9):
+        grids = [_split_grid(cells[i].rect, _grid_size(cells[i].n), attempt, rng) for i in todo]
+        counts = _moments_each(fun, [g[2] for g in grids], _SPLIT_CAPS[attempt // 3])
+        for i, grid, m in zip(todo, grids, counts):
+            if m is not None:
+                out[i] = _children(*grid, *m, cells[i].n)
+        todo = [i for i in todo if out[i] is None]
+        if not todo:
+            return [child for children in out for child in children]
+    raise NonConvergent(f"could not split cell {cells[todo[0]].rect} conservatively")
 
 
 # -- spectra -------------------------------------------------------------
@@ -1011,7 +980,7 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
         for _ in range(16):
             box = Rect(-margin, L, -1.031731 * H, 0.968413 * H)
             try:
-                counted, first = _count_and_split(fun, box, k, rng)
+                counted, first = _count_box(fun, box, rng, k)
                 zeros = (_isolate_counted(fun, counted, tol, rng, first)
                          if counted.n > want or perimeter == 0 else None)
             except (BoundaryZero, NonConvergent):

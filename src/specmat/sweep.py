@@ -19,7 +19,7 @@ import numpy as np
 
 from .canonical import (BOUNDARY_TOL, Family, a4_eigs, classify_region,
                         family_matrix)
-from .chebpath import cheb_spectrum, lambda_curve, level_curve_d
+from .chebpath import cheb_spectrum, lambda_curve, level_curve_d, ratio_float
 from .errors import InvalidInput, NoSignChange
 from .oracle import discretize, oracle_spectrum
 from .rootfind import spectrum
@@ -62,6 +62,9 @@ class SweepSpec:
             raise InvalidInput("need at least one ratio")
         if self.method == "chebyshev" and self.kind == "segment":
             raise InvalidInput("chebyshev method requires a rational-ratio path")
+        # a ratio beyond the float range is refused here, before any step
+        for ratio in (self.ratio,) if self.kind == "curve" else self.alphas:
+            ratio_float(Fraction(ratio))
 
     def points(self):
         """Yield (a, d, ratio_or_None) per step."""

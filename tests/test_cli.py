@@ -224,6 +224,11 @@ class TestOthers:
     ["sweep", "--curve", "1/0", "--arange", "0:0.5:2", "--method", "chebyshev"],
     ["sweep", "--alphas", "3/2,1/0", "--method", "chebyshev"],
     ["sweep", "--curve", "3/2"],
+    # ratios whose float value, or fourth power, overflows
+    ["cheb", "--alpha", "1e400", "--a", "0.5"],
+    ["cheb", "--alpha", "1e200", "--a", "0.5"],
+    ["sweep", "--curve", "1e400", "--arange", "0:1:2"],
+    ["sweep", "--alphas", "1e400", "--method", "chebyshev"],
     ["spectrum", "--real", "1", "0", "0", "1", "--count", "-3"],
     ["spectrum", "--real", "1", "0", "0", "1", "--count", "0"],
     ["ev", "--real", "1", "0", "0", "1", "--at=1e400,0"],

@@ -86,7 +86,8 @@ class TestIsolate:
         S = build(EXAMPLE)
         whole = Rect(-0.45, 7.1, -1.55, 1.48)
         zeros_whole = isolate_zeros(S, whole)
-        parts = whole.split(0.52, 0.47)
+        xs, ys = whole.grid_lines([0.52], [0.47])
+        parts = [Rect(xs[i], xs[i + 1], ys[j], ys[j + 1]) for j in range(2) for i in range(2)]
         zeros_parts = []
         for p in parts:
             zeros_parts.extend(isolate_zeros(S, p))
@@ -341,11 +342,17 @@ def _poly_pair(zeros):
     return f, fp
 
 
+def _undilated_count(fun, rect):
+    """The winding count of one contour call over ``rect``'s own polygon."""
+    (s0,), _ = rootfind._contour_moments(fun, rootfind._polygon(rect.corners()))
+    return int(round(s0.real))
+
+
 class TestEdgeQuadrature:
     def test_only_the_edge_near_a_zero_refines(self):
         # unit square, one simple zero 0.02 from the right edge
         rec = _Recorder([0.98 + 0.43j])
-        assert winding_count(rec, Rect(0.0, 1.0, 0.0, 1.0), dilate=False) == 1
+        assert _undilated_count(rec, Rect(0.0, 1.0, 0.0, 1.0)) == 1
         pts = rec.points
         assert len(set(pts)) == len(pts)          # no point evaluated twice
         assert not {0j, 1 + 0j, 1 + 1j, 1j} & set(pts)   # panels sample no vertex
@@ -414,16 +421,16 @@ class TestEdgeQuadrature:
         (np.exp(2j * np.pi * np.arange(12) / 12), Rect(-1.3, 1.2, -1.1, 1.4), 12),
     ])
     def test_polynomial_counts(self, zeros, rect, expected):
-        f, fp = _poly_pair(zeros)
-        assert winding_count(f, rect, fprime=fp, dilate=False) == expected
+        fun = rootfind._as_protocol(*_poly_pair(zeros))
+        assert _undilated_count(fun, rect) == expected
 
     def test_zero_on_contour_raises(self):
-        f, fp = _poly_pair([0.3, 2.0])       # 0.3 is on the bottom edge
+        fun = rootfind._as_protocol(*_poly_pair([0.3, 2.0]))    # 0.3 is on the bottom edge
         with pytest.raises(BoundaryZero):
-            winding_count(f, Rect(0.0, 1.0, 0.0, 1.0), fprime=fp, dilate=False)
-        f, fp = _poly_pair([1.0 + 1.0j])     # a corner
+            _undilated_count(fun, Rect(0.0, 1.0, 0.0, 1.0))
+        fun = rootfind._as_protocol(*_poly_pair([1.0 + 1.0j]))  # a corner
         with pytest.raises(BoundaryZero):
-            winding_count(f, Rect(0.0, 1.0, 0.0, 1.0), fprime=fp, dilate=False)
+            _undilated_count(fun, Rect(0.0, 1.0, 0.0, 1.0))
 
     def test_tiny_cap_raises(self):
         rec = _Recorder([0.5 + 0.5j])
@@ -467,9 +474,7 @@ class TestSharedSegments:
                                       np.random.default_rng(0))
         pts = rec.points
         assert len(set(pts)) == len(pts)          # no point evaluated twice
-        ll, lr, ul, _ = cell.split(0.513137, 0.4870113)
-        _assert_sampled_once(pts, [ll.re_min, ll.re_max, lr.re_max],
-                             [ll.im_min, ll.im_max, ul.im_max])
+        _assert_sampled_once(pts, *cell.grid_lines([0.513137], [0.4870113]))
         assert sum(child.n for child in found) == len(zeros)
         for child in found:
             inside = [z for z in zeros if child.rect.contains(z)]
@@ -559,13 +564,13 @@ class TestIncrementalGrowth:
         monkeypatch.setattr(SecularFn, "indicator_perimeter",
                             lambda self: overstate * real_perimeter(self))
         rounds = []
-        real_count = rootfind._count_and_split
+        real_count = rootfind._count_box
 
         def counting(*args, **kw):
             rounds.append(args[1])
             return real_count(*args, **kw)
 
-        monkeypatch.setattr(rootfind, "_count_and_split", counting)
+        monkeypatch.setattr(rootfind, "_count_box", counting)
         sp = spectrum(A, count=count)
         assert len(rounds) >= 2                   # the first box fell short
         S = build(A)
@@ -598,7 +603,7 @@ class TestIncrementalGrowth:
     def test_the_loop_is_bounded(self, monkeypatch):
         # a box that can never be isolated: 16 rounds, then NonConvergent
         counts = []
-        real_count = rootfind._count_and_split
+        real_count = rootfind._count_box
 
         def counting(*args, **kw):
             counts.append(1)
@@ -607,7 +612,7 @@ class TestIncrementalGrowth:
         def fail(*args, **kw):
             raise BoundaryZero("zero on every box")
 
-        monkeypatch.setattr(rootfind, "_count_and_split", counting)
+        monkeypatch.setattr(rootfind, "_count_box", counting)
         monkeypatch.setattr(rootfind, "_isolate_counted", fail)
         with pytest.raises(NonConvergent, match="last box"):
             spectrum(CMatrix2.real(1.3, 1, 0, -2.1), count=6)
@@ -990,16 +995,38 @@ class TestLevelCost:
         assert len(seen) == 1 and seen[0] >= 2
         assert len(sp.eigenvalues) > 1
 
+    def test_failed_box_and_grid_count_the_box_alone(self, monkeypatch):
+        # a zero on a line of the A5 rectangle's first 3 x 3 grid: the
+        # bundle of the box and its grid fails, the grid is dropped and the
+        # box is counted alone, undilated, and one 2 x 2 level isolates it
+        A = lambda_curve(4, 1, +1, 0.9100669616352928).matrix()
+        calls, failed = [], []
+        real = rootfind._contour_moments
+
+        def watching(fun, segs, *args, **kw):
+            calls.append((segs.incidence.shape[0], segs.vertices[:4]))
+            try:
+                return real(fun, segs, *args, **kw)
+            except BoundaryZero:
+                failed.append(segs.incidence.shape[0])
+                raise
+        monkeypatch.setattr(rootfind, "_contour_moments", watching)
+        sp = spectrum(A, lambda_rect=Rect(0, 14.5, -14.47, 14.53))
+        assert [rows for rows, _ in calls] == [1 + 9, 1, 4]
+        assert failed == [1 + 9]
+        assert (calls[1][1] == calls[0][1]).all()     # the same box's polygon
+        assert len(sp.eigenvalues) == 6
+
     def test_grid_size_is_capped(self):
         assert [rootfind._grid_size(n) for n in (1, 6, 7, 384, 385, 1e6)] == [2, 2, 3, 16, 16, 16]
 
 
 class TestBatchedLevels:
-    """Each quadtree level counts the first grids of all the cells that must
-    split in one contour call, each cell in its own frame and with its own
-    count-sum check.  When that call fails each cell's first grid is counted
-    alone; a cell its grid does not split goes on to the later, jittered
-    attempts of :func:`rootfind._split_cell`."""
+    """Each split attempt of a quadtree level counts the grids of all the
+    cells it has still to split in one contour call, each cell in its own
+    frame and with its own count-sum check.  When that call fails each
+    cell's grid is counted alone; the cells their grids do not split go on
+    together to the level's next, jittered attempt."""
 
     CELLS = [(Rect(0.0, 1.0, 0.0, 1.0), [0.2 + 0.3j, 0.7 + 0.8j, 0.8 + 0.1j, 0.3 + 0.75j, 0.6 + 0.5j]),
              (Rect(2.0, 3.1, 0.0, 0.9), [2.1 + 0.1j, 2.3 + 0.7j, 2.5 + 0.4j, 2.8 + 0.2j,
@@ -1049,15 +1076,11 @@ class TestBatchedLevels:
             self._assert_children(rect, zs, batched[at:at + len(children)])
             at += len(children)
 
-    def test_batch_with_a_zero_on_one_grid_line(self, monkeypatch):
-        # the first vertical line of the unit square's 2 x 2 grid passes
-        # through a zero at x = 0.513137: the batched call fails, each cell's
-        # first grid is counted alone, and only the unit square goes on to
-        # its later attempts
-        cells = [(Rect(0.0, 1.0, 0.0, 1.0), [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j,
-                                             0.3 + 0.2j, 0.75 + 0.45j])] + self.CELLS[1:]
-        zeros = [z for _, zs in cells for z in zs]
-        rows = self._moments_calls(monkeypatch)
+    @staticmethod
+    def _failed_calls(monkeypatch):
+        """The row counts of every contour call (as :meth:`_moments_calls`)
+        and of those that raise BoundaryZero."""
+        rows = TestBatchedLevels._moments_calls(monkeypatch)
         failed = []
         real = rootfind._contour_moments
 
@@ -1068,17 +1091,40 @@ class TestBatchedLevels:
                 failed.append(segs.incidence.shape[0])
                 raise
         monkeypatch.setattr(rootfind, "_contour_moments", watching)
-        later = []
-        real_split = rootfind._split_cell
+        return rows, failed
 
-        def spy(fun, cell, cnt, rng):
-            later.append(cell)
-            return real_split(fun, cell, cnt, rng)
-        monkeypatch.setattr(rootfind, "_split_cell", spy)
+    def test_batch_with_a_zero_on_one_grid_line(self, monkeypatch):
+        # the first vertical line of the unit square's 2 x 2 grid passes
+        # through a zero at x = 0.513137: the batched call fails, each cell's
+        # first grid is counted alone, and only the unit square goes on to
+        # the level's next attempt
+        cells = [(Rect(0.0, 1.0, 0.0, 1.0), [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j,
+                                             0.3 + 0.2j, 0.75 + 0.45j])] + self.CELLS[1:]
+        zeros = [z for _, zs in cells for z in zs]
+        rows, failed = self._failed_calls(monkeypatch)
         children = rootfind._split_level(_Poly(zeros), [_counted(r, len(zs)) for r, zs in cells],
                                          np.random.default_rng(0))
-        assert failed[:2] == [4 + 9 + 4, 4] and rows[:2] == [4 + 9 + 4, 4]
-        assert rows[-2:] == [9, 4] and later == [cells[0][0]]
+        # the batch, the three first grids alone, then the unit square's
+        # jittered grid
+        assert failed == [4 + 9 + 4, 4]
+        assert rows == [4 + 9 + 4, 4, 9, 4, 4]
+        for rect, zs in cells:
+            self._assert_children(rect, zs, [c for c in children if rect.contains(c.rect.center)])
+
+    def test_jittered_grids_of_a_level_share_one_call(self, monkeypatch):
+        # a zero on the first vertical grid line of each of two cells: both
+        # first grids fail, batched and alone, and the level's next attempt
+        # counts both jittered grids in one call
+        cells = [(Rect(0.0, 1.0, 0.0, 1.0), [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j,
+                                             0.3 + 0.2j, 0.75 + 0.45j]),
+                 (Rect(2.0, 3.0, 0.0, 1.0), [2.513137 + 0.6j, 2.2 + 0.3j, 2.8 + 0.2j,
+                                             2.3 + 0.8j, 2.7 + 0.7j])]
+        zeros = [z for _, zs in cells for z in zs]
+        rows, failed = self._failed_calls(monkeypatch)
+        children = rootfind._split_level(_Poly(zeros), [_counted(r, len(zs)) for r, zs in cells],
+                                         np.random.default_rng(0))
+        assert failed == [4 + 4, 4, 4]
+        assert rows == [4 + 4, 4, 4, 4 + 4]
         for rect, zs in cells:
             self._assert_children(rect, zs, [c for c in children if rect.contains(c.rect.center)])
 
