@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInput, NonRealInput
+from .errors import InvalidInput, NonRealInput, OutOfDomain
 from .mat2 import CMatrix2, enclosing_sector, numerical_range
 
 BOUNDARY_TOL = 1e-9      # absolute fuzz for the region-defining equalities
@@ -171,7 +171,10 @@ def a4_eigs(a: float, d: float):
     """Eigenvalues ``(b+, b-)`` of the antisymmetric-off-diagonal family:
     ``(a + d +- sqrt((a-d)^2 - 4)) / 2`` with the principal square root;
     for real roots ``b- <= b+``, and always ``b+ b- = ad + 1``."""
-    disc = (a - d) ** 2 - 4.0
+    try:
+        disc = (a - d) ** 2 - 4.0
+    except OverflowError:
+        raise OutOfDomain(f"(a - d)^2 overflows at a = {a}, d = {d}") from None
     sq = np.sqrt(complex(disc))
     bp = 0.5 * ((a + d) + sq)
     bm = 0.5 * ((a + d) - sq)

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import Family, RegionTag, classify_region, family_matrix
-from .errors import NonConvergent, OutOfDomain
+from .errors import DegreeTooHigh, NonConvergent, OutOfDomain
 from . import secular
 from .mat2 import CMatrix2
 from .rootfind import Spectrum, _canonical_sorted, _newton, cluster_roots, polyroots
@@ -78,13 +78,13 @@ def level_curve_d(alpha: float, sign: int, a: float) -> float:
     """The two solutions d_pm(a) of sqrt(b+/b-) = alpha:
     ``[a (alpha^4 + 1) +- sqrt((alpha^4 - 1)^2 a^2 + 4 alpha^2 (alpha^2 + 1)^2)]
     / (2 alpha^2)``.  OutOfDomain where alpha is so large that these
-    powers overflow a float."""
+    powers overflow a float, or so small that ``alpha^2`` underflows to 0."""
     try:
         a4 = alpha ** 4
         disc = (a4 - 1.0) ** 2 * a * a + 4.0 * alpha ** 2 * (alpha ** 2 + 1.0) ** 2
-    except OverflowError:
-        raise OutOfDomain(f"level curve of ratio {alpha} overflows a float") from None
-    return (a * (a4 + 1.0) + sign * math.sqrt(disc)) / (2.0 * alpha ** 2)
+        return (a * (a4 + 1.0) + sign * math.sqrt(disc)) / (2.0 * alpha ** 2)
+    except (OverflowError, ZeroDivisionError):
+        raise OutOfDomain(f"level curve of ratio {alpha} is beyond the float range") from None
 
 
 def lambda_curve(p: int, q: int, sign: int, a: float) -> ChebPoint:
@@ -277,6 +277,10 @@ def _roots(pt: ChebPoint):
     double) polish to one point, and are counted there.
     """
     g = build_g(pt)
+    if g.degree > 2 * 64:
+        # far above polyroots' cap of 64 even once the few roots at +-1 are
+        # divided out: refused before the coefficients (one per degree) exist
+        raise DegreeTooHigh(f"P has degree {g.degree} at {pt}")
     quotient, found = _deflate_structural(g.coeffs)
     roots = [(complex(math.acos(t)), mult) for t, mult in found]
     if quotient.size > 1:

@@ -43,9 +43,12 @@ def _parse_matrix(args) -> CMatrix2:
 def _parse_range(text: str, what: str):
     try:
         lo, hi, steps = text.split(":")
-        return float(lo), float(hi), int(steps)
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise InvalidInput(f"bad {what} range {text!r}, expected lo:hi:steps") from exc
+    if not np.isfinite([lo, hi]).all():
+        raise InvalidInput(f"{what} range is not finite: {text!r}")
+    return lo, hi, steps
 
 
 def _parse_ratio(text: str, what: str) -> Fraction:

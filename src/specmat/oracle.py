@@ -34,7 +34,6 @@ importing specmat does not load it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,17 +48,12 @@ from .rootfind import Spectrum, _canonical_order
 @dataclass(frozen=True)
 class Discretization:
     """Matrix approximation of the operator at grid resolution n, in
-    compressed sparse columns (``S``); the dense copy ``M`` is built on
-    first access."""
+    compressed sparse columns (``S``)."""
 
     n: int
     h: float
     A: CMatrix2
     S: scipy.sparse.csc_matrix
-
-    @functools.cached_property
-    def M(self) -> np.ndarray:
-        return self.S.toarray()
 
     @property
     def size(self) -> int:
@@ -256,11 +250,13 @@ def resolvent_norm(disc: Discretization, z: complex) -> float:
     nearly equal smallest singular values (self-adjoint A) cannot stop it
     early the way they stall a power iteration's step-to-step change.  The
     proxy bounds neither side of the operator norm for non-normal
-    problems; use trends, not constants.
+    problems; use trends, not constants.  InvalidInput unless z is finite.
     """
     import scipy.sparse
     import scipy.sparse.linalg
 
+    if not np.isfinite(z):
+        raise InvalidInput(f"resolvent probe point is not finite: {z}")
     N = disc.size
     T = (disc.S - z * scipy.sparse.identity(N, format="csc")).tocsc()
     try:

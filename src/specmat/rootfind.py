@@ -14,7 +14,10 @@ matrix with one row per closed contour: a rectangle is one row of four
 segments, and a split into a k x k grid k^2 rows over its 2k(k + 1)
 segments, so each piece of an interior line is integrated once for the
 cells on both sides.  A bundle may hold several such parts, each with its
-own frame (centre and radius).  It returns, per contour, the winding
+own frame (centre and radius), and a part that fails (a non-finite
+sample, a zero too close to its contour, a segment past its sample cap)
+stops alone: the others finish as they would alone, and the call reports
+per contour whether its part failed.  It returns, per contour, the winding
 number ``s0 = (1/2 pi i) contour integral of f'/f`` and the power sums
 ``s_k = (1/2 pi i) contour integral of u^k f'/f``, k = 1..4 (the sums of
 the k-th powers of the enclosed zeros), of ``u`` the point relative to
@@ -46,16 +49,15 @@ than the cluster size are reported as one m-fold zero.  Any other cell is
 split, and a split that cannot be counted raises NonConvergent.
 
 The quadtree is worked breadth first, with at most two contour-moment
-calls per level when none fails.  A cell of n zeros that must split is
+calls per level when no grid fails.  A cell of n zeros that must split is
 cut into one k x k grid, ``k = max(2, ceil(sqrt(n / 1.5)))`` up to 16, so
 that each child holds about 1.5 of its zeros and most children are solved
 by the first rule on the next level.  One call counts every child of
-every cell of a level that splits, each grid in its own frame and with
-its own count-sum check, and one call counts the certifying squares of a
-level.  A failed call over several cells is made again once per cell
-(:func:`_moments_each`), and the cells that their grid does not split go
-on together to the level's next attempt, whose grids have jittered
-lines.  On each level the Newton starts of every cell the first rule may
+every cell of a level that splits, each grid its own part with its own
+frame and count-sum check, and one call counts the certifying squares of
+a level.  The cells whose grid fails or does not split them go on
+together to the level's next attempt, whose grids have jittered lines.
+On each level the Newton starts of every cell the first rule may
 solve go through one vectorised Newton, so the per-call overhead of a
 step is paid once per level, not once per cell.
 
@@ -63,8 +65,9 @@ step is paid once per level, not once per cell.
 density (Polya: about ``P R / (2 pi)`` zeros in ``|x| < R``, P the
 perimeter of the convex hull of its exponents), and counts the box with
 its first grid in one call: the box's own polygon gives the count, which
-the grid's children must add up to.  When that call fails the grid is
-dropped, and the box is counted alone, then dilated (:func:`_count_box`).
+the grid's children must add up to.  When only the grid fails the box's
+count stands; when the box fails it is dilated and counted alone
+(:func:`_count_box`).
 A given rectangle's first grid is sized by the same density for the
 zeros between its nearest and farthest point from the origin.  The
 density counts zeros with multiplicity, and ``spectrum`` wants distinct
@@ -105,8 +108,9 @@ class Rect:
     im_max: float
 
     def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValueError(f"degenerate rectangle {self}")
+        if not (-np.inf < self.re_min < self.re_max < np.inf
+                and -np.inf < self.im_min < self.im_max < np.inf):
+            raise ValueError(f"degenerate or unbounded rectangle {self}")
 
     @property
     def center(self) -> complex:
@@ -189,9 +193,9 @@ class _Segments(NamedTuple):
     Segment k runs from vertex ``ends[k, 0]`` to vertex ``ends[k, 1]``.
     Row c of ``incidence`` describes contour c: +1 for a segment it
     traverses forwards, -1 backwards, 0 for one it does not use.  Segment
-    k carries the frame ``centre[k]``, ``radius[k]`` of the part it
-    belongs to (see :func:`_bundle`); all segments of one contour share a
-    frame, in which its power sums are taken.
+    k belongs to part ``part[k]`` (see :func:`_bundle`) and carries its
+    frame ``centre[k]``, ``radius[k]``; all segments of one contour belong
+    to one part, in whose frame its power sums are taken.
     """
 
     vertices: np.ndarray
@@ -199,6 +203,7 @@ class _Segments(NamedTuple):
     incidence: np.ndarray
     centre: np.ndarray
     radius: np.ndarray
+    part: np.ndarray
 
 
 def _part(vertices, ends, incidence) -> _Segments:
@@ -210,13 +215,15 @@ def _part(vertices, ends, incidence) -> _Segments:
     n = len(ends)
     return _Segments(vertices, np.asarray(ends), incidence,
                      np.full(n, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))),
-                     np.full(n, 0.5 * float(np.hypot(x1 - x0, y1 - y0))))
+                     np.full(n, 0.5 * float(np.hypot(x1 - x0, y1 - y0))),
+                     np.zeros(n, dtype=int))
 
 
 def _bundle(parts) -> _Segments:
     """The contours of several parts as one bundle, for one
     :func:`_contour_moments` call: the parts' contours in order, each
-    over its own part's segments and in its own part's frame."""
+    over its own part's segments and in its own part's frame, the
+    segments of ``parts[i]`` in part i."""
     if len(parts) == 1:
         return parts[0]
     offsets = np.cumsum([0] + [len(p.vertices) for p in parts[:-1]])
@@ -231,7 +238,8 @@ def _bundle(parts) -> _Segments:
                      np.concatenate([p.ends + o for p, o in zip(parts, offsets)]),
                      incidence,
                      np.concatenate([p.centre for p in parts]),
-                     np.concatenate([p.radius for p in parts]))
+                     np.concatenate([p.radius for p in parts]),
+                     np.concatenate([np.full(len(p.ends), i) for i, p in enumerate(parts)]))
 
 
 def _polygon(vertices) -> _Segments:
@@ -266,22 +274,15 @@ def _grid(xs, ys) -> _Segments:
     return _part(vertices, horiz + vert, incidence)
 
 
-def _logderiv_finite(fun, z):
-    g = fun.logderiv(z)
-    if not np.isfinite(g).all():
-        raise BoundaryZero("zero (numerically) on the contour")
-    return g
-
-
 _ORDERS = 4     # power sums s_1.._ORDERS come with every contour integral
 
 
 def _powers(w, u):
-    """``w * u**k`` for k = 1.._ORDERS, stacked on a new first axis, by
+    """``w * u**k`` for k = 0.._ORDERS, stacked on a new first axis, by
     repeated products (``np.power`` on complex arrays is far slower)."""
-    out = np.empty((_ORDERS,) + np.shape(w), dtype=complex)
-    np.multiply(w, u, out=out[0])
-    for k in range(1, _ORDERS):
+    out = np.empty((_ORDERS + 1,) + np.shape(w), dtype=complex)
+    out[0] = w
+    for k in range(1, _ORDERS + 1):
         np.multiply(out[k - 1], u, out=out[k])
     return out
 
@@ -336,9 +337,10 @@ def _contour_moments(fun, segs: _Segments, cap=_EDGE_CAP):
     f'/f``, and power sums ``s_k = (1/2 pi i) contour integral of u^k g``,
     k = 1..4, of ``u = (z - centre) / radius`` in each contour's frame
     (:class:`_Segments`), over each closed contour of ``segs``.  Returns
-    ``s0`` with one entry per row of the incidence matrix and the power
-    sums as one row of four per contour.  ``cap`` is one sample cap for
-    every segment or one per segment.
+    ``(s0, sums, ok)``: ``s0`` with one entry per row of the incidence
+    matrix, the power sums as one row of four per contour, and ``ok``,
+    False for a contour whose part failed (its entries then mean nothing).
+    ``cap`` is one sample cap for every segment or one per segment.
 
     Contours that share a segment share its samples: every segment is
     evaluated once per call, whichever contours use it.  Adaptive
@@ -355,11 +357,12 @@ def _contour_moments(fun, segs: _Segments, cap=_EDGE_CAP):
     contour's winding ``Re s0`` must also lie within ``_WINDING_TOL`` of
     an integer, else every panel of that contour's segments is cut again.
 
-    Raises BoundaryZero for a non-finite sample or a zero within
-    ``4 diam / cap`` of a contour, too close to resolve below its
-    segments' cap (``diam`` that contour's longest segment; the caller may
-    dilate and retry), and NonConvergent when a segment would take more
-    than its cap of samples.
+    A part fails when one of its segments takes a non-finite sample, when
+    a zero lies within ``4 diam / cap`` of one of its contours, too close
+    to resolve below its segments' cap (``diam`` that contour's longest
+    segment; the caller may dilate or split anew), or when a segment would
+    take more than its cap of samples.  Its panels stop refining there, and
+    every other part finishes as it would alone.
     """
     inc = segs.incidence
     za = segs.vertices[segs.ends[:, 0]]
@@ -368,6 +371,8 @@ def _contour_moments(fun, segs: _Segments, cap=_EDGE_CAP):
     n = dz.size
     cap = np.broadcast_to(cap, (n,))
     inv_radius = 1.0 / segs.radius
+    part = segs.part
+    failed = np.zeros(part.max() + 1, dtype=bool)
     # per segment, the longest segment of any contour it belongs to
     diam = np.where(member, np.abs(dz), 0.0).max(axis=1)
     diam = np.where(member, diam[:, None], 0.0).max(axis=0)
@@ -377,41 +382,52 @@ def _contour_moments(fun, segs: _Segments, cap=_EDGE_CAP):
     done = []                           # accepted panels, one tuple per level
     while True:
         used += _GL_N * np.bincount(seg, minlength=n)
-        if (used > cap).any():
-            raise NonConvergent("contour integral did not stabilise below the sample cap")
+        over = used > cap
+        if over.any():
+            failed[part[over]] = True
+            live = ~failed[part[seg]]
+            seg, zs, zd = seg[live], zs[live], zd[live]
         z = zs[:, None] + zd[:, None] * _GL_T
-        g = _logderiv_finite(fun, z)
+        g = fun.logderiv(z) if seg.size else np.empty(z.shape, dtype=complex)
+        if not np.isfinite(g).all():
+            # a failed part's panels are dropped before any arithmetic on them
+            failed[part[seg[~np.isfinite(g).all(axis=1)]]] = True
+            live = ~failed[part[seg]]
+            seg, zs, zd, z, g = seg[live], zs[live], zd[live], z[live], g[live]
         pmax = np.abs(g).max(axis=1)
-        # diam / dist, dist = 1 / max|g| on a panel
-        if (pmax * diam[seg] > cap[seg] / 4.0).any():
-            # a zero so close to the contour that the panels would need
-            # more than the sample cap to resolve it: bail out early so
-            # the caller can dilate or re-split
-            raise BoundaryZero("zero unresolvably close to the contour")
         size = np.abs(zd)
         # elementwise contraction: a matrix product would start BLAS threads
         tail = np.abs(np.einsum("pi,ij->pj", g, _GL_TAIL)).sum(axis=1)
-        ok = (size * tail <= _PANEL_TAIL) & (size * pmax <= _PANEL_REACH)
-        gdz = g[ok] * (zd[ok, None] * _GL_HW)
-        sok = seg[ok]
-        u = (z[ok] - segs.centre[sok, None]) * inv_radius[sok, None]
-        done.append((sok, zs[ok], zd[ok], gdz.sum(axis=1), _powers(gdz, u).sum(axis=2)))
-        split = ~ok
+        accept = (size * tail <= _PANEL_TAIL) & (size * pmax <= _PANEL_REACH)
+        gdz = g[accept] * (zd[accept, None] * _GL_HW)
+        sok = seg[accept]
+        u = (z[accept] - segs.centre[sok, None]) * inv_radius[sok, None]
+        done.append((sok, zs[accept], zd[accept], _powers(gdz, u).sum(axis=2)))
+        split = ~accept
+        # diam / dist, dist = 1 / max|g| on a panel: a zero so close to the
+        # contour that the panels would need more than the sample cap
+        far = pmax * diam[seg] > cap[seg] / 4.0
+        if far.any():
+            failed[part[seg[far]]] = True
+            split &= ~failed[part[seg]]
         if not split.any():
-            dseg, dzs, dzd, d0, dk = (np.concatenate(a, axis=-1) for a in zip(*done))
-            s0 = np.zeros(n, dtype=complex)
-            sk = np.zeros((n, _ORDERS), dtype=complex)
-            np.add.at(s0, dseg, d0)
-            np.add.at(sk, dseg, dk.T)
-            w = inc @ (s0 / (2j * np.pi)).real
-            off = np.abs(w - np.round(w)) > _WINDING_TOL
+            dseg, dzs, dzd, dm = (np.concatenate(a, axis=-1) for a in zip(*done))
+            per_seg = np.zeros((n, _ORDERS + 1), dtype=complex)
+            np.add.at(per_seg, dseg, dm.T)
+            # s0 and the sums in one matrix product: a matrix-vector product
+            # would round a contour's s0 differently with the other parts'
+            # zero columns beside it
+            moments = inc @ per_seg / (2j * np.pi)
+            w = moments[:, 0].real
+            ok = ~failed[part[member.argmax(axis=1)]]
+            off = ok & (np.abs(w - np.round(w)) > _WINDING_TOL)
             if not off.any():
-                return inc @ s0 / (2j * np.pi), inc @ sk / (2j * np.pi)
+                return moments[:, 0], moments[:, 1:], ok
             # refine every panel of the segments of the contours that failed
             split = member[off].any(axis=0)[dseg]
             seg, zs, zd = dseg, dzs, dzd
             keep = ~split
-            done = [(dseg[keep], dzs[keep], dzd[keep], d0[keep], dk[:, keep])]
+            done = [(dseg[keep], dzs[keep], dzd[keep], dm[:, keep])]
         seg, zs, zd = _cut(seg[split], zs[split], zd[split])
 
 
@@ -448,16 +464,18 @@ def _count_box(fun, rect: Rect, rng, k: Optional[int] = None):
     """The winding count of ``rect`` and, with ``k``, its first split into
     a k x k grid.  Returns ``(counted, children)``: the counted
     :class:`_Cell` and the children that hold zeros, or None when there is
-    no grid or it does not split the box (its counts do not add up); the
-    counted cell is then the first level of :func:`_isolate_counted`.
+    no grid, it fails, or it does not split the box (its counts do not add
+    up); the counted cell is then the first level of
+    :func:`_isolate_counted`.
 
     With ``k`` the first :func:`_contour_moments` call bundles the box's
     own four-segment polygon, whose winding is the count, with the grid of
     :func:`_split_grid`'s first attempt, so the split's count-sum check
-    compares two independent integrals.  When that call fails the grid is
-    dropped and the box counted alone; when the box alone fails, a zero
-    sits (numerically) on its edge, and it is dilated by a random factor
-    in [1.0001, 1.001) and counted again, up to five times.
+    compares two independent integrals.  When only the grid fails, the
+    box's count stands without it.  When the box fails, a zero sits
+    (numerically) on its edge: the grid is dropped, and the box is dilated
+    by a random factor in [1.0001, 1.001) and counted again, up to five
+    times; then BoundaryZero is raised.
     """
     grid = None if k is None else _split_grid(rect, k, 0, rng)
     r, dilations = rect, 0
@@ -474,23 +492,19 @@ def _count_box(fun, rect: Rect, rng, k: Optional[int] = None):
             segs = _bundle([box, grid[2]])
             caps = np.concatenate((np.full(len(box.ends), _EDGE_CAP),
                                    np.where(outer, _EDGE_CAP, _SPLIT_CAPS[0])))
-        try:
-            s0, sums = _contour_moments(fun, segs, cap=caps)
-            n = int(round(s0[0].real))
-            if n < 0:
-                raise NonConvergent(f"negative winding {s0[0].real}; derivative inconsistent?")
-        except (BoundaryZero, NonConvergent):
-            # either failure mode signals structure too close to the contour
-            if grid is not None:
-                grid = None
-            elif dilations < 5:
-                r = r.dilated(1.0 + 1e-3 * float(rng.uniform(0.1, 1.0)))
-                dilations += 1
-            else:
-                raise
-            continue
-        counted = _Cell(r, n, sums[0], box.centre[0], box.radius[0])
-        return counted, None if grid is None else _children(*grid, s0[1:], sums[1:], n)
+        s0, sums, ok = _contour_moments(fun, segs, cap=caps)
+        # a negative winding, like a failure, signals structure too close
+        # to the contour
+        n = int(round(s0[0].real))
+        if ok[0] and n >= 0:
+            counted = _Cell(r, n, sums[0], box.centre[0], box.radius[0])
+            split = grid is not None and ok[1:].all()
+            return counted, _children(*grid, s0[1:], sums[1:], n) if split else None
+        if dilations == 5:
+            raise BoundaryZero(f"no count of {rect} or its five dilations")
+        grid = None
+        r = r.dilated(1.0 + 1e-3 * float(rng.uniform(0.1, 1.0)))
+        dilations += 1
 
 
 def _newton(fun, z0s, mult, tol: float, steps: int = 60):
@@ -530,8 +544,7 @@ def _require_tol(tol) -> None:
         raise InvalidInput(f"tol must be finite and positive, got {tol}")
 
 
-def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None,
-                  first_grid: Optional[int] = None):
+def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None):
     """All zeros of ``f`` in ``rect`` as (location, multiplicity) pairs.
 
     Breadth-first subdivision into grids (with jittered lines when a zero
@@ -543,15 +556,12 @@ def isolate_zeros(f, rect: Rect, tol: float = 1e-10, fprime=None, rng=None,
     size wide around the point).
     The multiplicity sum equals the top-level winding count, else
     NumericalFailure is raised, and InvalidInput unless ``tol`` is finite
-    and positive.  The rectangle is counted by :func:`_count_box`, with
-    ``first_grid`` k together with its first split into a k x k grid in
-    one contour call.
+    and positive.  The rectangle is counted by :func:`_count_box`.
     """
     _require_tol(tol)
     fun = _as_protocol(f, fprime)
     rng = np.random.default_rng(0) if rng is None else rng
-    counted, children = _count_box(fun, rect, rng, first_grid)
-    return _isolate_counted(fun, counted, tol, rng, children)
+    return _isolate_counted(fun, _count_box(fun, rect, rng)[0], tol, rng)
 
 
 def _isolate_counted(fun, counted: _Cell, tol: float, rng, children=None):
@@ -673,9 +683,10 @@ def _multiple_zeros(fun, cells, tol: float):
     square one cluster size wide around the point, clipped to the cell.
     That square lies inside a cell of n zeros, so a count of n puts all of
     them within its diameter of the point (Kravanja and Van Barel, LNM
-    1727, 2000).  The squares of all the cells are counted together by
-    :func:`_moments_each`.  Any other count, or a square that cannot be
-    counted, leaves the cell to the split.
+    1727, 2000).  The squares of all the cells are counted in one
+    :func:`_contour_moments` call, each square its own part.  Any other
+    count, or a square that cannot be counted, leaves the cell to the
+    split.
     """
     out = [None] * len(cells)
     squares = []                # (cell index, polished point, square)
@@ -701,29 +712,11 @@ def _multiple_zeros(fun, cells, tol: float):
         if x0 < x1 and y0 < y1:
             squares.append((i, z, Rect(x0, x1, y0, y1)))
     if squares:
-        counts = _moments_each(fun, [_polygon(sq.corners()) for _, _, sq in squares])
-        for (i, z, _), m in zip(squares, counts):
-            if m is not None and round(m[0][0].real) == cells[i].n:
+        s0, _, ok = _contour_moments(
+            fun, _bundle([_polygon(sq.corners()) for _, _, sq in squares]))
+        for (i, z, _), w, good in zip(squares, s0, ok):
+            if good and round(w.real) == cells[i].n:
                 out[i] = z
-    return out
-
-
-def _moments_each(fun, parts, cap=_EDGE_CAP):
-    """Each part's windings and power sums (as :func:`_contour_moments`
-    returns them for that part alone) from one call over the bundle of
-    ``parts``; when that call fails, from one call per part, None for a
-    part that cannot be counted."""
-    try:
-        s0, sums = _contour_moments(fun, _bundle(parts), cap=cap)
-    except (BoundaryZero, NonConvergent):
-        if len(parts) == 1:
-            return [None]
-        return [_moments_each(fun, [p], cap)[0] for p in parts]
-    out, row = [], 0
-    for p in parts:
-        rows = slice(row, row + p.incidence.shape[0])
-        out.append((s0[rows], sums[rows]))
-        row = rows.stop
     return out
 
 
@@ -779,13 +772,13 @@ def _split_level(fun, cells, rng):
     of them, in the order of the cells.
 
     Attempts 0 to 8 of :func:`_split_grid`: each counts the grids of every
-    cell not yet split by :func:`_moments_each` (see :func:`_grid`: each
-    piece of an interior line is integrated once for both cells it
-    borders), each grid in its own frame, so that its children's power
-    sums are those of its own split.  A cell's split is accepted when
-    every count is non-negative and they sum to its own count; any other
-    cell, or one whose grid cannot be counted, goes on to the next
-    attempt.  The sample cap escalates from ``2^12`` to ``2^15`` and
+    cell not yet split in one :func:`_contour_moments` call (see
+    :func:`_grid`: each piece of an interior line is integrated once for
+    both cells it borders), each grid its own part in its own frame, so
+    that its children's power sums are those of its own split.  A cell's
+    split is accepted when every count is non-negative and they sum to
+    its own count; any other cell, or one whose grid fails, goes on to the
+    next attempt.  The sample cap escalates from ``2^12`` to ``2^15`` and
     ``2^18`` every three attempts: zeros near an inherited parent edge
     need more samples than a fresh jittered line would.  Raises
     NonConvergent when no attempt splits a cell.
@@ -794,10 +787,14 @@ def _split_level(fun, cells, rng):
     todo = list(range(len(cells)))
     for attempt in range(9):
         grids = [_split_grid(cells[i].rect, _grid_size(cells[i].n), attempt, rng) for i in todo]
-        counts = _moments_each(fun, [g[2] for g in grids], _SPLIT_CAPS[attempt // 3])
-        for i, grid, m in zip(todo, grids, counts):
-            if m is not None:
-                out[i] = _children(*grid, *m, cells[i].n)
+        s0, sums, ok = _contour_moments(fun, _bundle([g[2] for g in grids]),
+                                        _SPLIT_CAPS[attempt // 3])
+        row = 0
+        for i, grid in zip(todo, grids):
+            rows = slice(row, row + len(grid[2].incidence))
+            row = rows.stop
+            if ok[rows.start]:
+                out[i] = _children(*grid, s0[rows], sums[rows], cells[i].n)
         todo = [i for i in todo if out[i] is None]
         if not todo:
             return [child for children in out for child in children]
@@ -957,7 +954,8 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
                          max(box.im_min, 0.0, -box.im_max)))
         r1 = np.abs(box.corners()).max()
         k = _grid_size(S.indicator_perimeter() * (r1 - r0) / (4.0 * np.pi))
-        kept = _canonical_zeros(isolate_zeros(fun, box, tol=tol, rng=rng, first_grid=k))
+        counted, first = _count_box(fun, box, rng, k)
+        kept = _canonical_zeros(_isolate_counted(fun, counted, tol, rng, first))
         sel = []
         for z, m in kept:
             ax = 1e-7 * (1.0 + abs(z))

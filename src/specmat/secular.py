@@ -78,8 +78,9 @@ def _scaled_trig(w):
 
 
 def _recombine(mantissa, logscale):
-    """mantissa * exp(logscale), letting genuinely huge values overflow to inf."""
-    with np.errstate(over="ignore"):
+    """mantissa * exp(logscale), letting genuinely huge values overflow: to
+    inf, or to nan in a component where the complex product meets inf * 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
         first = np.exp(np.minimum(logscale, _LOG_MAX))
         rest = np.exp(np.maximum(logscale - _LOG_MAX, 0.0))
         return mantissa * first * rest

@@ -62,6 +62,8 @@ class SweepSpec:
             raise InvalidInput("need at least one ratio")
         if self.method == "chebyshev" and self.kind == "segment":
             raise InvalidInput("chebyshev method requires a rational-ratio path")
+        if not np.isfinite([*self.start, *self.stop, *self.a_range, self.a_fixed]).all():
+            raise InvalidInput("the sweep's a and d values must be finite")
         # a ratio beyond the float range is refused here, before any step
         for ratio in (self.ratio,) if self.kind == "curve" else self.alphas:
             ratio_float(Fraction(ratio))
@@ -211,8 +213,11 @@ def track_negative_eigenvalue(a: float, d_lo: float, d_hi: float, steps: int):
     ``EV(i t)`` is real there; its sign is read from the overflow-free
     mantissa of :meth:`SecularFn.eval_scaled`, so no cancellation grows
     with t.  Raises NoSignChange when no bracketing is found on the axis
-    segment ``0 < t <= 180 / (1/sqrt(b+) + 1/sqrt(b-))``.
+    segment ``0 < t <= 180 / (1/sqrt(b+) + 1/sqrt(b-))``, and InvalidInput
+    unless ``a`` and the d range are finite.
     """
+    if not np.isfinite([a, d_lo, d_hi]).all():
+        raise InvalidInput(f"a and the d range must be finite, got {a}, {d_lo}:{d_hi}")
     import scipy.optimize
 
     rows = []

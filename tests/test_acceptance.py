@@ -146,8 +146,8 @@ class TestAcceptance:
         ratio_ok = True
         for A in (CMatrix2.real(1, 0, 0, 4), CMatrix2.real(1, 0, 1, 4),
                   CMatrix2.real(2.5, 0, 0, -1.5)):
-            evc = scipy.linalg.eigvals(discretize(A, 100).M)
-            evf = scipy.linalg.eigvals(discretize(A, 200).M)
+            evc = scipy.linalg.eigvals(discretize(A, 100).S.toarray())
+            evf = scipy.linalg.eigvals(discretize(A, 200).S.toarray())
             exact = sorted({c * k * k * np.pi**2 for c in (A.a.real, A.d.real)
                             for k in range(12)}, key=abs)
             for target in exact[1:7]:

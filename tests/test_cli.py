@@ -240,6 +240,17 @@ class TestOthers:
     ["spectrum", "--real", "1", "0", "1", "4", "--tol", "0"],
     ["spectrum", "--real", "1", "0", "1", "4", "--tol", "nan"],
     ["spectrum", "--real", "1", "0", "1", "4", "--tol=-1"],
+    # found by the fuzzer below
+    ["spectrum", "--real", "1", "0", "0", "1", "--rect=0,inf,-1,1"],
+    ["track-negative", "--a=inf", "--d-range=0:1", "--steps=2"],
+    ["track-negative", "--a=134", "--d-range=-1e300:-0.005", "--steps=1"],
+    ["sweep", "--segment=0,0:inf,1", "--steps=2"],
+    ["sweep", "--alphas=1e-300"],
+    ["sweep", "--alphas=0", "--method=chebyshev"],
+    ["cheb", "--alpha=2", "--sweep=0:inf:2"],
+    # p + q near 1.4e16: refused before P's coefficients are allocated
+    ["cheb", "--alpha=1.7308061916089246", "--a=0.5"],
+    ["growth", "--real", "1", "0", "0", "1", "--eps=inf", "-n=20"],
 ], ids=" ".join)
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -259,6 +270,14 @@ def test_huge_entries_exit_without_traceback(capsys, command, entries):
     code, _, err = run(capsys, command + ["--real"] + entries)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+def test_value_beyond_the_float_range_exits_3(capsys):
+    # |EV| at x = 1e300 is about 10^(2.4e299) for this complex matrix
+    code, out, err = run(capsys, ["ev", "--at=1e300,0", "--matrix=0,761.41,0,-0.0186,"
+                                  "0,-0.0075,0.201,-1.621"])
+    assert code == 3 and out == ""
+    assert "non-finite" in err and "Traceback" not in err
 
 
 def test_huge_lambda_max_exits_2_promptly():
@@ -285,3 +304,85 @@ def test_dense_lattice_at_the_default_bound_exits_2(capsys):
     code, out, _ = run(capsys, ["classify", "--real", "1e-10", "0", "0", "1",
                                 "--lambda-max", "1e-3"])
     assert code == 0
+
+
+# -- seeded fuzzer ------------------------------------------------------------
+
+_SPECIAL = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf")
+
+
+def _fuzz_argv(rng) -> list:
+    """One command line of a subcommand drawn by ``rng``.  Its numbers are
+    drawn from {0, +-1e-300, +-1e300, nan, +-inf} one time in five, else
+    random over six decades; grids have at most 64 points a side and
+    counts are at most 20.  Every value is passed as ``--option=value``,
+    so that argparse never takes a negative number for an option."""
+    def num():
+        if rng.random() < 0.2:
+            return str(rng.choice(_SPECIAL))
+        return repr(float(rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)))
+
+    def nums(k):
+        return ",".join(num() for _ in range(k))
+
+    def small(lo, hi):
+        return str(int(rng.integers(lo, hi + 1)))
+
+    def ratio():
+        if rng.random() < 0.3:
+            return num()
+        p, q = rng.integers(1, 9, size=2)
+        return f"{p}/{q}"
+
+    matrix = [f"--matrix={nums(8)}"]
+    command = str(rng.choice(["classify", "ev", "spectrum", "cheb", "oracle", "resolvent",
+                              "growth", "sweep", "track-negative"]))
+    if command == "classify":
+        argv = matrix + ([f"--lambda-max={num()}"] if rng.random() < 0.3 else [])
+    elif command == "ev":
+        argv = matrix + ([f"--at={nums(2)}"] if rng.random() < 0.5 else
+                         [f"--grid={num()}:{num()}:{small(1, 4)},{num()}:{num()}:{small(1, 4)}"])
+    elif command == "spectrum":
+        argv = matrix + ([f"--count={small(-1, 20)}"] if rng.random() < 0.7 else
+                         [f"--rect={nums(4)}"])
+    elif command == "cheb":
+        argv = [f"--alpha={ratio()}", f"--sign={rng.choice(['+', '-'])}",
+                f"--nmax={small(0, 8)}"]
+        argv += ([f"--a={num()}"] if rng.random() < 0.7 else
+                 [f"--sweep={num()}:{num()}:{small(0, 3)}"])
+    elif command == "oracle":
+        argv = matrix + [f"-n={small(1, 64)}", f"-k={small(0, 8)}"]
+    elif command == "resolvent":
+        argv = matrix + [f"--z={nums(2)}", f"-n={small(1, 64)}"]
+    elif command == "growth":
+        argv = matrix + [f"--eps={num()}", f"--rmax={small(0, 3)}", f"-n={small(1, 64)}"]
+    elif command == "sweep":
+        kind = rng.integers(3)
+        if kind == 0:
+            argv = [f"--segment={nums(2)}:{nums(2)}"]
+        elif kind == 1:
+            argv = [f"--curve={ratio()}", f"--arange={num()}:{num()}:{small(0, 2)}"]
+        else:
+            argv = [f"--alphas={ratio()},{ratio()}", f"--fixed-a={num()}"]
+        # not --method=oracle: it discretizes at a fixed n = 200, beyond the
+        # size bound; the oracle subcommand covers that route
+        argv += [f"--steps={small(0, 2)}", f"--count={small(-1, 20)}", f"--nmax={small(0, 8)}",
+                 f"--method={rng.choice(['secular', 'chebyshev'])}"]
+    else:
+        argv = [f"--a={num()}", f"--d-range={num()}:{num()}", f"--steps={small(0, 3)}"]
+    if rng.random() < 0.2:
+        argv += [f"--tol={num()}"]
+    return [command] + argv
+
+
+def test_fuzzed_commands_exit_cleanly(capsys):
+    rng = np.random.default_rng(2026)
+    codes = set()
+    for _ in range(100):
+        argv = _fuzz_argv(rng)
+        code, _, err = run(capsys, argv)
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err, argv
+        codes.add(code)
+    # the draws reach past input checking
+    assert {0, 2} <= codes

@@ -60,11 +60,11 @@ def dense_low_end(A, n):
     the +-delta average, paired greedily over the whole spectrum."""
     scale = 1.0 + A.norm()
     if abs(A.d) > 1e-9 * scale:
-        ev = scipy.linalg.eigvals(discretize(A, n).M)
+        ev = scipy.linalg.eigvals(discretize(A, n).S.toarray())
     else:
         delta = 1e-3 * scale
-        up = scipy.linalg.eigvals(discretize(CMatrix2(A.a, A.b, A.c, A.d + delta), n).M)
-        dn = scipy.linalg.eigvals(discretize(CMatrix2(A.a, A.b, A.c, A.d - delta), n).M)
+        up, dn = (scipy.linalg.eigvals(discretize(CMatrix2(A.a, A.b, A.c, d), n).S.toarray())
+                  for d in (A.d + delta, A.d - delta))
         up = up[np.argsort(np.abs(up))]
         ev = np.empty_like(up)
         used = np.zeros(dn.size, dtype=bool)
@@ -92,14 +92,14 @@ def spy_eigs(monkeypatch):
 class TestDiscretize:
     def test_diagonal_low_eigenvalues(self):
         disc = discretize(CMatrix2.real(1, 0, 0, 1), 200)
-        ev = np.sort(np.abs(scipy.linalg.eigvals(disc.M)))
+        ev = np.sort(np.abs(scipy.linalg.eigvals(disc.S.toarray())))
         targets = [0, np.pi**2, np.pi**2, 4 * np.pi**2, 4 * np.pi**2]
         for got, want in zip(ev[:5], targets):
             assert abs(got - want) <= 1e-3 * (1 + want)
 
     def test_triangular_lattice(self):
         disc = discretize(CMatrix2.real(1, 0, 1, 4), 200)
-        ev = scipy.linalg.eigvals(disc.M)
+        ev = scipy.linalg.eigvals(disc.S.toarray())
         ev = np.sort_complex(ev[np.argsort(np.abs(ev))][:8])
         for got in ev:
             err = min(abs(got - want) for want in lattice((1, 4)))
@@ -113,8 +113,8 @@ class TestDiscretize:
         # by ~4 when the grid is refined 2x
         coarse = discretize(A, 100)
         fine = discretize(A, 200)
-        evc = scipy.linalg.eigvals(coarse.M)
-        evf = scipy.linalg.eigvals(fine.M)
+        evc = scipy.linalg.eigvals(coarse.S.toarray())
+        evf = scipy.linalg.eigvals(fine.S.toarray())
         evc = evc[np.argsort(np.abs(evc))]
         evf = evf[np.argsort(np.abs(evf))]
         exact = lattice((A.a.real, A.d.real))
@@ -130,7 +130,6 @@ class TestDiscretize:
     def test_assembly_matches_loop_reference(self, A, n):
         disc = discretize(A, n)
         ref = loop_assembly(A, n)
-        assert np.array_equal(disc.M, ref)
         assert np.array_equal(disc.S.toarray(), ref)
 
     def test_resolution_floor(self):
@@ -215,11 +214,12 @@ class TestOracleSpectrum:
         sp = oracle_spectrum(discretize(A, 40), 6)
         assert np.all(sp.values() == 0)
         assert any("not-closed" in n for n in sp.notes)
-        ev = np.sort(np.abs(scipy.linalg.eigvals(discretize(A, 40).M)))
-        assert ev[39] <= 1e-8 * np.linalg.norm(discretize(A, 40).M)
+        M = discretize(A, 40).S.toarray()
+        ev = np.sort(np.abs(scipy.linalg.eigvals(M)))
+        assert ev[39] <= 1e-8 * np.linalg.norm(M)
 
     def test_conjugate_symmetry_real_matrix(self):
-        M = discretize(a4(0.0, 2.5), 100).M
+        M = discretize(a4(0.0, 2.5), 100).S.toarray()
         ev = scipy.linalg.eigvals(M)
         scale = np.linalg.norm(M, ord="fro")
         for v in ev[np.argsort(np.abs(ev))][:20]:
@@ -251,7 +251,7 @@ class TestShiftInvertAgainstDense:
             ref = dense_low_end(A, n)
             # a defective zero is resolved only to O(sqrt(eps ||M||)) by
             # either solver; those values are compared against that floor
-            zero = 10.0 * np.sqrt(np.finfo(float).eps * np.linalg.norm(disc.M))
+            zero = 10.0 * np.sqrt(np.finfo(float).eps * np.linalg.norm(disc.S.toarray()))
             for k in (6, disc.size // 4):
                 got = oracle_spectrum(disc, k).values()
                 want = ref[:k]
@@ -302,7 +302,7 @@ class TestResolventNorm:
     def test_invit_matches_svd(self):
         disc = discretize(CMatrix2.real(1, 0, 1, 1), 150)
         z = 30 + 1j
-        n_svd = 1.0 / scipy.linalg.svdvals(disc.M - z * np.eye(disc.size))[-1]
+        n_svd = 1.0 / scipy.linalg.svdvals(disc.S.toarray() - z * np.eye(disc.size))[-1]
         assert_allclose(resolvent_norm(disc, z), n_svd, rtol=1e-6)
 
     def test_invit_factors_once(self, monkeypatch):
@@ -319,16 +319,19 @@ class TestResolventNorm:
             resolvent_norm(disc, z)
         assert calls == [(disc.size, disc.size)] * 3
 
-    def test_sparse_paths_leave_dense_matrix_unbuilt(self):
+    def test_sparse_paths_leave_dense_matrix_unbuilt(self, monkeypatch):
         disc = discretize(EXAMPLE, 120)
+        dense = []
+        for cls in type(disc.S).__mro__:
+            if "toarray" in vars(cls):
+                monkeypatch.setattr(cls, "toarray", lambda self, *a, **kw: dense.append(self))
         oracle_spectrum(disc, 6)
         resolvent_norm(disc, 30 + 1j)
-        assert "M" not in vars(disc)
-        assert_allclose(disc.M, disc.S.toarray())     # built on first access
+        assert dense == []
 
     def test_near_spectrum_guard(self):
         disc = discretize(CMatrix2.real(1, 0, 0, 1), 100)
-        ev = scipy.linalg.eigvals(disc.M)
+        ev = scipy.linalg.eigvals(disc.S.toarray())
         ev = ev[np.argsort(np.abs(ev))]
         with pytest.raises(NearSpectrum):
             resolvent_norm(disc, complex(ev[1]) + 1e-13)
@@ -378,7 +381,7 @@ class TestGrowthProbe:
             disc = discretize(A, n)
             for row in probe.rows:
                 z = disc.lattice_value(1.0, 2 * row.r) + 1j
-                ref = 1.0 / scipy.linalg.svdvals(disc.M - z * np.eye(disc.size))[-1]
+                ref = 1.0 / scipy.linalg.svdvals(disc.S.toarray() - z * np.eye(disc.size))[-1]
                 assert_allclose(getattr(row, attr), ref, rtol=1e-9)
 
     def test_continuum_anchor_available(self):

@@ -44,6 +44,24 @@ class TestWinding:
         fp = lambda z: 3 * (z - 1.0) ** 2 * (z + 0.5) + (z - 1.0) ** 3
         assert winding_count(f, Rect(-2, 2, -1.3, 1.1), fprime=fp) == 4
 
+    def test_five_dilations_then_boundary_zero(self, monkeypatch):
+        # a box that no dilation can count: the call with its first grid,
+        # then five dilations of the box alone, then BoundaryZero
+        class Nowhere:
+            def logderiv(self, z):
+                return np.full(np.shape(z), np.nan, dtype=complex)
+
+        rows = []
+        real = rootfind._contour_moments
+
+        def watching(fun, segs, *args, **kw):
+            rows.append(segs.incidence.shape[0])
+            return real(fun, segs, *args, **kw)
+        monkeypatch.setattr(rootfind, "_contour_moments", watching)
+        with pytest.raises(BoundaryZero):
+            rootfind._count_box(Nowhere(), Rect(0, 1, 0, 1), np.random.default_rng(0), 2)
+        assert rows == [1 + 4] + [1] * 5
+
 
 class TestIsolate:
     def test_identity_lattice_with_multiplicities(self):
@@ -343,9 +361,10 @@ def _poly_pair(zeros):
 
 
 def _undilated_count(fun, rect):
-    """The winding count of one contour call over ``rect``'s own polygon."""
-    (s0,), _ = rootfind._contour_moments(fun, rootfind._polygon(rect.corners()))
-    return int(round(s0.real))
+    """The winding count of one contour call over ``rect``'s own polygon,
+    None when the contour fails."""
+    (s0,), _, (ok,) = rootfind._contour_moments(fun, rootfind._polygon(rect.corners()))
+    return int(round(s0.real)) if ok else None
 
 
 class TestEdgeQuadrature:
@@ -374,7 +393,8 @@ class TestEdgeQuadrature:
     def test_moments_of_known_zeros(self):
         zeros = [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.35j]
         segs = rootfind._polygon(Rect(-1, 1, -1, 1).corners())
-        (s0,), (sums,) = rootfind._contour_moments(_Recorder(zeros), segs)
+        (s0,), (sums,), (ok,) = rootfind._contour_moments(_Recorder(zeros), segs)
+        assert ok
         # Gauss-Legendre panels are spectrally accurate: far below the
         # winding's tolerance
         assert abs(s0 - 3) <= 1e-8
@@ -391,15 +411,16 @@ class TestEdgeQuadrature:
         # tests at once, but its integral over the unit square is 2i, a
         # winding of 1/pi.  The integer check cuts every panel of the
         # contour into four again, level after level, until the sample cap
+        # fails it
         class Conj(_Recorder):
             def logderiv(self, z):
                 super().logderiv(z)
                 return np.conj(z)
 
         rec = Conj([])
-        with pytest.raises(NonConvergent):
-            rootfind._contour_moments(rec, rootfind._polygon(Rect(0, 1, 0, 1).corners()),
-                                      cap=2 ** 12)
+        _, _, ok = rootfind._contour_moments(rec, rootfind._polygon(Rect(0, 1, 0, 1).corners()),
+                                             cap=2 ** 12)
+        assert ok.tolist() == [False]
         assert len(set(rec.points)) == len(rec.points)
         # 4, 16 and 64 panels of 16 nodes on each of the four edges, 1344
         # samples an edge; the next level's 256 panels would pass the cap
@@ -424,20 +445,22 @@ class TestEdgeQuadrature:
         fun = rootfind._as_protocol(*_poly_pair(zeros))
         assert _undilated_count(fun, rect) == expected
 
-    def test_zero_on_contour_raises(self):
-        fun = rootfind._as_protocol(*_poly_pair([0.3, 2.0]))    # 0.3 is on the bottom edge
-        with pytest.raises(BoundaryZero):
-            _undilated_count(fun, Rect(0.0, 1.0, 0.0, 1.0))
-        fun = rootfind._as_protocol(*_poly_pair([1.0 + 1.0j]))  # a corner
-        with pytest.raises(BoundaryZero):
-            _undilated_count(fun, Rect(0.0, 1.0, 0.0, 1.0))
+    def test_zero_on_contour_fails(self):
+        # the panels next to the zero refine until the reach rule fails
+        # the contour: eight levels of four panels on the bottom edge, or
+        # four on each of the two edges that meet at the corner
+        for zeros in ([0.3, 2.0], [1.0 + 1.0j]):
+            rec = _Recorder(zeros)
+            assert _undilated_count(rec, Rect(0.0, 1.0, 0.0, 1.0)) is None
+            assert len(rec.points) == len(set(rec.points)) == 4 * 4 * 16 + 8 * 4 * 16
 
-    def test_tiny_cap_raises(self):
+    def test_tiny_cap_fails_before_the_first_sample(self):
+        # the four start panels of each edge would take 64 samples
         rec = _Recorder([0.5 + 0.5j])
-        with pytest.raises(NonConvergent):
-            # the two start panels of each edge take 32 samples
-            rootfind._contour_moments(rec, rootfind._polygon(Rect(0, 1, 0, 1).corners()),
-                                      cap=16)
+        _, _, ok = rootfind._contour_moments(rec, rootfind._polygon(Rect(0, 1, 0, 1).corners()),
+                                             cap=16)
+        assert ok.tolist() == [False]
+        assert rec.points == []
 
 
 def _assert_sampled_once(pts, xs, ys):
@@ -509,23 +532,62 @@ class TestSharedSegments:
         # x = 0.513137, straight through the first zero; five zeros are
         # more than one cell's power sums resolve, so the square must split
         zeros = [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j, 0.3 + 0.2j, 0.75 + 0.45j]
-        failed = []
+        calls = []
         real = rootfind._contour_moments
 
         def watching(fun, segs, *args, **kw):
-            try:
-                return real(fun, segs, *args, **kw)
-            except (BoundaryZero, NonConvergent):
-                failed.append(segs.incidence.shape[0])
-                raise
+            out = real(fun, segs, *args, **kw)
+            calls.append(out[2].tolist())
+            return out
 
         monkeypatch.setattr(rootfind, "_contour_moments", watching)
         f, fp = _poly_pair(zeros)
         found = isolate_zeros(f, Rect(0.0, 1.0, 0.0, 1.0), fprime=fp)
-        assert 4 in failed                        # a split attempt was refused
+        # the square, its first 2 x 2 grid, refused, and a jittered one
+        assert calls == [[True], [False] * 4, [True] * 4]
         assert sorted(m for _, m in found) == [1] * len(zeros)
         for z in zeros:
             assert min(abs(w - z) for w, _ in found) <= 1e-10
+
+
+class TestPartFailure:
+    """A failure in one part of a bundle stops only that part: the others
+    finish with the moments, and the samples, they have alone."""
+
+    ZEROS = [0.513137 + 0.3j, 0.2 + 0.7j, 2.4 + 0.5j, 0.6 + 2.3j, 0.3 + 2.6j]
+
+    @staticmethod
+    def _parts(rects):
+        """The unit square's first 2 x 2 grid, whose vertical line passes
+        through the zero at x = 0.513137, and the polygons of ``rects``."""
+        grid = rootfind._split_grid(Rect(0.0, 1.0, 0.0, 1.0), 2, 0, None)[2]
+        return [grid] + [rootfind._polygon(r.corners()) for r in rects]
+
+    def test_one_part_fails_alone(self):
+        parts = self._parts([Rect(2.0, 3.1, 0.0, 0.9), Rect(0.0, 1.0, 2.0, 3.0)])
+        rec = _Recorder(self.ZEROS)
+        s0, sums, ok = rootfind._contour_moments(rec, rootfind._bundle(parts))
+        assert ok.tolist() == [False] * 4 + [True, True]
+        alone = []
+        points = []
+        for p in parts:
+            single = _Recorder(self.ZEROS)
+            alone.append(rootfind._contour_moments(single, p))
+            points += single.points
+        assert not alone[0][2].any()
+        for row, (a0, asums, aok) in zip((4, 5), alone[1:]):
+            assert aok.all()
+            assert s0[row] == a0[0] and (sums[row] == asums[0]).all()
+        assert [int(round(w)) for w in s0[4:].real] == [1, 2]
+        # the failed part stops where it stops alone
+        assert sorted(rec.points, key=lambda z: (z.real, z.imag)) == \
+            sorted(points, key=lambda z: (z.real, z.imag))
+
+    def test_every_part_fails(self):
+        # a zero on the first grid's line and one on the square's edge
+        parts = self._parts([Rect(2.4, 3.1, 0.0, 0.9)])
+        _, _, ok = rootfind._contour_moments(_Recorder(self.ZEROS), rootfind._bundle(parts))
+        assert not ok.any()
 
 
 class TestIsolationInvariant:
@@ -629,11 +691,10 @@ class TestZeroDensity:
         # a 64-gon inscribed in |x| = R, enlarged a little past a zero on it
         for _ in range(6):
             verts = R * np.exp(2j * np.pi * (np.arange(64) + 0.31) / 64)
-            try:
-                (s0,), _ = rootfind._contour_moments(S, rootfind._polygon(verts))
+            (s0,), _, (ok,) = rootfind._contour_moments(S, rootfind._polygon(verts))
+            if ok:
                 return int(round(s0.real)), R
-            except (BoundaryZero, NonConvergent):
-                R *= 1.0037
+            R *= 1.0037
         raise AssertionError("no count on the circle")
 
     def _matrices(self):
@@ -800,8 +861,8 @@ class TestCertifiedCluster:
         assert fun.polished == [2]
         (square,) = squares()
         assert abs(np.mean(square) - 1.0) <= 1e-12
-        count, _ = rootfind._contour_moments(fun, rootfind._polygon(square))
-        assert round(count[0].real) == 0
+        (count,), _, (ok,) = rootfind._contour_moments(fun, rootfind._polygon(square))
+        assert ok and round(count.real) == 0
 
     def test_five_zeros_never_reach_the_rule(self, monkeypatch):
         self._refuse_splits(monkeypatch)
@@ -811,18 +872,24 @@ class TestCertifiedCluster:
         assert fun.polished == []
 
     def test_square_that_cannot_be_counted(self, monkeypatch):
-        # the squares of one level are counted in one call; when it fails,
-        # each square alone, and a square that cannot be counted leaves
-        # its cell to the split
+        # the squares of one level are counted in one call, and a square
+        # that cannot be counted (here: a non-finite sample near z) fails
+        # alone and leaves its cell to the split
         calls = []
         real = rootfind._contour_moments
+
+        class Refusing:
+            def __init__(self, fun):
+                self.fun = fun
+
+            def logderiv(self, u):
+                return np.where(np.abs(u - z) < 1e-3, np.inf, self.fun.logderiv(u))
 
         def failing(fun, segs, *args, **kw):
             if segs.radius.max() < 0.1:             # certifying squares only
                 squares = segs.vertices.reshape(-1, 4)
                 calls.append([(sq.mean(), np.ptp(sq.real)) for sq in squares])
-                if any(abs(sq.mean() - z) < 1e-3 for sq in squares):
-                    raise BoundaryZero("square refused")
+                fun = Refusing(fun)
             return real(fun, segs, *args, **kw)
         monkeypatch.setattr(rootfind, "_contour_moments", failing)
 
@@ -840,9 +907,9 @@ class TestCertifiedCluster:
                  rootfind._Cell(Rect(-1, 0, 0, 1), 2, np.zeros(4, dtype=complex), w, 1.0)]
         found = rootfind._multiple_zeros(fun, cells, 1e-10)
         assert found[0] is None and abs(found[1] - w) <= 1e-12
-        # the two squares together, then each alone: the one around z is
-        # refused, the other counts its two zeros
-        assert_tried([z, w], [z], [w])
+        # the two squares in one call: the one around z is refused, the
+        # other counts its two zeros
+        assert_tried([z, w])
 
         # a lone square is tried once, in its level's one call, then the
         # (refused) split
@@ -980,41 +1047,37 @@ class TestLevelCost:
         assert [m for _, m in sp.eigenvalues] == [1, 1]
         assert_allclose(sp.eigenvalues[1][0], 1.3 * (2792 * np.pi) ** 2, rtol=1e-12)
 
-    def test_a_rectangle_goes_through_isolate_zeros(self, monkeypatch):
-        # the isolation of a given rectangle is one isolate_zeros call,
-        # which counts the box with its first grid
+    def test_a_rectangle_goes_through_count_box(self, monkeypatch):
+        # the isolation of a given rectangle starts with one _count_box
+        # call, which counts the box with its first grid
         A = CMatrix2.real(1.3, 1, 0, -2.1)
         seen = []
-        real = rootfind.isolate_zeros
+        real = rootfind._count_box
 
-        def spy(f, rect, **kw):
-            seen.append(kw.get("first_grid"))
-            return real(f, rect, **kw)
-        monkeypatch.setattr(rootfind, "isolate_zeros", spy)
+        def spy(fun, rect, rng, k=None):
+            seen.append(k)
+            return real(fun, rect, rng, k)
+        monkeypatch.setattr(rootfind, "_count_box", spy)
+        monkeypatch.setattr(rootfind, "isolate_zeros", None)
         sp = spectrum(A, lambda_rect=Rect(0, 14.5, -14.47, 14.53))
         assert len(seen) == 1 and seen[0] >= 2
         assert len(sp.eigenvalues) > 1
 
-    def test_failed_box_and_grid_count_the_box_alone(self, monkeypatch):
-        # a zero on a line of the A5 rectangle's first 3 x 3 grid: the
-        # bundle of the box and its grid fails, the grid is dropped and the
-        # box is counted alone, undilated, and one 2 x 2 level isolates it
+    def test_failed_grid_keeps_the_box_count(self, monkeypatch):
+        # a zero on a line of the A5 rectangle's first 3 x 3 grid: in the
+        # call that bundles the box with its grid only the grid fails, the
+        # box's count stands, and one 2 x 2 level isolates it
         A = lambda_curve(4, 1, +1, 0.9100669616352928).matrix()
-        calls, failed = [], []
+        calls = []
         real = rootfind._contour_moments
 
         def watching(fun, segs, *args, **kw):
-            calls.append((segs.incidence.shape[0], segs.vertices[:4]))
-            try:
-                return real(fun, segs, *args, **kw)
-            except BoundaryZero:
-                failed.append(segs.incidence.shape[0])
-                raise
+            out = real(fun, segs, *args, **kw)
+            calls.append(out[2].tolist())
+            return out
         monkeypatch.setattr(rootfind, "_contour_moments", watching)
         sp = spectrum(A, lambda_rect=Rect(0, 14.5, -14.47, 14.53))
-        assert [rows for rows, _ in calls] == [1 + 9, 1, 4]
-        assert failed == [1 + 9]
-        assert (calls[1][1] == calls[0][1]).all()     # the same box's polygon
+        assert calls == [[True] + [False] * 9, [True] * 4]
         assert len(sp.eigenvalues) == 6
 
     def test_grid_size_is_capped(self):
@@ -1024,9 +1087,9 @@ class TestLevelCost:
 class TestBatchedLevels:
     """Each split attempt of a quadtree level counts the grids of all the
     cells it has still to split in one contour call, each cell in its own
-    frame and with its own count-sum check.  When that call fails each
-    cell's grid is counted alone; the cells their grids do not split go on
-    together to the level's next, jittered attempt."""
+    frame and with its own count-sum check.  A grid that fails fails alone;
+    the cells their grids do not split go on together to the level's next,
+    jittered attempt."""
 
     CELLS = [(Rect(0.0, 1.0, 0.0, 1.0), [0.2 + 0.3j, 0.7 + 0.8j, 0.8 + 0.1j, 0.3 + 0.75j, 0.6 + 0.5j]),
              (Rect(2.0, 3.1, 0.0, 0.9), [2.1 + 0.1j, 2.3 + 0.7j, 2.5 + 0.4j, 2.8 + 0.2j,
@@ -1079,42 +1142,39 @@ class TestBatchedLevels:
     @staticmethod
     def _failed_calls(monkeypatch):
         """The row counts of every contour call (as :meth:`_moments_calls`)
-        and of those that raise BoundaryZero."""
+        and, for each, the rows that failed."""
         rows = TestBatchedLevels._moments_calls(monkeypatch)
         failed = []
         real = rootfind._contour_moments
 
         def watching(fun, segs, *args, **kw):
-            try:
-                return real(fun, segs, *args, **kw)
-            except BoundaryZero:
-                failed.append(segs.incidence.shape[0])
-                raise
+            out = real(fun, segs, *args, **kw)
+            failed.append(np.flatnonzero(~out[2]).tolist())
+            return out
         monkeypatch.setattr(rootfind, "_contour_moments", watching)
         return rows, failed
 
     def test_batch_with_a_zero_on_one_grid_line(self, monkeypatch):
         # the first vertical line of the unit square's 2 x 2 grid passes
-        # through a zero at x = 0.513137: the batched call fails, each cell's
-        # first grid is counted alone, and only the unit square goes on to
-        # the level's next attempt
+        # through a zero at x = 0.513137: in the batched call only that
+        # grid fails, and only the unit square goes on to the level's next
+        # attempt
         cells = [(Rect(0.0, 1.0, 0.0, 1.0), [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j,
                                              0.3 + 0.2j, 0.75 + 0.45j])] + self.CELLS[1:]
         zeros = [z for _, zs in cells for z in zs]
         rows, failed = self._failed_calls(monkeypatch)
         children = rootfind._split_level(_Poly(zeros), [_counted(r, len(zs)) for r, zs in cells],
                                          np.random.default_rng(0))
-        # the batch, the three first grids alone, then the unit square's
-        # jittered grid
-        assert failed == [4 + 9 + 4, 4]
-        assert rows == [4 + 9 + 4, 4, 9, 4, 4]
+        # the batch, then the unit square's jittered grid
+        assert failed == [[0, 1, 2, 3], []]
+        assert rows == [4 + 9 + 4, 4]
         for rect, zs in cells:
             self._assert_children(rect, zs, [c for c in children if rect.contains(c.rect.center)])
 
     def test_jittered_grids_of_a_level_share_one_call(self, monkeypatch):
         # a zero on the first vertical grid line of each of two cells: both
-        # first grids fail, batched and alone, and the level's next attempt
-        # counts both jittered grids in one call
+        # first grids fail, and the level's next attempt counts both
+        # jittered grids in one call
         cells = [(Rect(0.0, 1.0, 0.0, 1.0), [0.513137 + 0.3j, 0.2 + 0.7j, 0.8 + 0.85j,
                                              0.3 + 0.2j, 0.75 + 0.45j]),
                  (Rect(2.0, 3.0, 0.0, 1.0), [2.513137 + 0.6j, 2.2 + 0.3j, 2.8 + 0.2j,
@@ -1123,8 +1183,8 @@ class TestBatchedLevels:
         rows, failed = self._failed_calls(monkeypatch)
         children = rootfind._split_level(_Poly(zeros), [_counted(r, len(zs)) for r, zs in cells],
                                          np.random.default_rng(0))
-        assert failed == [4 + 4, 4, 4]
-        assert rows == [4 + 4, 4, 4, 4 + 4]
+        assert failed == [list(range(8)), []]
+        assert rows == [4 + 4, 4 + 4]
         for rect, zs in cells:
             self._assert_children(rect, zs, [c for c in children if rect.contains(c.rect.center)])
 
@@ -1132,7 +1192,10 @@ class TestBatchedLevels:
         rect, zs = self.CELLS[1]
         plain = isolate_zeros(_Poly(zs), rect)
         for k in (2, 3, 5):
-            gridded = isolate_zeros(_Poly(zs), rect, first_grid=k)
+            rng = np.random.default_rng(0)
+            counted, first = rootfind._count_box(_Poly(zs), rect, rng, k)
+            assert counted.n == len(zs) and first
+            gridded = rootfind._isolate_counted(_Poly(zs), counted, 1e-10, rng, first)
             assert [m for _, m in gridded] == [m for _, m in plain]
             assert_allclose([z for z, _ in gridded], [z for z, _ in plain], rtol=1e-12)
 
