@@ -139,7 +139,7 @@ class Region:
     detail: str
 
 
-def classify_region(a: float, d: float, tol: float = BOUNDARY_TOL) -> Region:
+def classify_region(a: float, d: float) -> Region:
     """Classify (a, d) into the six-region partition.
 
     Equalities are tested with the absolute boundary tolerance; the two
@@ -150,10 +150,10 @@ def classify_region(a: float, d: float, tol: float = BOUNDARY_TOL) -> Region:
         raise ValueError("coordinates must be finite")
     prod_gap = a * d + 1.0
     line_gap = abs(a - d) - 2.0
-    if abs(prod_gap) <= tol:
+    if abs(prod_gap) <= BOUNDARY_TOL:
         return Region(RegionTag.R6, f"ad = -1 (ad+1 = {prod_gap:.2e})")
-    if abs(line_gap) <= tol:
-        if min(abs(a - 1.0), abs(a + 1.0)) <= tol:
+    if abs(line_gap) <= BOUNDARY_TOL:
+        if min(abs(a - 1.0), abs(a + 1.0)) <= BOUNDARY_TOL:
             return Region(RegionTag.BOUNDARY,
                           "|a-d| = 2 with a = +-1: excluded from the "
                           "defective-line region by definition")
@@ -191,7 +191,6 @@ class LocusKind(enum.Enum):
     NONPOS_HALF_LINE = "NonpositiveHalfLine"
     LATTICE = "Lattice"
     SECTOR = "Sector"
-    DOUBLE_SECTOR = "DoubleSector"
     PARABOLIC_BAND = "ParabolicBand"
     SINGLETON_0 = "Singleton0"
     REAL_WITH_FORMULA = "RealWithFormula"
@@ -212,7 +211,7 @@ class Locus:
 
     kind: LocusKind
     values: tuple = ()               # lattice / formula values
-    omega: Optional[float] = None    # half-angle for (double) sectors
+    omega: Optional[float] = None    # half-angle for sectors
     sector: Optional[tuple] = None   # (alpha, beta) for plain sectors
     orientation: int = +1            # parabolic band: +1 right, -1 left
     y0: Optional[float] = None       # band height when known
@@ -240,11 +239,6 @@ class Locus:
             if abs(ang) <= half:
                 return 0.0
             return min(_dist_to_ray(z, alpha), _dist_to_ray(z, beta))
-        if k is LocusKind.DOUBLE_SECTOR:
-            w = self.omega
-            pos = Locus(LocusKind.SECTOR, sector=(-w, w))
-            neg = Locus(LocusKind.SECTOR, sector=(np.pi - w, np.pi + w))
-            return min(pos.distance(z), neg.distance(z))
         if k is LocusKind.PARABOLIC_BAND:
             if self.y0 is None:
                 return 0.0  # height unknown: containment is vacuous
@@ -371,17 +365,14 @@ def _a4_prediction(a: float, d: float, region: Region,
     else:  # Boundary gap points on the defective lines
         locus = Locus(LocusKind.FINITE_REAL_INTERSECTION)
         theorems.append("defective-finite-real-intersection")
-    if a > 0.0 and d > 0.0:
+    if (a > 0.0 and d > 0.0) or (a < 0.0 and d < 0.0):
+        # the numerical range's sector, about the positive or negative axis
         omega = float(np.arcsin(1.0 / np.sqrt(a * d + 1.0)))
-        sector = Locus(LocusKind.SECTOR, sector=(-omega, omega), omega=omega)
-        theorems.append("numerical-range-sector")
-        bounds = ((-omega, omega),)
-    elif a < 0.0 and d < 0.0:
-        omega = float(np.arcsin(1.0 / np.sqrt(a * d + 1.0)))
-        sector = Locus(LocusKind.SECTOR, sector=(np.pi - omega, np.pi + omega),
-                       omega=omega)
-        theorems.append("numerical-range-sector-reflected")
-        bounds = ((np.pi - omega, np.pi + omega),)
+        centre = 0.0 if a > 0.0 else np.pi
+        bounds = ((centre - omega, centre + omega),)
+        sector = Locus(LocusKind.SECTOR, sector=bounds[0], omega=omega)
+        theorems.append("numerical-range-sector" if a > 0.0
+                        else "numerical-range-sector-reflected")
     return locus, sector, theorems, bounds
 
 
@@ -407,14 +398,13 @@ def predict(A: CMatrix2, lambda_max: float = LAMBDA_MAX_DEFAULT) -> SpectralPred
     bounds = ()
     region = None
 
-    if form.family is Family.A0:
+    if form.family in (Family.A0, Family.A2, Family.A3):
         locus = Locus(LocusKind.LATTICE,
                       values=_lattice_values((a * np.pi ** 2, d * np.pi ** 2), lambda_max))
-        theorems.append("diagonal-lattice")
-        if a > 0 and d > 0:
-            bounds = ((0.0, 0.0),)
-        elif a < 0 and d < 0:
-            bounds = ((np.pi, np.pi),)
+        theorems.append("diagonal-lattice" if form.family is Family.A0
+                        else "triangular-lattice")
+        if a * d > 0:
+            bounds = ((0.0, 0.0),) if a > 0 else ((np.pi, np.pi),)
         else:
             bounds = ((0.0, 0.0), (np.pi, np.pi))
     elif form.family is Family.A1:
@@ -430,18 +420,9 @@ def predict(A: CMatrix2, lambda_max: float = LAMBDA_MAX_DEFAULT) -> SpectralPred
         else:  # ad < 1; ad = 1 is singular and handled above
             locus = Locus(LocusKind.REAL_LINE)
             theorems.append("real-line-by-continuity")
-    elif form.family in (Family.A2, Family.A3):
-        locus = Locus(LocusKind.LATTICE,
-                      values=_lattice_values((a * np.pi ** 2, d * np.pi ** 2), lambda_max))
-        theorems.append("triangular-lattice")
-        if a * d > 0:
-            bounds = ((0.0, 0.0),) if a > 0 else ((np.pi, np.pi),)
-        else:
-            bounds = ((0.0, 0.0), (np.pi, np.pi))
     else:
         region = classify_region(a, d)
         locus, sector, theorems, bounds = _a4_prediction(a, d, region, lambda_max / max(abs(s), 1e-300))
-        theorems = list(theorems)
 
     # map canonical-scale loci back to the input matrix
     locus = locus.transform(s)
@@ -463,20 +444,16 @@ def perturbation_coeffs(A: CMatrix2):
 
     ``mu1 = (A^{-1})_{22} = a / det A``; when that vanishes (``a = 0``) the
     second coefficient ``mu2 = -(8 / (b c pi^4)) * sum (2m-1)^{-4}`` is
-    returned as well, summed until the series tail is below 1e-14.  At
-    least one of the two is nonzero, witnessing that the spectrum is not
-    the whole plane.
+    returned as well, in closed form ``-1 / (12 b c)`` since the sum is
+    ``pi^4 / 96``.  At least one of the two is nonzero, witnessing that
+    the spectrum is not the whole plane.
     """
     A.require_nonsingular()
     mu1 = A.a / A.det
     if abs(mu1) > 1e-12:
         return mu1, None
     # a = 0 and A nonsingular force b, c != 0
-    m_terms = 12772  # integral bound: tail < 1/(6 (2M-1)^3) < 1e-14
-    m = np.arange(1, m_terms + 1, dtype=float)
-    series = float(np.sum((2 * m - 1.0) ** -4))
-    mu2 = -(8.0 / (A.b * A.c * np.pi ** 4)) * series
-    return mu1, mu2
+    return mu1, -1.0 / (12.0 * A.b * A.c)
 
 
 # -- similarity certificates ---------------------------------------------

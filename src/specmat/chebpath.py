@@ -36,7 +36,8 @@ from .canonical import Family, RegionTag, classify_region, family_matrix
 from .errors import DegreeTooHigh, NonConvergent, OutOfDomain
 from . import secular
 from .mat2 import CMatrix2
-from .rootfind import Spectrum, _canonical_sorted, _newton, cluster_roots, polyroots
+from .rootfind import (_MAX_DEGREE, Spectrum, _canonical_sorted, _newton, cluster_roots,
+                       polyroots)
 
 _CLUSTER_REL = 1e-8      # polished roots closer than this in z, over 1 + |z|, are one root
 
@@ -277,8 +278,8 @@ def _roots(pt: ChebPoint):
     double) polish to one point, and are counted there.
     """
     g = build_g(pt)
-    if g.degree > 2 * 64:
-        # far above polyroots' cap of 64 even once the few roots at +-1 are
+    if g.degree > 2 * _MAX_DEGREE:
+        # far above polyroots' degree cap even once the few roots at +-1 are
         # divided out: refused before the coefficients (one per degree) exist
         raise DegreeTooHigh(f"P has degree {g.degree} at {pt}")
     quotient, found = _deflate_structural(g.coeffs)

@@ -28,6 +28,7 @@ SINGULAR_TOL = 1e-14
 # entries that the eigenstructure and the norms take stay finite, also
 # after the finite-difference oracle's 1/h^2 scaling
 ENTRY_MAX = 1e100
+_SECTOR_TOL = 1e-12  # a tangent point closer to the origin gives no sector
 
 
 class EigKind(enum.Enum):
@@ -288,12 +289,12 @@ def numerical_range(A: CMatrix2) -> Ellipse:
     return Ellipse(e.a_plus, e.a_minus, major, minor, bool(inside))
 
 
-def enclosing_sector(ell: Ellipse, tol: float = 1e-12):
+def enclosing_sector(ell: Ellipse):
     """Minimal sector {alpha <= arg z <= beta} containing the ellipse, from
     the tangents through the origin: the affine map onto the unit circle keeps
     tangency, and there they touch at ``arg p +- arccos(1/|p|)`` for the image
     p of the origin.  Returns ``(alpha, beta)`` with ``beta - alpha < pi``, or
-    None when the origin lies in the ellipse or within ``tol`` of it.
+    None when the origin lies in the ellipse or within ``_SECTOR_TOL`` of it.
     """
     if ell.contains_origin:
         return None
@@ -307,7 +308,7 @@ def enclosing_sector(ell: Ellipse, tol: float = 1e-12):
             return None
         t = np.angle(p) + np.array([1.0, -1.0]) * np.arccos(1.0 / abs(p))
     pts = c + rot * (ha * np.cos(t) + 1j * hb * np.sin(t))
-    if np.any(np.abs(pts) <= tol):
+    if np.any(np.abs(pts) <= _SECTOR_TOL):
         return None
     rel = np.angle(pts / c)
     if np.max(rel) - np.min(rel) >= np.pi:

@@ -156,8 +156,9 @@ def _low_end(disc: Discretization, count: int) -> np.ndarray:
 
 
 def _low_eigenvalues(disc: Discretization, count: int) -> np.ndarray:
-    """The ``count`` low-end eigenvalues of the discretization, with the
-    d = 0 degeneracy handled by symmetric extrapolation.
+    """The ``count`` low-end eigenvalues of the discretization of a
+    nonsingular A, with the d = 0 degeneracy handled by symmetric
+    extrapolation.
 
     When the (2,2) entry vanishes, no equation row carries the second
     component's ghost stencil and the Neumann condition silently drops out
@@ -166,15 +167,8 @@ def _low_eigenvalues(disc: Discretization, count: int) -> np.ndarray:
     spectra at d = +-delta restores it to O(delta^2), far below the grid
     error.  Each low value at +delta is paired with its nearest unused
     value at -delta; the pairing runs over the low ends only.
-
-    A singular A makes one block row of M repeat the other at the n
-    interior nodes, so 0 is an eigenvalue of multiplicity at least
-    n >= size // 4 >= count and the low end is exactly zero.  Arnoldi
-    cannot resolve a multiple eigenvalue that large, so the bound is used.
     """
     A, n = disc.A, disc.n
-    if A.is_singular:
-        return np.zeros(count, dtype=complex)
     scale = 1.0 + A.norm()
     if abs(A.d) > 1e-9 * scale:
         return _low_end(disc, count)[:count]
@@ -198,11 +192,16 @@ def oracle_spectrum(disc: Discretization, k: int,
 
     Only the resolved low end is trusted: k must lie in 1..size//4.  The
     companion (default: half resolution) provides a two-resolution error
-    estimate ``|nu_n - nu_{n/2}| / 3`` per eigenvalue and a stabilisation
-    check; wildly drifting eigenvalues mark the matrix as not-closed
-    (singular coefficient matrix).  Both resolutions are put in canonical
-    order (modulus, then argument, with ties and real values recognised up
-    to rounding) and paired by position.
+    estimate ``|nu_n - nu_{n/2}| / 3`` per eigenvalue.  Both resolutions
+    are put in canonical order (modulus, then argument, with ties and real
+    values recognised up to rounding) and paired by position.
+
+    The operator is closed exactly when A is nonsingular, and
+    :attr:`CMatrix2.is_singular` decides that.  For a singular A one block
+    row of the matrix repeats the other at the n interior nodes, so 0 is
+    an eigenvalue of multiplicity at least n >= size // 4 >= k, more than
+    Arnoldi can resolve: the low end is returned as exactly zero, with
+    zero bars and a not-closed note.
     """
     if k < 1:
         raise InvalidInput(f"need at least one eigenvalue, got k = {k}")
@@ -210,35 +209,23 @@ def oracle_spectrum(disc: Discretization, k: int,
         raise ResolutionTooLow(
             f"requested {k} eigenvalues from a size-{disc.size} grid; only "
             f"the lowest quarter is resolved")
+    if disc.A.is_singular:
+        return Spectrum(eigenvalues=((0j, 1),) * k, method="oracle",
+                        search_region=None, matrix=disc.A, residuals=(0.0,) * k,
+                        notes=("not-closed: singular A, the spectrum is the whole plane",))
     if companion is None:
         companion = discretize(disc.A, max(disc.n // 2, 8))
-    # three values decide the not-closed verdict below
-    count = max(k, 3)
-    ev_fine = _low_eigenvalues(disc, count)
-    ev_coarse = _low_eigenvalues(companion, count)
-    # a singular coefficient matrix shows up as a fat near-zero cluster
-    # (the operator is not closed; only one eigenvalue 0 is legitimate,
-    # two when the zero branch is analytically degenerate)
-    zero_cluster = int(np.sum(np.abs(ev_fine) <= 1e-8 * np.linalg.norm(disc.S.data)))
     # positional pairing after the canonical sort: greedy nearest matching
     # crosses branches at collided double eigenvalues, which would fake a
     # near-zero two-resolution error estimate
-    ev_fine = ev_fine[_canonical_order(ev_fine)][:k]
-    ev_coarse = ev_coarse[_canonical_order(ev_coarse)][:k]
-
-    errors = []
-    drift = []
-    for v, u in zip(ev_fine, ev_coarse):
-        errors.append(float(abs(v - u)) / 3.0)
-        drift.append(float(abs(v - u)) / (1.0 + abs(v)))
-    not_closed = zero_cluster >= 3 or bool(np.median(drift) > 0.2)
-
-    eigs = tuple((complex(v), 1) for v in ev_fine)
-    notes = ("richardson-errors:" + ",".join(f"{e:.3e}" for e in errors),)
-    if not_closed:
-        notes = notes + ("not-closed: low eigenvalues do not stabilise with n",)
-    return Spectrum(eigenvalues=eigs, method="oracle", search_region=None,
-                    matrix=disc.A, residuals=tuple(errors), notes=notes)
+    ev_fine = _low_eigenvalues(disc, k)
+    ev_fine = ev_fine[_canonical_order(ev_fine)]
+    ev_coarse = _low_eigenvalues(companion, k)
+    ev_coarse = ev_coarse[_canonical_order(ev_coarse)]
+    errors = tuple(float(abs(v - u)) / 3.0 for v, u in zip(ev_fine, ev_coarse))
+    return Spectrum(eigenvalues=tuple((complex(v), 1) for v in ev_fine),
+                    method="oracle", search_region=None, matrix=disc.A,
+                    residuals=errors)
 
 
 def resolvent_norm(disc: Discretization, z: complex) -> float:

@@ -77,7 +77,8 @@ scaled by the ratio of the zeros wanted to those found (zeros grow in
 proportion to the radius), and one whose eigenvalues lie beyond the disc
 it covers jumps once to that radius; each new box is counted and
 isolated whole.  A secular function without cosine terms is ``q x^2``,
-whose only zero is the origin: its first box is the last.
+whose only zero is the origin, and ``count = 1`` asks for the eigenvalue 0
+alone: both return the first box before any contour.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ from .secular import build
 _EDGE_CAP = 2 ** 18    # most samples any one segment may take
 _WINDING_TOL = 1e-3
 _CLUSTER_REL = 1e-4    # cluster size, over 1 + |centre|
+_MAX_DEGREE = 64       # highest degree polyroots accepts
+_ROOT_RTOL = 1e-10     # polyroots' residual bound, over ||p||
 
 
 @dataclass(frozen=True)
@@ -883,18 +886,47 @@ def _canonical_zeros(zeros):
     return kept
 
 
-def _merge_values(pairs):
-    """Merge equal eigenvalues (to 1e-8 relative), adding multiplicities;
-    the result is in canonical order."""
-    merged = []
-    for v, m in _canonical_sorted(pairs):
-        for i, (u, k) in enumerate(merged):
-            if abs(v - u) <= 1e-8 * (1.0 + abs(v)):
-                merged[i] = ((u * k + v * m) / (k + m), k + m)
-                break
+def _search_box(fun, L: float, H: float, margin: float, want: int, tol: float, rng):
+    """The distinct nonzero eigenvalues, in canonical order, of the first
+    box that holds the ``want`` smallest, and that box; the first box is
+    ``L`` wide and about ``2 H`` high (see :func:`spectrum`)."""
+    # each round counts the box with its first grid (for about want + 2
+    # zeros) in one call, and isolates it whole when it holds enough
+    k = _grid_size(want + 2)
+    for _ in range(16):
+        box = Rect(-margin, L, -1.031731 * H, 0.968413 * H)
+        try:
+            counted, first = _count_box(fun, box, rng, k)
+            zeros = (_isolate_counted(fun, counted, tol, rng, first)
+                     if counted.n > want else None)
+        except (BoundaryZero, NonConvergent):
+            # a box edge landed too close to spectral structure: nudge
+            L *= 1.0489
+            H *= 1.0171
+            continue
+        if zeros is None:
+            found = counted.n
         else:
-            merged.append((v, m))
-    return merged
+            values = _canonical_sorted((z * z, m) for z, m in _canonical_zeros(zeros))
+            found = len(values)
+            if found >= want:
+                # completeness: the smallest `want` eigenvalues must come
+                # from the disc the box fully covers, else an off-axis
+                # direction may still hide smaller ones
+                done = counted.rect
+                coverage = 0.95 * min(done.re_max, done.im_max, -done.im_min)
+                need = float(np.sqrt(abs(values[want - 1][0])))
+                if need <= coverage:
+                    return values, done
+                # jump straight to the required coverage radius
+                L, H = max(L, need / 0.92), max(H, need / 0.90)
+                continue
+        # too few zeros counted, or too few distinct eigenvalues among
+        # them (multiple ones): zeros grow in proportion to the radius
+        grow = (want + 2) / max(found, 1)
+        L *= grow
+        H *= grow
+    raise NonConvergent(f"could not isolate eigenvalues; last box {box}")
 
 
 def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10,
@@ -910,7 +942,9 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
     where the ``count`` smallest reach beyond the disc it covers, it jumps
     to that radius; NonConvergent names the last box when the rounds run
     out.  The defective singleton, whose secular function ``q x^2`` has no
-    zero but the origin, stops after its first box.  The rectangle always
+    zero but the origin, and ``count = 1``, which is the eigenvalue 0
+    alone, return with the first box as search region before any contour
+    is integrated.  The rectangle always
     gets a small margin past the imaginary axis so that axis zeros (the
     origin, and the square roots of negative eigenvalues) are interior
     points; mirror images are removed afterwards.  InvalidInput is raised
@@ -955,16 +989,13 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
         r1 = np.abs(box.corners()).max()
         k = _grid_size(S.indicator_perimeter() * (r1 - r0) / (4.0 * np.pi))
         counted, first = _count_box(fun, box, rng, k)
-        kept = _canonical_zeros(_isolate_counted(fun, counted, tol, rng, first))
-        sel = []
-        for z, m in kept:
+        values = []
+        for z, m in _canonical_zeros(_isolate_counted(fun, counted, tol, rng, first)):
             ax = 1e-7 * (1.0 + abs(z))
             on_axis = (abs(z.real) <= ax
                        and lambda_rect.im_min - 1e-9 <= z.imag <= lambda_rect.im_max + 1e-9)
             if lambda_rect.contains(z, slack=1e-9) or on_axis:
-                sel.append((z, m))
-        kept = sel
-        merged = _merge_values([(z * z, m) for z, m in kept])
+                values.append((z * z, m))
     else:
         want = 12 if count is None else int(count)
         # first box from the zero density: a half-disc of radius R holds
@@ -972,50 +1003,14 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
         perimeter = S.indicator_perimeter()
         R = 4.0 * np.pi * (want + 2) / perimeter if perimeter > 0 else 0.0
         L, H = max(4.0 * scale, R / 0.92), max(3.0 * scale, R / 0.90)
-        # each round counts the box with its first grid (for about want + 2
-        # zeros) in one call, and isolates it whole when it holds enough
-        k = _grid_size(want + 2)
-        for _ in range(16):
-            box = Rect(-margin, L, -1.031731 * H, 0.968413 * H)
-            try:
-                counted, first = _count_box(fun, box, rng, k)
-                zeros = (_isolate_counted(fun, counted, tol, rng, first)
-                         if counted.n > want or perimeter == 0 else None)
-            except (BoundaryZero, NonConvergent):
-                # a box edge landed too close to spectral structure: nudge
-                L *= 1.0489
-                H *= 1.0171
-                continue
-            if zeros is None:
-                found = counted.n
-            else:
-                merged = _merge_values([(z * z, m) for z, m in _canonical_zeros(zeros)])
-                if perimeter == 0:
-                    # no cosine term: EV = q x^2, whose only zero is the origin
-                    break
-                found = len(merged)
-                if found >= want:
-                    # completeness: the smallest `want` eigenvalues must come
-                    # from the disc the box fully covers, else an off-axis
-                    # direction may still hide smaller ones
-                    done = counted.rect
-                    coverage = 0.95 * min(done.re_max, done.im_max, -done.im_min)
-                    need = float(np.sqrt(abs(merged[want - 1][0])))
-                    if need <= coverage:
-                        break
-                    # jump straight to the required coverage radius
-                    L, H = max(L, need / 0.92), max(H, need / 0.90)
-                    continue
-            # too few zeros counted, or too few distinct eigenvalues among
-            # them (multiple ones): zeros grow in proportion to the radius
-            grow = (want + 2) / max(found, 1)
-            L *= grow
-            H *= grow
-        else:
-            raise NonConvergent(f"could not isolate eigenvalues; last box {box}")
-        lambda_rect = counted.rect
+        lambda_rect = Rect(-margin, L, -1.031731 * H, 0.968413 * H)
+        # no cosine term: EV = q x^2, whose only zero is the origin; and
+        # count 1 is the eigenvalue 0 alone.  Neither needs a contour.
+        values = []
+        if perimeter > 0 and want > 1:
+            values, lambda_rect = _search_box(fun, L, H, margin, want, tol, rng)
 
-    eigs = _canonical_sorted([(0j, 1)] + merged)
+    eigs = _canonical_sorted([(0j, 1)] + values)
     if count is not None:
         eigs = eigs[:count]
 
@@ -1034,11 +1029,11 @@ def spectrum(A: CMatrix2, lambda_rect: Optional[Rect] = None, tol: float = 1e-10
 # -- polynomial roots ----------------------------------------------------
 
 
-def polyroots(coeffs, max_degree: int = 64) -> np.ndarray:
+def polyroots(coeffs) -> np.ndarray:
     """All roots of a complex polynomial (coefficients highest degree
-    first), as the eigenvalues of its companion matrix (``np.roots``),
-    sorted by modulus.  Residuals are verified against
-    ``|p(w)| <= 1e-10 * ||p|| * max(1, |w|)^deg``.
+    first, degree at most ``_MAX_DEGREE``), as the eigenvalues of its
+    companion matrix (``np.roots``), sorted by modulus.  Residuals are
+    verified against ``|p(w)| <= _ROOT_RTOL * ||p|| * max(1, |w|)^deg``.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size < 2:
@@ -1046,9 +1041,9 @@ def polyroots(coeffs, max_degree: int = 64) -> np.ndarray:
     if abs(c[0]) == 0.0:
         raise ValueError("leading coefficient must be nonzero")
     deg = c.size - 1
-    if deg > max_degree:
+    if deg > _MAX_DEGREE:
         raise DegreeTooHigh(
-            f"degree {deg} > {max_degree}: polynomial rooting is unstable "
+            f"degree {deg} > {_MAX_DEGREE}: polynomial rooting is unstable "
             "at high degree")
     c = c / c[0]
     roots = np.roots(c)
@@ -1057,15 +1052,15 @@ def polyroots(coeffs, max_degree: int = 64) -> np.ndarray:
     return roots[np.argsort(np.abs(roots))]
 
 
-def _residuals_ok(c, roots, rtol: float = 1e-10) -> bool:
-    """``|p(w)| <= rtol ||p|| max(1, |w|)^deg``; outside the unit circle
+def _residuals_ok(c, roots) -> bool:
+    """``|p(w)| <= _ROOT_RTOL ||p|| max(1, |w|)^deg``; outside the unit circle
     divided through by ``w^deg``, as the reversed polynomial at ``1/w``,
     so that no power of a large root overflows."""
     inside = np.abs(roots) <= 1.0
     res = np.empty(roots.size)
     res[inside] = np.abs(np.polyval(c, roots[inside]))
     res[~inside] = np.abs(np.polyval(c[::-1], 1.0 / roots[~inside]))
-    return bool(np.all(res <= rtol * np.linalg.norm(c)))
+    return bool(np.all(res <= _ROOT_RTOL * np.linalg.norm(c)))
 
 
 def cluster_roots(roots, rel_tol: float = 1e-5):

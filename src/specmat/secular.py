@@ -49,6 +49,8 @@ from .errors import IllConditioned, SingularJordan
 from .mat2 import CMatrix2, Eigen2, EigKind, eig2
 
 _LOG_MAX = 709.0  # np.exp overflows just above this
+_ORDER_RTOL = 1e-10  # a Taylor coefficient of EV at 0 this small relative to its terms is zero
+_SNAP_RTOL = 5e-14   # a sum this small relative to its terms has cancelled to zero
 
 
 def _scaled_trig(w):
@@ -257,7 +259,7 @@ class SecularFn:
             return float(2.0 * (abs(f[0] - f[1]) + abs(f[0] + f[1])))
         return float(4.0 * np.abs(f).sum())
 
-    def order_at_origin(self, rel_tol: float = 1e-10) -> int:
+    def order_at_origin(self) -> int:
         """Analytic order of the structural zero at 0 (always even, >= 2),
         decided from the Taylor coefficients of the cosine-sum form.
         Robust where direct evaluation is pure cancellation noise.
@@ -267,15 +269,15 @@ class SecularFn:
         taylor2 = self.q - (self.c1 * self.f1 ** 2 + self.c2 * self.f2 ** 2) / 2.0
         scale2 = (abs(self.q) + abs(self.c1 * self.f1 ** 2)
                   + abs(self.c2 * self.f2 ** 2)) / 2.0
-        if abs(taylor2) > rel_tol * max(scale2, 1e-300):
+        if abs(taylor2) > _ORDER_RTOL * max(scale2, 1e-300):
             return 2
         taylor4 = (self.c1 * self.f1 ** 4 + self.c2 * self.f2 ** 4) / 24.0
         scale4 = (abs(self.c1 * self.f1 ** 4) + abs(self.c2 * self.f2 ** 4)) / 24.0
-        if abs(taylor4) > rel_tol * max(scale4, 1e-300):
+        if abs(taylor4) > _ORDER_RTOL * max(scale4, 1e-300):
             return 4
         taylor6 = -(self.c1 * self.f1 ** 6 + self.c2 * self.f2 ** 6) / 720.0
         scale6 = (abs(self.c1 * self.f1 ** 6) + abs(self.c2 * self.f2 ** 6)) / 720.0
-        if abs(taylor6) > rel_tol * max(scale6, 1e-300):
+        if abs(taylor6) > _ORDER_RTOL * max(scale6, 1e-300):
             return 6
         raise IllConditioned("origin zero of order > 6; not supported")
 
@@ -300,11 +302,11 @@ class SecularFn:
         return (ratios[0] * ratios[1]) ** 2
 
 
-def _snap_cancel(value: complex, magnitude: float, rel: float = 5e-14) -> complex:
+def _snap_cancel(value: complex, magnitude: float) -> complex:
     """Zero out a sum that cancelled to rounding level: structural
     degeneracies (exact curve points, the worked examples) produce exact
     zeros that must not resurge under exponential growth."""
-    return 0.0 if abs(value) <= rel * magnitude else value
+    return 0.0 if abs(value) <= _SNAP_RTOL * magnitude else value
 
 
 def _build_diagonalizable(A: CMatrix2, e: Eigen2) -> SecularFn:

@@ -25,6 +25,8 @@ from .oracle import discretize, oracle_spectrum
 from .rootfind import spectrum
 from .secular import build
 
+_VERIFY_RTOL = 1e-6   # verify_against_secular's gap, over 1 + |value|
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -182,9 +184,9 @@ def run_sweep(spec: SweepSpec, seed: int = 0):
     return records
 
 
-def verify_against_secular(records, spec: SweepSpec, rtol: float = 1e-6):
+def verify_against_secular(records, spec: SweepSpec):
     """Recompute every chebyshev step with the secular method and check
-    each eigenvalue has a counterpart within rtol * (1 + |value|)."""
+    each eigenvalue has a counterpart within ``_VERIFY_RTOL * (1 + |value|)``."""
     mismatches = []
     for rec in records:
         if rec.sentinel:
@@ -197,7 +199,7 @@ def verify_against_secular(records, spec: SweepSpec, rtol: float = 1e-6):
         ref_vals = ref.values()
         for e in rec.eigenvalues:
             gap = float(np.min(np.abs(ref_vals - e.value)))
-            if gap > rtol * (1.0 + abs(e.value)):
+            if gap > _VERIFY_RTOL * (1.0 + abs(e.value)):
                 mismatches.append((rec.step, e.value, gap))
     return mismatches
 

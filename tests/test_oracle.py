@@ -177,6 +177,19 @@ class TestOracleSpectrum:
         sp_ok = oracle_spectrum(discretize(CMatrix2.real(1, 0, 0, 2), 100), 6)
         assert not any("not-closed" in n for n in sp_ok.notes)
 
+    @pytest.mark.parametrize("A, n, k, singular", [
+        (a4(-1.0, 0.0), 100, 6, False),
+        (CMatrix2.real(1, 2, 2, 4.0001), 100, 6, False),
+        (CMatrix2.real(1, 0, 0, 1e-6), 60, 3, False),
+        (CMatrix2.real(1, 0, 0, 0), 100, 6, True),
+        (CMatrix2.real(1, 1, 1, 1), 100, 6, True)])
+    def test_not_closed_exactly_when_singular(self, A, n, k, singular):
+        # closed operators whose low end drifts with n or clusters near 0
+        # (a double negative pair, a near-singular A, a tiny d) get no note
+        assert A.is_singular == singular
+        sp = oracle_spectrum(discretize(A, n), k)
+        assert any("not-closed" in note for note in sp.notes) == singular
+
     def test_trust_radius(self):
         with pytest.raises(ResolutionTooLow):
             oracle_spectrum(discretize(CMatrix2.real(1, 0, 0, 1), 20), 40)

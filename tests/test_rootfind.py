@@ -638,17 +638,14 @@ class TestIncrementalGrowth:
         S = build(A)
         fun = rootfind._OriginDeflated(S, S.order_at_origin())
         zeros = rootfind._canonical_zeros(isolate_zeros(fun, sp.search_region))
-        once = rootfind._merge_values([(0j, 1)] + [(z * z, m) for z, m in zeros])
+        once = rootfind._canonical_sorted([(0j, 1)] + [(z * z, m) for z, m in zeros])
         once = once[:count]
         assert len(once) == len(sp.eigenvalues) == count
         for (v, m), (u, k) in zip(sp.eigenvalues, once):
             assert abs(v - u) <= 1e-9 * (1 + abs(v)) and m == k
 
-    @pytest.mark.parametrize("count", [1, 6, 12])
-    @pytest.mark.parametrize("a, d", [(0.5, -1.5), (-0.5, 1.5)])
-    def test_defective_singleton_takes_one_contour_call(self, monkeypatch, a, d, count):
-        # no cosine term: EV = q x^2 has no zero but the origin, and the
-        # first box, which counts none, is the last
+    @staticmethod
+    def _contour_calls(monkeypatch):
         calls = []
         real_moments = rootfind._contour_moments
 
@@ -657,10 +654,28 @@ class TestIncrementalGrowth:
             return real_moments(*args, **kw)
 
         monkeypatch.setattr(rootfind, "_contour_moments", counting)
+        return calls
+
+    @pytest.mark.parametrize("count", [1, 6, 12])
+    @pytest.mark.parametrize("a, d", [(0.5, -1.5), (-0.5, 1.5)])
+    def test_defective_singleton_takes_no_contour_call(self, monkeypatch, a, d, count):
+        # no cosine term: EV = q x^2 has no zero but the origin, so the
+        # first box is returned uncounted
+        calls = self._contour_calls(monkeypatch)
         sp = spectrum(family_matrix(Family.A4, a, d), count=count)
         assert sp.eigenvalues == ((0j, 1),)
         assert sp.analytic_order_at_zero == 2
-        assert len(calls) == 1
+        assert sp.residuals == (0.0,)
+        assert calls == []
+
+    def test_count_one_takes_no_contour_call(self, monkeypatch):
+        # the one eigenvalue asked for is 0; this matrix's zeros are costly
+        # to search (its entries span eight orders)
+        calls = self._contour_calls(monkeypatch)
+        sp = spectrum(family_matrix(Family.A4, 16.073846045527574, 8.20184e7), count=1)
+        assert sp.eigenvalues == ((0j, 1),)
+        assert sp.residuals == (0.0,)
+        assert calls == []
 
     def test_the_loop_is_bounded(self, monkeypatch):
         # a box that can never be isolated: 16 rounds, then NonConvergent

@@ -65,7 +65,7 @@ class TestRunSweep:
         spec = SweepSpec(kind="alphas", method="chebyshev", a_fixed=0.4,
                          alphas=(Fraction(2), Fraction(5, 2)), n_max=3, count=8)
         records = run_sweep(spec)
-        assert verify_against_secular(records, spec, rtol=1e-6) == []
+        assert verify_against_secular(records, spec) == []
 
     def test_verify_the_a0_sweep(self):
         # A9's second sweep: on a = 0 the real eigenvalues are quadruple
@@ -76,7 +76,7 @@ class TestRunSweep:
                                  Fraction(5, 4), Fraction(9, 8)),
                          n_max=8, count=20)
         records = run_sweep(spec)
-        assert verify_against_secular(records, spec, rtol=1e-6) == []
+        assert verify_against_secular(records, spec) == []
 
     def test_oracle_method(self):
         spec = SweepSpec(kind="segment", method="oracle", count=4, steps=2,
