@@ -668,6 +668,20 @@ class TestIncrementalGrowth:
         assert sp.residuals == (0.0,)
         assert calls == []
 
+    @pytest.mark.parametrize("count", [1, 6, 12])
+    @pytest.mark.parametrize("a, d", [(0.5, -1.5), (-0.5, 1.5)])
+    def test_defective_singleton_takes_one_contour_call(self, monkeypatch, a, d, count):
+        # the uncounted first box is sound: one contour over it counts no
+        # zero, so it is the last box
+        A = family_matrix(Family.A4, a, d)
+        sp = spectrum(A, count=count)
+        S = build(A)
+        assert S.indicator_perimeter() == 0
+        fun = rootfind._OriginDeflated(S, S.order_at_origin())
+        calls = self._contour_calls(monkeypatch)
+        assert isolate_zeros(fun, sp.search_region) == []
+        assert len(calls) == 1
+
     def test_count_one_takes_no_contour_call(self, monkeypatch):
         # the one eigenvalue asked for is 0; this matrix's zeros are costly
         # to search (its entries span eight orders)
