@@ -8,8 +8,7 @@ from .errors import (BoundaryZero, DegreeTooHigh, IllConditioned, InvalidInput,
                      SpecmatError)
 from .mat2 import (CMatrix2, Eigen2, EigKind, Ellipse, adjoint_projection,
                    eig2, enclosing_sector, numerical_range)
-from .secular import (FundamentalMatrix, SecularFn, boundary_determinant,
-                      build, fundamental_matrix)
+from .secular import SecularFn, boundary_determinant, build, fundamental_matrix
 from .rootfind import (Rect, Spectrum, cluster_roots, isolate_zeros,
                        polyroots, spectrum, winding_count)
 from .canonical import (CanonicalForm, Certificate, Family, Locus, LocusKind,

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidInput, NonRealInput, OutOfDomain
 from .mat2 import CMatrix2, enclosing_sector, numerical_range
+from .secular import SecularFn, build
 
 BOUNDARY_TOL = 1e-9      # absolute fuzz for the region-defining equalities
 LAMBDA_MAX_DEFAULT = 400.0 * np.pi ** 2
@@ -142,15 +143,18 @@ class Region:
 def classify_region(a: float, d: float) -> Region:
     """Classify (a, d) into the six-region partition.
 
-    Equalities are tested with the absolute boundary tolerance; the two
-    literal-definition gap points on the defective lines (``a = +-1`` with
-    ``ad != -1``) are tagged Boundary.
+    R6, the operator that is not closed, is exactly where
+    ``family_matrix(A4, a, d).is_singular``, the one decider of closedness
+    (so a or d beyond ``ENTRY_MAX`` is refused as that matrix is).  The
+    defective lines ``|a-d| = 2`` are tested with the absolute boundary
+    tolerance, and their two literal-definition gap points (``a = +-1``
+    with ``ad != -1``) are tagged Boundary.
     """
     if not (np.isfinite(a) and np.isfinite(d)):
         raise ValueError("coordinates must be finite")
     prod_gap = a * d + 1.0
     line_gap = abs(a - d) - 2.0
-    if abs(prod_gap) <= BOUNDARY_TOL:
+    if family_matrix(Family.A4, a, d).is_singular:
         return Region(RegionTag.R6, f"ad = -1 (ad+1 = {prod_gap:.2e})")
     if abs(line_gap) <= BOUNDARY_TOL:
         if min(abs(a - 1.0), abs(a + 1.0)) <= BOUNDARY_TOL:
@@ -214,13 +218,14 @@ class Locus:
     omega: Optional[float] = None    # half-angle for sectors
     sector: Optional[tuple] = None   # (alpha, beta) for plain sectors
     orientation: int = +1            # parabolic band: +1 right, -1 left
-    y0: Optional[float] = None       # band height when known
     description: str = ""
 
     def distance(self, z: complex) -> float:
         z = complex(z)
         k = self.kind
-        if k in (LocusKind.WHOLE_PLANE, LocusKind.FINITE_REAL_INTERSECTION):
+        if k in (LocusKind.WHOLE_PLANE, LocusKind.FINITE_REAL_INTERSECTION,
+                 LocusKind.PARABOLIC_BAND):
+            # the band's height is not known: containment is vacuous
             return 0.0
         if k is LocusKind.REAL_LINE:
             return abs(z.imag)
@@ -239,13 +244,6 @@ class Locus:
             if abs(ang) <= half:
                 return 0.0
             return min(_dist_to_ray(z, alpha), _dist_to_ray(z, beta))
-        if k is LocusKind.PARABOLIC_BAND:
-            if self.y0 is None:
-                return 0.0  # height unknown: containment is vacuous
-            # {(r + i y0)^2 : r real} + [0, inf), possibly reflected
-            w = z if self.orientation > 0 else -z
-            r = w.imag / (2.0 * self.y0)
-            return float(max(0.0, (r * r - self.y0 ** 2) - w.real))
         raise AssertionError(k)
 
     def transform(self, s: float) -> "Locus":
@@ -268,8 +266,7 @@ class Locus:
             return Locus(LocusKind.SECTOR, sector=(alpha + np.pi, beta + np.pi),
                          omega=self.omega)
         if k is LocusKind.PARABOLIC_BAND:
-            return Locus(LocusKind.PARABOLIC_BAND, orientation=-self.orientation,
-                         y0=self.y0)
+            return Locus(LocusKind.PARABOLIC_BAND, orientation=-self.orientation)
         return out  # symmetric kinds are invariant
 
 
@@ -320,10 +317,16 @@ def _lattice_values(units, lambda_max: float):
     return tuple(complex(v) for v in vals[np.lexsort((vals.real, np.abs(vals)))])
 
 
-def _a4_prediction(a: float, d: float, region: Region,
+def _a4_prediction(a: float, d: float, region: Region, S: Optional[SecularFn],
                    lambda_max: float) -> tuple:
     """(locus, extra sector, theorems, resolvent sectors) for the
-    antisymmetric-off-diagonal family at canonical (a, d)."""
+    antisymmetric-off-diagonal family at canonical (a, d).
+
+    ``S`` is the secular function of ``A4(a, d)`` in regions R1 and R5,
+    and decides their two special points as :func:`specmat.rootfind.spectrum`
+    does: the defective singleton where it keeps no cosine term, and the
+    real-spectrum curve ``a^2 - ad - 1 = 0`` where it keeps one.
+    """
     theorems = []
     sector = None
     bounds = ()
@@ -333,30 +336,25 @@ def _a4_prediction(a: float, d: float, region: Region,
         theorems.append("whole-real-line-similarity")
         bounds = ((-0.0, 0.0), (np.pi, np.pi))
     elif tag is RegionTag.R5:
-        curve = a * a - a * d - 1.0
-        # the real spectrum on the curve a^2 - ad - 1 = 0: the squared real
-        # or imaginary part of b+^{-1/2} does not depend on the root's branch
-        root = 1.0 / np.sqrt(a4_eigs(a, d)[0])
-        if abs(curve) <= BOUNDARY_TOL and -2.0 < a - d < 0.0:
+        # on the real-spectrum curve secular.build cancels one cosine term:
+        # EV = c (cos(f x) - 1), zero at x = 2 pi k / f
+        f = S.f2 if S.c1 == 0 else S.f1 if S.c2 == 0 else None
+        if S.q == 0 and f is not None:
+            unit = (4.0 * np.pi ** 2 / f ** 2).real
             locus = Locus(LocusKind.REAL_WITH_FORMULA,
-                          values=_lattice_values((-np.pi ** 2 / root.imag ** 2,), lambda_max),
-                          description="-k^2 pi^2 / Im(b+^{-1/2})^2")
-            theorems.append("real-curve-nonpositive-lattice")
-        elif abs(curve) <= BOUNDARY_TOL and 0.0 < a - d < 2.0:
-            locus = Locus(LocusKind.REAL_WITH_FORMULA,
-                          values=_lattice_values((np.pi ** 2 / root.real ** 2,), lambda_max),
-                          description="+k^2 pi^2 / Re(b+^{-1/2})^2")
-            theorems.append("real-curve-nonnegative-lattice")
+                          values=_lattice_values((unit,), lambda_max),
+                          description="k^2 (2 pi / f)^2, f the frequency of the one cosine term")
+            theorems.append("real-curve-nonpositive-lattice" if unit < 0
+                            else "real-curve-nonnegative-lattice")
         else:
             locus = Locus(LocusKind.FINITE_REAL_INTERSECTION)
             theorems.append("finite-real-intersection")
     elif tag in (RegionTag.R3, RegionTag.R4):
         orient = +1 if tag is RegionTag.R3 else -1
-        locus = Locus(LocusKind.PARABOLIC_BAND, orientation=orient, y0=None)
+        locus = Locus(LocusKind.PARABOLIC_BAND, orientation=orient)
         theorems.append("parabolic-band")
     elif tag is RegionTag.R1:
-        if (abs(a - 0.5) <= BOUNDARY_TOL and abs(d + 1.5) <= BOUNDARY_TOL) or \
-           (abs(a + 0.5) <= BOUNDARY_TOL and abs(d - 1.5) <= BOUNDARY_TOL):
+        if S.indicator_perimeter() == 0:   # EV = q x^2: no zero but the origin
             locus = Locus(LocusKind.SINGLETON_0)
             theorems.append("defective-singleton")
         else:
@@ -422,7 +420,10 @@ def predict(A: CMatrix2, lambda_max: float = LAMBDA_MAX_DEFAULT) -> SpectralPred
             theorems.append("real-line-by-continuity")
     else:
         region = classify_region(a, d)
-        locus, sector, theorems, bounds = _a4_prediction(a, d, region, lambda_max / max(abs(s), 1e-300))
+        S = (build(form.canonical_matrix())
+             if region.tag in (RegionTag.R1, RegionTag.R5) else None)
+        locus, sector, theorems, bounds = _a4_prediction(
+            a, d, region, S, lambda_max / max(abs(s), 1e-300))
 
     # map canonical-scale loci back to the input matrix
     locus = locus.transform(s)

@@ -120,8 +120,6 @@ def lambda_curve(p: int, q: int, sign: int, a: float) -> ChebPoint:
     bp = alpha * alpha * bm
     if abs(bp * bm - (a * d + 1.0)) > 1e-9 * (1.0 + a * a + d * d):
         raise OutOfDomain(f"curve eigenvalue identity failed at (a, d) = ({a}, {d})")
-    if abs(math.sqrt(bp / bm) - alpha) > 1e-10 * (1 + alpha):
-        raise OutOfDomain("curve identity sqrt(b+/b-) = p/q failed")
     region = classify_region(a, d)
     if region.tag is not RegionTag.R3:
         raise OutOfDomain(f"curve point left the band region: {region.tag.value}")

@@ -79,6 +79,10 @@ def _json(payload, **kw) -> str:
 
 
 def _write_or_print(text: str, args, name: str):
+    """``text``, ending in a newline, to ``DIR/name`` under ``--out DIR``
+    (printing the path), else to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -86,7 +90,7 @@ def _write_or_print(text: str, args, name: str):
         path.write_text(text, encoding="utf-8")
         print(str(path))
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _locus_dict(locus: canonical.Locus) -> dict:
@@ -99,7 +103,6 @@ def _locus_dict(locus: canonical.Locus) -> dict:
         out["omega"] = locus.omega
     if locus.kind is canonical.LocusKind.PARABOLIC_BAND:
         out["orientation"] = locus.orientation
-        out["y0"] = locus.y0
     if locus.description:
         out["description"] = locus.description
     return out
@@ -132,7 +135,7 @@ def _cmd_classify(args) -> int:
              "similarity_r": c.similarity_r, "residual": c.residual,
              "detail": c.detail}
             for c in certs]
-    print(_json(result, indent=2))
+    _write_or_print(_json(result, indent=2), args, "classify.json")
     return 0
 
 
@@ -158,8 +161,8 @@ def _cmd_ev(args) -> int:
     val = complex(S.value(np.array([x]))[0])
     la = float(S.logabs(np.array([x]))[0] / np.log(10.0))
     # log10 |EV| of an exact zero (the origin) is -inf: null
-    print(_json({"x": [x.real, x.imag], "value": [val.real, val.imag],
-                 "log10_abs": None if la == -np.inf else la}))
+    _write_or_print(_json({"x": [x.real, x.imag], "value": [val.real, val.imag],
+                           "log10_abs": None if la == -np.inf else la}), args, "ev_at.json")
     return 0
 
 
@@ -181,10 +184,13 @@ def _spectrum_csv(sp) -> str:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.format == "svg":
+        raise InvalidInput("spectrum writes json or csv, not svg")
     A = _parse_matrix(args)
     if A.is_singular:
-        print(_json({"spectrum": "whole-plane",
-                     "reason": "singular matrix: operator not closed"}))
+        _write_or_print(_json({"spectrum": "whole-plane",
+                               "reason": "singular matrix: operator not closed"}),
+                        args, "spectrum.json")
         return 4
     rng = np.random.default_rng(args.seed)
     rect = None
@@ -198,11 +204,13 @@ def _cmd_spectrum(args) -> int:
     if args.format == "csv":
         _write_or_print(_spectrum_csv(sp), args, "spectrum.csv")
     else:
-        print(_json(_spectrum_payload(sp), indent=2))
+        _write_or_print(_json(_spectrum_payload(sp), indent=2), args, "spectrum.json")
     return 0
 
 
 def _cmd_cheb(args) -> int:
+    if args.format == "svg":
+        raise InvalidInput("cheb writes json or csv, not svg")
     frac = _parse_ratio(args.alpha, "--alpha")
     sign = +1 if args.sign == "+" else -1
     if args.sweep:
@@ -221,7 +229,7 @@ def _cmd_cheb(args) -> int:
     pt = chebpath.lambda_curve(frac.numerator, frac.denominator, sign, args.a)
     sp = chebpath.cheb_spectrum(pt, args.nmax)
     if args.format == "json":
-        print(_json(_spectrum_payload(sp), indent=2))
+        _write_or_print(_json(_spectrum_payload(sp), indent=2), args, "cheb_spectrum.json")
     else:
         _write_or_print(_spectrum_csv(sp), args, "cheb_spectrum.csv")
     return 0
@@ -234,7 +242,7 @@ def _cmd_oracle(args) -> int:
     payload = _spectrum_payload(sp)
     payload["n"] = args.n
     payload["richardson_errors"] = list(sp.residuals)
-    print(_json(payload, indent=2))
+    _write_or_print(_json(payload, indent=2), args, "oracle.json")
     return 0
 
 
@@ -243,8 +251,8 @@ def _cmd_resolvent(args) -> int:
     z = _parse_point(args.z, "--z")
     disc = oracle.discretize(A, args.n)
     norm = oracle.resolvent_norm(disc, z)
-    print(_json({"z": [z.real, z.imag], "n": args.n, "norm": norm,
-                 "caveat": "discretization proxy"}))
+    _write_or_print(_json({"z": [z.real, z.imag], "n": args.n, "norm": norm,
+                           "caveat": "discretization proxy"}), args, "resolvent.json")
     return 0
 
 
@@ -295,9 +303,8 @@ def _cmd_sweep(args) -> int:
         if bad:
             raise SpecmatError(f"chebyshev/secular mismatch at {len(bad)} points: "
                                f"first {bad[0]}")
-    ext = {"csv": "csv", "json": "json", "svg": "svg"}[args.format]
     text = sweep.emit(records, args.format, panels=args.panels)
-    _write_or_print(text, args, f"sweep.{ext}")
+    _write_or_print(text, args, f"sweep.{args.format}")
     return 0
 
 

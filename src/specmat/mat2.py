@@ -10,6 +10,7 @@ numerical-range ellipse.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ class CMatrix2:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             v = complex(getattr(self, name))
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
+            if not cmath.isfinite(v):
                 raise ValueError(f"entry {name} is not finite: {v!r}")
             if max(abs(v.real), abs(v.imag)) > ENTRY_MAX:
                 raise InvalidInput(f"entry {name} = {v!r} exceeds {ENTRY_MAX:g}: "

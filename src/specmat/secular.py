@@ -365,17 +365,6 @@ def build(A: CMatrix2) -> SecularFn:
 # -- fundamental matrix ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FundamentalMatrix:
-    """Value of the 4x4 propagator exp(B_lambda * x) for the first-order
-    system Phi' = B_lambda Phi, B_lambda = [[0, I], [-lambda^2 C^{-1}, 0]]."""
-
-    value: np.ndarray
-    jordan: np.ndarray
-    lam: complex
-    x: float
-
-
 def _mat_cos_sin(W: np.ndarray):
     """cos(W) and sin(W) for a 2x2 W that is either diagonal or
     lower-triangular with equal diagonal entries."""
@@ -401,8 +390,10 @@ def _jordan_inv_sqrt(C: np.ndarray):
     return half, half_inv
 
 
-def fundamental_matrix(C: np.ndarray, lam: complex, x: float) -> FundamentalMatrix:
-    """Propagator of the reduced first-order system at position x.
+def fundamental_matrix(C: np.ndarray, lam: complex, x: float) -> np.ndarray:
+    """Propagator ``exp(B_lambda x)`` of the reduced first-order system
+    ``Phi' = B_lambda Phi``, ``B_lambda = [[0, I], [-lambda^2 C^{-1}, 0]]``,
+    as a 4x4 array.
 
     Block formula: ``[[cos(lam C^{-1/2} x), lam^{-1} C^{1/2} sin(lam C^{-1/2} x)],
     [-lam C^{-1/2} sin(lam C^{-1/2} x), cos(lam C^{-1/2} x)]]`` with the
@@ -416,14 +407,14 @@ def fundamental_matrix(C: np.ndarray, lam: complex, x: float) -> FundamentalMatr
         out[:2, :2] = np.eye(2)
         out[2:, 2:] = np.eye(2)
         out[:2, 2:] = x * np.eye(2)
-        return FundamentalMatrix(out, C, complex(lam), float(x))
+        return out
     half, half_inv = _jordan_inv_sqrt(C)
     cos, sin = _mat_cos_sin(lam * x * half_inv)
     out[:2, :2] = cos
     out[:2, 2:] = (half @ sin) / lam
     out[2:, :2] = -lam * (half_inv @ sin)
     out[2:, 2:] = cos
-    return FundamentalMatrix(out, C, complex(lam), float(x))
+    return out
 
 
 def boundary_determinant(S: SecularFn, lam: complex) -> complex:
@@ -436,5 +427,5 @@ def boundary_determinant(S: SecularFn, lam: complex) -> complex:
     psi = np.array([[V[0, 0], V[0, 1], 0, 0],
                     [0, 0, V[1, 0], V[1, 1]]], dtype=complex)
     rows0 = psi @ np.eye(4)
-    rows1 = psi @ fundamental_matrix(S.eigen.C, lam, 1.0).value
+    rows1 = psi @ fundamental_matrix(S.eigen.C, lam, 1.0)
     return complex(np.linalg.det(np.vstack([rows0, rows1])))

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .canonical import (BOUNDARY_TOL, Family, a4_eigs, classify_region,
-                        family_matrix)
+from .canonical import Family, RegionTag, a4_eigs, classify_region, family_matrix
 from .chebpath import cheb_spectrum, lambda_curve, level_curve_d, ratio_float
 from .errors import InvalidInput, NoSignChange
 from .oracle import discretize, oracle_spectrum
@@ -26,6 +24,7 @@ from .rootfind import spectrum
 from .secular import build
 
 _VERIFY_RTOL = 1e-6   # verify_against_secular's gap, over 1 + |value|
+_ORACLE_N = 200       # grid resolution of the oracle method
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,6 @@ class SweepSpec:
     a_fixed: float = 0.0
     alphas: tuple = ()
     n_max: int = 8
-    oracle_n: int = 200
 
     def __post_init__(self):
         if self.kind not in ("segment", "curve", "alphas"):
@@ -97,13 +95,19 @@ class SweepEigenvalue:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One step of a sweep: its point, its region and its eigenvalues.
+
+    ``sentinel`` is "whole-plane" where the region is R6, that is where
+    ``CMatrix2.is_singular`` holds and the operator is not closed; such a
+    step has no eigenvalues and starts the tracks afresh.
+    """
+
     step: int
     a: float
     d: float
     region: str
     eigenvalues: tuple      # of SweepEigenvalue; empty for sentinel steps
     sentinel: Optional[str] = None
-    seconds: float = 0.0
 
 
 def _step_spectrum(spec: SweepSpec, a: float, d: float, ratio, rng):
@@ -116,7 +120,7 @@ def _step_spectrum(spec: SweepSpec, a: float, d: float, ratio, rng):
         sp = cheb_spectrum(pt, spec.n_max)
         eigs = list(sp.eigenvalues)[:spec.count]
         return eigs, [0.0] * len(eigs)
-    disc = discretize(A, spec.oracle_n)
+    disc = discretize(A, _ORACLE_N)
     sp = oracle_spectrum(disc, spec.count)
     return list(sp.eigenvalues), list(sp.residuals)
 
@@ -164,8 +168,7 @@ def run_sweep(spec: SweepSpec, seed: int = 0):
     next_track = 0
     for step, (a, d, ratio) in enumerate(spec.points()):
         region = classify_region(a, d)
-        t0 = time.perf_counter()
-        if abs(a * d + 1.0) <= BOUNDARY_TOL:
+        if region.tag is RegionTag.R6:
             records.append(SweepRecord(step=step, a=a, d=d,
                                        region=region.tag.value, eigenvalues=(),
                                        sentinel="whole-plane"))
@@ -178,8 +181,7 @@ def run_sweep(spec: SweepSpec, seed: int = 0):
                                         residual=float(r))
                         for (v, m), t, r in zip(eigs, tracks, residuals))
         records.append(SweepRecord(step=step, a=float(a), d=float(d),
-                                   region=region.tag.value, eigenvalues=entries,
-                                   seconds=time.perf_counter() - t0))
+                                   region=region.tag.value, eigenvalues=entries))
         prev_tracks = [(e.value, e.track) for e in entries]
     return records
 
@@ -360,8 +362,8 @@ def records_to_svg(records, panels: bool = False) -> str:
             + "".join(body) + "</svg>\n")
 
 
-def emit(records, fmt: str, path=None, panels: bool = False):
-    """Serialise records as csv / json / svg; write to path when given."""
+def emit(records, fmt: str, panels: bool = False):
+    """Serialise records as csv / json / svg."""
     if not records:
         raise InvalidInput("no records to emit")
     if fmt == "csv":
@@ -372,7 +374,4 @@ def emit(records, fmt: str, path=None, panels: bool = False):
         text = records_to_svg(records, panels=panels)
     else:
         raise InvalidInput(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return text

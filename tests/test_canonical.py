@@ -62,6 +62,9 @@ class TestRegions:
         (3.0, 2.0, RegionTag.R5), (2.0, -1.0, RegionTag.R2),
         (0.5, 3.0, RegionTag.R3), (-0.5, -3.0, RegionTag.R4),
         (1.0, 3.0, RegionTag.BOUNDARY), (-1.0, -3.0, RegionTag.BOUNDARY),
+        # R6 is where the A4 matrix is singular: not within an absolute
+        # 1e-9 of ad = -1 (this one is closed), but relative to its norm
+        (0.5, -1.9999999999, RegionTag.R4), (1e4, -1.0000001e-4, RegionTag.R6),
     ])
     def test_examples(self, a, d, tag):
         assert classify_region(a, d).tag is tag
@@ -115,10 +118,8 @@ class TestPredict:
             predict(CMatrix2.real(1, 0, 0, 2), lambda_max=1e24)
 
     def test_defective_singleton(self):
-        pred = predict(a4(0.5, -1.5))
-        assert pred.locus.kind is LocusKind.SINGLETON_0
-        pred2 = predict(a4(-0.5, 1.5))
-        assert pred2.locus.kind is LocusKind.SINGLETON_0
+        for A in (a4(0.5, -1.5), a4(-0.5, 1.5), CMatrix2.real(1, -2, 2, -3)):
+            assert predict(A).locus.kind is LocusKind.SINGLETON_0
 
     def test_real_curve_formula(self):
         pred = predict(a4(-1.0, 0.0))
@@ -172,6 +173,18 @@ class TestPredict:
             sp = spectrum(A, count=6)
             for v, _ in sp.eigenvalues:
                 assert pred.distance(v) <= 1e-6 * (1 + abs(v)), (A, v, pred.locus)
+
+    @pytest.mark.parametrize("a,d,count", [
+        # next to the singleton and the real-spectrum curve, where the
+        # secular function keeps every cosine term
+        (0.5 + 1e-10, -1.5 + 1e-10, 6),
+        (-0.9, (0.81 - 1) / -0.9 + 1e-10, 40),
+    ])
+    def test_containment_next_to_special_points(self, a, d, count):
+        pred = predict(a4(a, d))
+        for v, _ in spectrum(a4(a, d), count=count).eigenvalues:
+            if abs(v) <= 0.95 * 400 * np.pi ** 2:    # the lattice's default bound
+                assert pred.distance(v) <= 1e-6 * (1 + abs(v)), (v, pred.locus.kind)
 
     def test_scaled_matrix_scales_values(self):
         base = predict(CMatrix2.real(1, 0, 1, 4))

@@ -190,6 +190,14 @@ class TestOthers:
         path = tmp_path / "sweep.svg"
         assert path.exists() and path.read_text().startswith("<svg")
 
+    def test_sweep_sentinel_where_a_is_singular(self, capsys):
+        # |ad + 1| = 1e-7 and 2e-7: singular relative to the entries' size
+        code, out, _ = run(capsys, ["--format", "csv", "sweep", "--steps", "2",
+                                    "--segment", "1e4,-1.0000001e-4:1e4,-1.0000002e-4"])
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 2 and all(r.split(",")[3:5] == ["R6", "-1"] for r in rows)
+
     def test_track_negative_csv(self, capsys):
         code, out, _ = run(capsys, ["track-negative", "--a", "-0.5",
                                     "--d-range", "1.55:1.6", "--steps", "3"])
@@ -251,12 +259,35 @@ class TestOthers:
     # p + q near 1.4e16: refused before P's coefficients are allocated
     ["cheb", "--alpha=1.7308061916089246", "--a=0.5"],
     ["growth", "--real", "1", "0", "0", "1", "--eps=inf", "-n=20"],
+    # json and csv only
+    ["--format", "svg", "spectrum", "--real", "1", "0", "0", "1"],
+    ["cheb", "--alpha", "2", "--a", "0.5", "--format", "svg"],
 ], ids=" ".join)
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("specmat:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["classify", "--real", "1", "0", "1", "4"], "classify.json"),
+    (["ev", "--real", "1", "0", "1", "4", "--at", "1,0"], "ev_at.json"),
+    (["spectrum", "--real", "1", "0", "1", "4", "--count", "3"], "spectrum.json"),
+    (["spectrum", "--real", "1", "1", "1", "1"], "spectrum.json"),
+    (["--format", "csv", "spectrum", "--real", "1", "0", "1", "4", "--count", "3"],
+     "spectrum.csv"),
+    (["cheb", "--alpha", "2", "--a", "0.5", "--nmax", "1"], "cheb_spectrum.json"),
+    (["oracle", "--real", "1", "0", "0", "4", "-n", "20", "-k", "2"], "oracle.json"),
+    (["resolvent", "--real", "1", "0", "0", "1", "--z=-1,0", "-n", "20"], "resolvent.json"),
+    (["--format", "json", "sweep", "--alphas", "2", "--fixed-a", "-0.5",
+      "--method", "chebyshev", "--count", "3"], "sweep.json"),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_out_dir_holds_what_stdout_shows(capsys, tmp_path, argv, name):
+    code, out, _ = run(capsys, argv)
+    code_out, path, _ = run(capsys, argv + ["--out", str(tmp_path)])
+    assert code_out == code and path == f"{tmp_path / name}\n"
+    assert (tmp_path / name).read_text() == out
 
 
 @pytest.mark.parametrize("entries", [["1e160", "0", "1", "2e160"],

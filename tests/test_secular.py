@@ -241,17 +241,17 @@ class TestOrderAtOrigin:
 class TestFundamentalMatrix:
     def test_identity_at_zero_position(self):
         F = fundamental_matrix(np.diag([2.0, 3.0]), 1.3, 0.0)
-        assert_allclose(F.value, np.eye(4), atol=1e-14)
+        assert_allclose(F, np.eye(4), atol=1e-14)
 
     def test_nilpotent_limit(self):
         F = fundamental_matrix(np.diag([2.0, 3.0]), 0.0, 0.7)
         expected = np.eye(4)
         expected[:2, 2:] = 0.7 * np.eye(2)
-        assert_allclose(F.value, expected, atol=1e-14)
+        assert_allclose(F, expected, atol=1e-14)
 
     def test_unit_jordan_at_pi(self):
         F = fundamental_matrix(np.eye(2), np.pi, 1.0)
-        assert_allclose(F.value, np.diag([-1, -1, -1, -1.0]), atol=1e-12)
+        assert_allclose(F, np.diag([-1, -1, -1, -1.0]), atol=1e-12)
 
     @pytest.mark.parametrize("defective", [False, True])
     def test_against_expm(self, defective):
@@ -266,7 +266,7 @@ class TestFundamentalMatrix:
             x = float(rng.uniform(0.1, 1.0))
             B = np.block([[np.zeros((2, 2)), np.eye(2)],
                           [-lam**2 * np.linalg.inv(C), np.zeros((2, 2))]])
-            assert_allclose(fundamental_matrix(C, lam, x).value,
+            assert_allclose(fundamental_matrix(C, lam, x),
                             scipy.linalg.expm(B * x), atol=1e-11, rtol=1e-10)
 
     def test_singular_jordan_refused(self):
@@ -278,9 +278,9 @@ class TestFundamentalMatrix:
         rng = np.random.default_rng(22)
         C = np.diag([1.5 + 0.2j, 0.7 - 0.4j])
         lam = 1.1 - 0.6j
-        Fx = fundamental_matrix(C, lam, 0.3).value
-        Fy = fundamental_matrix(C, lam, 0.4).value
-        Fxy = fundamental_matrix(C, lam, 0.7).value
+        Fx = fundamental_matrix(C, lam, 0.3)
+        Fy = fundamental_matrix(C, lam, 0.4)
+        Fxy = fundamental_matrix(C, lam, 0.7)
         assert np.linalg.norm(Fxy - Fx @ Fy) <= 1e-10 * np.linalg.norm(Fxy)
 
     def test_determinant_tracks_secular_function(self):
