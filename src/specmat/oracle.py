@@ -11,22 +11,30 @@ use the 3-point second difference; the Neumann condition enters through
 mirror ghost values (second order), and the Dirichlet component's second
 derivative at the boundary rows uses the one-sided second-order stencil.
 
+Interleaving the unknowns as gamma_0, phi_1, gamma_1, ..., phi_n, gamma_n,
+gamma_{n+1} makes the matrix banded, with 6 sub-diagonals and 5
+super-diagonals (the one-sided boundary stencils set both widths), so a
+shifted matrix is factored by LAPACK's banded LU, zgbtrf, and solved by
+zgbtrs; the assembled matrix keeps the layout above.
+
 The low end comes from ARPACK's shift-invert mode (Lehoucq, Sorensen and
-Yang, ARPACK Users' Guide, 1998) on a sparse LU of ``M - sigma I``: it
-returns the m eigenvalues nearest a small shift sigma.  0 is an exact
-eigenvalue of every discretization, so sigma sits off it.  If R is the
-largest returned ``|mu - sigma|``, every eigenvalue left out has modulus
-at least ``R - |sigma|``; the k smallest moduli are certified once the
-k-th returned modulus plus ``|sigma|`` stays below R, and m doubles until
-it does.  m starts only 2 above k: the certificate reads only the k-th
-modulus and the reach, and two values past k already reach far enough.
-It never starts at 2k: the Arnoldi basis holds about 2m vectors, and at
-k = size/4 a start of 2k cost four times a dense solve of the whole grid.
+Yang, ARPACK Users' Guide, 1998) on the banded LU of ``S - sigma I``,
+factored once per resolution: it returns the m eigenvalues nearest a
+small shift sigma.  0 is an exact eigenvalue of every discretization, so
+sigma sits off it.  If R is the largest returned ``|mu - sigma|``, every
+eigenvalue left out has modulus at least ``R - |sigma|``; the k smallest
+moduli are certified once the k-th returned modulus plus ``|sigma|``
+stays below R, and m doubles until it does.  m starts only 2 above k:
+the certificate reads only the k-th modulus and the reach, and two values
+past k already reach far enough.  It never starts at 2k: the Arnoldi
+basis holds about 2m vectors, and at k = size/4 a start of 2k cost four
+times a dense solve of the whole grid.
 ARPACK stops at a relative Ritz residual of 1e-12, not at machine
 precision: its answers already move by about 2e-11 when only the start
 vector changes, and the values carry an O(h^2) discretization error near
 1e-5 that the Richardson bars report.  The cost of a call is its number
-of shift-invert solves, not the grid size, and both choices cut it.
+of shift-invert solves, not the grid size, and both choices cut it; a
+doubled request reuses the factorization and pays only its own solves.
 
 scipy is loaded on first use, inside the functions that call it, so that
 importing specmat does not load it.
@@ -122,24 +130,64 @@ def discretize(A: CMatrix2, n: int) -> Discretization:
     return Discretization(n=n, h=h, A=A, S=S)
 
 
+def _band_lu(disc: Discretization, shift: complex):
+    """Factor ``S - shift I`` once, as a banded LU, and return its solve
+    ``x = solve(b, trans)`` in the original unknown order: trans 0 solves
+    with the matrix, trans 2 with its conjugate transpose.
+
+    The factors are those of the interleaved, banded matrix of the module
+    docstring (zgbtrf, partial pivoting).  NearSpectrum if a pivot is
+    exactly zero.
+    """
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
+
+    n, N, S = disc.n, disc.size, disc.S
+    kl, ku = 6, 5
+    # position of each unknown in the interleaved order, and its inverse
+    pos = np.concatenate([2 * np.arange(n) + 1, 2 * np.arange(n + 1), [N - 1]])
+    order = np.argsort(pos)
+    rows = pos[S.indices]
+    cols = pos[np.repeat(np.arange(N), np.diff(S.indptr))]
+    # LAPACK band storage: entry (i, j) at ab[kl + ku + i - j, j]; the
+    # first kl rows are room for the fill-in of pivoting
+    ab = np.zeros((2 * kl + ku + 1, N), dtype=complex)
+    ab[kl + ku + rows - cols, cols] = S.data
+    ab[kl + ku] -= shift
+    lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=True)
+    if info != 0:
+        raise NearSpectrum(f"the size-{N} matrix shifted by {shift} is exactly "
+                           f"singular (zgbtrf info = {info})")
+
+    def solve(b: np.ndarray, trans: int = 0) -> np.ndarray:
+        return zgbtrs(lu, kl, ku, b[order], piv, trans=trans)[0][pos]
+
+    return solve
+
+
 def _low_end(disc: Discretization, count: int) -> np.ndarray:
     """The eigenvalues nearest a small shift, in canonical order; the first
     ``count`` are certified to be the ``count`` of smallest modulus (see
     the module docstring).
 
     The first request is for ``count + 2`` values at Ritz tolerance 1e-12;
-    it doubles until the certificate holds."""
+    it doubles until the certificate holds.  ``S - sigma I`` is factored
+    once, and every request uses that factorization."""
     import scipy.sparse.linalg
 
     N = disc.size
     # off 0 (an exact eigenvalue) and off both axes, scaled with A
     sigma = 1e-1 * disc.A.norm() * np.exp(1j)
+    try:
+        solve = _band_lu(disc, sigma)
+    except NearSpectrum as exc:
+        raise NonConverged(f"shift-invert Arnoldi failed at size {N}: {exc}") from exc
+    opinv = scipy.sparse.linalg.LinearOperator((N, N), matvec=solve, dtype=complex)
     v0 = np.random.default_rng(0).standard_normal(N).astype(complex)
     m = min(count + 2, N - 2)
     while True:
         try:
-            mu = scipy.sparse.linalg.eigs(disc.S, k=m, sigma=sigma, v0=v0,
-                                          tol=1e-12, return_eigenvectors=False)
+            mu = scipy.sparse.linalg.eigs(disc.S, k=m, sigma=sigma, OPinv=opinv,
+                                          v0=v0, tol=1e-12, return_eigenvectors=False)
         except (scipy.sparse.linalg.ArpackNoConvergence,
                 scipy.sparse.linalg.ArpackError) as exc:
             raise NonConverged(
@@ -229,29 +277,25 @@ def oracle_spectrum(disc: Discretization, k: int,
 
 
 def resolvent_norm(disc: Discretization, z: complex) -> float:
-    """Discretization proxy for the resolvent norm: 1 / sigma_min(M - z I).
+    """Discretization proxy for the resolvent norm: 1 / sigma_min(S - z I).
 
     ``sigma_min^-2`` is the top eigenvalue of the Hermitian ``(T T^H)^-1``,
-    ``T = M - z I``, which ARPACK finds from one sparse LU of T, at two
-    triangular solves per product.  It stops on the Ritz residual, so two
-    nearly equal smallest singular values (self-adjoint A) cannot stop it
-    early the way they stall a power iteration's step-to-step change.  The
-    proxy bounds neither side of the operator norm for non-normal
-    problems; use trends, not constants.  InvalidInput unless z is finite.
+    ``T = S - z I``, which ARPACK finds from one banded LU of T (see the
+    module docstring), at one solve with T and one with T^H per product.
+    It stops on the Ritz residual, so two nearly equal smallest singular
+    values (self-adjoint A) cannot stop it early the way they stall a power
+    iteration's step-to-step change.  The proxy bounds neither side of the
+    operator norm for non-normal problems; use trends, not constants.
+    InvalidInput unless z is finite.
     """
-    import scipy.sparse
     import scipy.sparse.linalg
 
     if not np.isfinite(z):
         raise InvalidInput(f"resolvent probe point is not finite: {z}")
     N = disc.size
-    T = (disc.S - z * scipy.sparse.identity(N, format="csc")).tocsc()
-    try:
-        lu = scipy.sparse.linalg.splu(T)
-    except RuntimeError as exc:
-        raise NearSpectrum(f"shifted matrix is numerically singular: {exc}") from exc
+    solve = _band_lu(disc, z)
     inv = scipy.sparse.linalg.LinearOperator(
-        (N, N), matvec=lambda v: lu.solve(lu.solve(v), trans="H"), dtype=complex)
+        (N, N), matvec=lambda v: solve(solve(v), trans=2), dtype=complex)
     v0 = np.random.default_rng(7).standard_normal(N).astype(complex)
     try:
         top = scipy.sparse.linalg.eigsh(inv, k=1, v0=v0, return_eigenvectors=False)[0]

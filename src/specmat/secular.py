@@ -96,8 +96,10 @@ class SecularFn:
     gauge fixed by the normalised eigenvectors of :func:`specmat.mat2.eig2`
     (for the defective kind, ``eigen.V`` is eig2's times ``2^(k/2)``, ``2^k``
     the scale of :meth:`CMatrix2.normalized`, so that its coefficients stay
-    in the float range at every scale); :meth:`gauge_to` returns the
-    constant relating it to any other valid eigenvector convention.
+    in the float range at every scale).  Any other valid eigenvector
+    convention scales the function by a constant: the fourth power of the
+    eigenvector column's scale for the defective kind, else the square of
+    the product of the two columns' scales.
 
     Internally the function is stored in the versine form::
 
@@ -280,26 +282,6 @@ class SecularFn:
         if abs(taylor6) > _ORDER_RTOL * max(scale6, 1e-300):
             return 6
         raise IllConditioned("origin zero of order > 6; not supported")
-
-    # -- gauge ----------------------------------------------------------
-
-    def gauge_to(self, V_ref) -> complex:
-        """Constant g such that this function equals g times the secular
-        function written with eigenvector matrix ``V_ref`` (columns
-        proportional to this one's).
-        """
-        V_ref = np.asarray(V_ref, dtype=complex)
-        V = self.eigen.V
-        if self.kind is EigKind.DEFECTIVE:
-            # only the eigenvector column (second) carries gauge freedom
-            j = int(np.argmax(np.abs(V_ref[:, 1])))
-            beta = V[j, 1] / V_ref[j, 1]
-            return beta ** 4
-        ratios = []
-        for col in (0, 1):
-            j = int(np.argmax(np.abs(V_ref[:, col])))
-            ratios.append(V[j, col] / V_ref[j, col])
-        return (ratios[0] * ratios[1]) ** 2
 
 
 def _snap_cancel(value: complex, magnitude: float) -> complex:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specmat import CMatrix2
+from specmat.mat2 import EigKind
 
 # the worked complex example: eigenvalues 1 and 1/4, eigenvectors (1,1), (2i,1)
 EXAMPLE = CMatrix2(0.4 + 0.3j, 0.6 - 0.3j, 0.15 + 0.3j, 0.85 - 0.3j)
@@ -9,6 +10,23 @@ EXAMPLE_V = np.array([[1.0, 2.0j], [1.0, 1.0]])
 
 # thermodynamic-model matrix (gamma = 1)
 STREATER = CMatrix2.real(1.0, 1.0, 0.5, 1.0)
+
+
+def gauge_to(S, V_ref) -> complex:
+    """Constant g such that the secular function ``S`` equals g times the
+    secular function written with eigenvector matrix ``V_ref`` (columns
+    proportional to ``S.eigen.V``'s)."""
+    V_ref = np.asarray(V_ref, dtype=complex)
+    V = S.eigen.V
+    if S.kind is EigKind.DEFECTIVE:
+        # only the eigenvector column (second) carries gauge freedom
+        j = int(np.argmax(np.abs(V_ref[:, 1])))
+        return (V[j, 1] / V_ref[j, 1]) ** 4
+    ratios = []
+    for col in (0, 1):
+        j = int(np.argmax(np.abs(V_ref[:, col])))
+        ratios.append(V[j, col] / V_ref[j, col])
+    return (ratios[0] * ratios[1]) ** 2
 
 
 def a4(a, d):

@@ -12,7 +12,7 @@ from specmat import (CMatrix2, Rect, SweepSpec, build, cheb_spectrum,
                      discretize, growth_probe, lambda_curve, oracle_spectrum,
                      perturbation_coeffs, run_sweep, spectrum, winding_count)
 from specmat.rootfind import _OriginDeflated
-from conftest import EXAMPLE, a4, corpus30
+from conftest import EXAMPLE, a4, corpus30, gauge_to
 
 import scipy.linalg
 
@@ -108,7 +108,7 @@ class TestAcceptance:
                                   rng=np.random.default_rng(5))
         # independent sign check on the axis: x^2/4 - sin(x)^2/4 > 0 for x > 0
         ts = np.linspace(0.05, 30, 4000)
-        g = S2.gauge_to(np.array([[1.0, -1.0], [0.0, 1.0]]))
+        g = gauge_to(S2, np.array([[1.0, -1.0], [0.0, 1.0]]))
         axis_vals = (S2.value(ts) / g).real
         nonreal = winding_count(S2, Rect(0.0, 30.0, 0.1, 20.0),
                                 rng=np.random.default_rng(6))

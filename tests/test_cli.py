@@ -345,9 +345,10 @@ _SPECIAL = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf")
 def _fuzz_argv(rng) -> list:
     """One command line of a subcommand drawn by ``rng``.  Its numbers are
     drawn from {0, +-1e-300, +-1e300, nan, +-inf} one time in five, else
-    random over six decades; grids have at most 64 points a side and
-    counts are at most 20.  Every value is passed as ``--option=value``,
-    so that argparse never takes a negative number for an option."""
+    random over six decades; grids have at most 64 points a side (the
+    oracle sweep's fixed n = 200 aside) and counts are at most 20.  Every
+    value is passed as ``--option=value``, so that argparse never takes a
+    negative number for an option."""
     def num():
         if rng.random() < 0.2:
             return str(rng.choice(_SPECIAL))
@@ -395,10 +396,8 @@ def _fuzz_argv(rng) -> list:
             argv = [f"--curve={ratio()}", f"--arange={num()}:{num()}:{small(0, 2)}"]
         else:
             argv = [f"--alphas={ratio()},{ratio()}", f"--fixed-a={num()}"]
-        # not --method=oracle: it discretizes at a fixed n = 200, beyond the
-        # size bound; the oracle subcommand covers that route
         argv += [f"--steps={small(0, 2)}", f"--count={small(-1, 20)}", f"--nmax={small(0, 8)}",
-                 f"--method={rng.choice(['secular', 'chebyshev'])}"]
+                 f"--method={rng.choice(['secular', 'chebyshev', 'oracle'])}"]
     else:
         argv = [f"--a={num()}", f"--d-range={num()}:{num()}", f"--steps={small(0, 3)}"]
     if rng.random() < 0.2:

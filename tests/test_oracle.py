@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from specmat import (CMatrix2, InvalidInput, NearSpectrum, NonConverged,
                      ResolutionTooLow, discretize, growth_probe, lambda_curve,
                      oracle_spectrum, resolvent_norm, spectrum)
-from specmat.oracle import _canonical_order
+from specmat import oracle
+from specmat.oracle import _band_lu, _canonical_order
 from conftest import EXAMPLE, a4, corpus30
 
 import scipy.linalg
@@ -89,6 +90,18 @@ def spy_eigs(monkeypatch):
     return asked
 
 
+def spy_band_lu(monkeypatch):
+    """Record the size of every band LU factorization the oracle makes."""
+    sizes = []
+    band_lu = oracle._band_lu
+
+    def counting(disc, shift):
+        sizes.append(disc.size)
+        return band_lu(disc, shift)
+    monkeypatch.setattr(oracle, "_band_lu", counting)
+    return sizes
+
+
 class TestDiscretize:
     def test_diagonal_low_eigenvalues(self):
         disc = discretize(CMatrix2.real(1, 0, 0, 1), 200)
@@ -131,6 +144,21 @@ class TestDiscretize:
         disc = discretize(A, n)
         ref = loop_assembly(A, n)
         assert np.array_equal(disc.S.toarray(), ref)
+
+    @pytest.mark.parametrize("n", [8, 37])
+    @pytest.mark.parametrize("A", [EXAMPLE, CMatrix2.real(0.8, 1, 0, -2),
+                                   a4(0.5, 3.0)])
+    def test_band_lu_solves_the_shifted_matrix(self, A, n):
+        # pins the interleaved order and the widths (6, 5); a width or a
+        # position off by one drops a stored entry from the band
+        disc = discretize(A, n)
+        shift = 30 + 1j
+        T = disc.S.toarray() - shift * np.eye(disc.size)
+        solve = _band_lu(disc, shift)
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal(disc.size) + 1j * rng.standard_normal(disc.size)
+        for trans, op in ((0, T), (2, T.conj().T)):
+            assert np.linalg.norm(op @ solve(b, trans) - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_resolution_floor(self):
         with pytest.raises(ResolutionTooLow):
@@ -221,6 +249,16 @@ class TestOracleSpectrum:
         with pytest.raises(NonConverged):
             oracle_spectrum(discretize(CMatrix2.real(1, 0, 1, 4), 40), 4)
 
+    def test_exactly_singular_shift_is_nonconverged(self, monkeypatch):
+        # zgbtrf's info reports an exactly zero pivot of U
+        import scipy.linalg.lapack
+
+        zgbtrf = scipy.linalg.lapack.zgbtrf
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf",
+                            lambda *args, **kw: zgbtrf(*args, **kw)[:2] + (7,))
+        with pytest.raises(NonConverged, match="exactly singular"):
+            oracle_spectrum(discretize(CMatrix2.real(1, 0, 1, 4), 40), 3)
+
     def test_singular_low_end_is_zero(self):
         # rank(M) <= n + 2 for singular A: at least n zero eigenvalues
         A = CMatrix2.real(1, 1, 1, 1)
@@ -275,11 +313,14 @@ class TestShiftInvertAgainstDense:
     def test_doubling_until_certified(self, monkeypatch):
         # a near-singular A puts a cluster of ~n tiny eigenvalues around 0:
         # the 8, 16 and 32 values nearest the shift do not certify the low
-        # end, and the request doubles from its start of k + 2
+        # end, and the request doubles from its start of k + 2, at both
+        # resolutions, each on one band factorization
         A = CMatrix2.real(1, 2, 2, 4.0001)
         asked = spy_eigs(monkeypatch)
+        factored = spy_band_lu(monkeypatch)
         got = oracle_spectrum(discretize(A, 100), 6).values()
-        assert [kw["k"] for kw in asked[:3]] == [8, 16, 32]
+        assert [kw["k"] for kw in asked] == [8, 16, 32, 64] * 2
+        assert factored == [202, 102]
         assert_allclose(got, dense_low_end(A, 100)[:6], rtol=1e-8, atol=1e-10)
 
 
@@ -320,17 +361,10 @@ class TestResolventNorm:
 
     def test_invit_factors_once(self, monkeypatch):
         disc = discretize(CMatrix2.real(1, 0, 1, 1), 150)
-        calls = []
-        real_splu = scipy.sparse.linalg.splu
-
-        def counting(S, *args, **kw):
-            calls.append(S.shape)
-            return real_splu(S, *args, **kw)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        factored = spy_band_lu(monkeypatch)
         for z in (30 + 1j, -4.0, 60.0 + 2j):
             resolvent_norm(disc, z)
-        assert calls == [(disc.size, disc.size)] * 3
+        assert factored == [disc.size] * 3
 
     def test_sparse_paths_leave_dense_matrix_unbuilt(self, monkeypatch):
         disc = discretize(EXAMPLE, 120)
@@ -348,6 +382,10 @@ class TestResolventNorm:
         ev = ev[np.argsort(np.abs(ev))]
         with pytest.raises(NearSpectrum):
             resolvent_norm(disc, complex(ev[1]) + 1e-13)
+        # constant gamma is an exact null vector: the factorization itself
+        # finds a zero pivot
+        with pytest.raises(NearSpectrum, match="exactly singular"):
+            resolvent_norm(disc, 0.0)
 
     @pytest.mark.parametrize("error", [
         scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
