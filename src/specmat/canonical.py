@@ -17,6 +17,7 @@ conditions, so the operator spectrum only moves by the factor
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -144,8 +145,9 @@ def classify_region(a: float, d: float) -> Region:
     """Classify (a, d) into the six-region partition.
 
     R6, the operator that is not closed, is exactly where
-    ``family_matrix(A4, a, d).is_singular``, the one decider of closedness
-    (so a or d beyond ``ENTRY_MAX`` is refused as that matrix is).  The
+    ``family_matrix(A4, a, d).is_singular``, the one decider of closedness,
+    judged on that matrix scaled as ``CMatrix2.normalized`` scales it: the
+    verdict is the same, and any finite a and d fit inside ``ENTRY_MAX``.  The
     defective lines ``|a-d| = 2`` are tested with the absolute boundary
     tolerance, and their two literal-definition gap points (``a = +-1``
     with ``ad != -1``) are tagged Boundary.
@@ -154,7 +156,8 @@ def classify_region(a: float, d: float) -> Region:
         raise ValueError("coordinates must be finite")
     prod_gap = a * d + 1.0
     line_gap = abs(a - d) - 2.0
-    if family_matrix(Family.A4, a, d).is_singular:
+    s = math.ldexp(1.0, -2 * round(0.5 * math.log2(max(abs(a), abs(d), 1.0))))
+    if CMatrix2.real(a * s, -s, s, d * s).is_singular:
         return Region(RegionTag.R6, f"ad = -1 (ad+1 = {prod_gap:.2e})")
     if abs(line_gap) <= BOUNDARY_TOL:
         if min(abs(a - 1.0), abs(a + 1.0)) <= BOUNDARY_TOL:

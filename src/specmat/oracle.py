@@ -1,4 +1,4 @@
-"""Independent verification by finite differences: a sparse discretization
+"""Independent verification by finite differences: a banded discretization
 of the operator with the mixed Dirichlet/Neumann boundary conditions,
 certified low-end eigenvalue extraction by shift-invert Arnoldi with
 two-resolution Richardson error bars, and smallest-singular-value
@@ -13,9 +13,9 @@ derivative at the boundary rows uses the one-sided second-order stencil.
 
 Interleaving the unknowns as gamma_0, phi_1, gamma_1, ..., phi_n, gamma_n,
 gamma_{n+1} makes the matrix banded, with 6 sub-diagonals and 5
-super-diagonals (the one-sided boundary stencils set both widths), so a
-shifted matrix is factored by LAPACK's banded LU, zgbtrf, and solved by
-zgbtrs; the assembled matrix keeps the layout above.
+super-diagonals (the one-sided boundary stencils set both widths).  It is
+assembled in that order, in LAPACK band storage; a shifted copy is factored
+by LAPACK's banded LU, zgbtrf, and zgbtrs solves in the original order.
 
 The low end comes from ARPACK's shift-invert mode (Lehoucq, Sorensen and
 Yang, ARPACK Users' Guide, 1998) on the banded LU of ``S - sigma I``,
@@ -52,25 +52,37 @@ from .errors import (InvalidInput, NearSpectrum, NonConverged,
 from .mat2 import CMatrix2
 from .rootfind import Spectrum, _canonical_order
 
+_KL, _KU = 6, 5   # sub- and super-diagonals of the interleaved matrix
+
 
 @dataclass(frozen=True)
 class Discretization:
-    """Matrix approximation of the operator at grid resolution n, in
-    compressed sparse columns (``S``)."""
+    """The matrix S approximating the operator at grid resolution n, held
+    once: ``band`` (read-only) is S in the interleaved order of the module
+    docstring and in LAPACK band storage, entry (i, j) at
+    ``band[5 + i - j, j]``."""
 
     n: int
-    h: float
     A: CMatrix2
-    S: scipy.sparse.csc_matrix
+    band: np.ndarray
+
+    @property
+    def h(self) -> float:
+        return 1.0 / (self.n + 1)
 
     @property
     def size(self) -> int:
-        return self.S.shape[0]
+        return 2 * self.n + 2
 
     def lattice_value(self, coeff: float, k: int) -> float:
         """The discretization's own image of ``coeff * pi^2 k^2``: the
         eigenvalue of the scalar 3-point operator on this grid."""
         return float(coeff * (2.0 / self.h ** 2) * (1.0 - np.cos(k * np.pi * self.h)))
+
+
+def _interleaved(n: int) -> np.ndarray:
+    """Position of each unknown of the layout above in the interleaved order."""
+    return np.concatenate([2 * np.arange(n) + 1, 2 * np.arange(n + 1), [2 * n + 1]])
 
 
 def _three_point(rows: np.ndarray, centres: np.ndarray, ncols: int):
@@ -117,17 +129,17 @@ def discretize(A: CMatrix2, n: int) -> Discretization:
     Singular A is allowed: the resulting matrix exhibits the degeneracy
     empirically (its low eigenvalues do not stabilise with n).
     """
-    import scipy.sparse
-
     if n < 8:
         raise ResolutionTooLow(f"need n >= 8 grid intervals, got {n}")
     h = 1.0 / (n + 1)
     rows, cols, weights, slot = _stencil_triplets(n)
+    pos = _interleaved(n)
+    rows, cols = pos[rows], pos[cols]
     coeff = np.array([A.a, A.b, A.c, A.d], dtype=complex)
-    N = 2 * n + 2
-    S = scipy.sparse.csc_matrix((coeff[slot] * (weights * (1.0 / h ** 2)),
-                                 (rows, cols)), shape=(N, N))
-    return Discretization(n=n, h=h, A=A, S=S)
+    band = np.zeros((_KL + _KU + 1, 2 * n + 2), dtype=complex)
+    band[_KU + rows - cols, cols] = coeff[slot] * (weights * (1.0 / h ** 2))
+    band.flags.writeable = False
+    return Discretization(n=n, A=A, band=band)
 
 
 def _band_lu(disc: Discretization, shift: complex):
@@ -135,31 +147,25 @@ def _band_lu(disc: Discretization, shift: complex):
     ``x = solve(b, trans)`` in the original unknown order: trans 0 solves
     with the matrix, trans 2 with its conjugate transpose.
 
-    The factors are those of the interleaved, banded matrix of the module
-    docstring (zgbtrf, partial pivoting).  NearSpectrum if a pivot is
-    exactly zero.
+    zgbtrf (partial pivoting) factors a copy of the band placed below the kl
+    rows that LAPACK keeps for the fill-in of pivoting; the band itself is
+    not changed.  NearSpectrum if a pivot is exactly zero.
     """
     from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-    n, N, S = disc.n, disc.size, disc.S
-    kl, ku = 6, 5
-    # position of each unknown in the interleaved order, and its inverse
-    pos = np.concatenate([2 * np.arange(n) + 1, 2 * np.arange(n + 1), [N - 1]])
-    order = np.argsort(pos)
-    rows = pos[S.indices]
-    cols = pos[np.repeat(np.arange(N), np.diff(S.indptr))]
-    # LAPACK band storage: entry (i, j) at ab[kl + ku + i - j, j]; the
-    # first kl rows are room for the fill-in of pivoting
-    ab = np.zeros((2 * kl + ku + 1, N), dtype=complex)
-    ab[kl + ku + rows - cols, cols] = S.data
-    ab[kl + ku] -= shift
-    lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=True)
+    N = disc.size
+    ab = np.zeros((2 * _KL + _KU + 1, N), dtype=complex)
+    ab[_KL:] = disc.band
+    ab[_KL + _KU] -= shift
+    lu, piv, info = zgbtrf(ab, _KL, _KU, overwrite_ab=True)
     if info != 0:
         raise NearSpectrum(f"the size-{N} matrix shifted by {shift} is exactly "
                            f"singular (zgbtrf info = {info})")
+    pos = _interleaved(disc.n)
+    order = np.argsort(pos)
 
     def solve(b: np.ndarray, trans: int = 0) -> np.ndarray:
-        return zgbtrs(lu, kl, ku, b[order], piv, trans=trans)[0][pos]
+        return zgbtrs(lu, _KL, _KU, b[order], piv, trans=trans)[0][pos]
 
     return solve
 
@@ -186,7 +192,8 @@ def _low_end(disc: Discretization, count: int) -> np.ndarray:
     m = min(count + 2, N - 2)
     while True:
         try:
-            mu = scipy.sparse.linalg.eigs(disc.S, k=m, sigma=sigma, OPinv=opinv,
+            # shift-invert mode applies only OPinv, so it stands in for S too
+            mu = scipy.sparse.linalg.eigs(opinv, k=m, sigma=sigma, OPinv=opinv,
                                           v0=v0, tol=1e-12, return_eigenvectors=False)
         except (scipy.sparse.linalg.ArpackNoConvergence,
                 scipy.sparse.linalg.ArpackError) as exc:
@@ -281,12 +288,14 @@ def resolvent_norm(disc: Discretization, z: complex) -> float:
 
     ``sigma_min^-2`` is the top eigenvalue of the Hermitian ``(T T^H)^-1``,
     ``T = S - z I``, which ARPACK finds from one banded LU of T (see the
-    module docstring), at one solve with T and one with T^H per product.
-    It stops on the Ritz residual, so two nearly equal smallest singular
-    values (self-adjoint A) cannot stop it early the way they stall a power
-    iteration's step-to-step change.  The proxy bounds neither side of the
-    operator norm for non-normal problems; use trends, not constants.
-    InvalidInput unless z is finite.
+    module docstring), at one solve with T and one with T^H per product,
+    each scaled exactly by the power of two at or below ``max(1, |z|)`` so
+    that it does not underflow at a far z.  ARPACK stops on the Ritz
+    residual, so two nearly equal smallest singular values (self-adjoint A)
+    cannot stop it early the way they stall a power iteration's step-to-step
+    change.  The proxy bounds neither side of the operator norm for
+    non-normal problems; use trends, not constants.  InvalidInput unless z
+    is finite.
     """
     import scipy.sparse.linalg
 
@@ -294,20 +303,20 @@ def resolvent_norm(disc: Discretization, z: complex) -> float:
         raise InvalidInput(f"resolvent probe point is not finite: {z}")
     N = disc.size
     solve = _band_lu(disc, z)
+    scale = np.ldexp(0.5, np.frexp(max(1.0, abs(z.real), abs(z.imag)))[1])
     inv = scipy.sparse.linalg.LinearOperator(
-        (N, N), matvec=lambda v: solve(solve(v), trans=2), dtype=complex)
+        (N, N), matvec=lambda v: scale * solve(scale * solve(v), trans=2), dtype=complex)
     v0 = np.random.default_rng(7).standard_normal(N).astype(complex)
     try:
         top = scipy.sparse.linalg.eigsh(inv, k=1, v0=v0, return_eigenvectors=False)[0]
     except (scipy.sparse.linalg.ArpackNoConvergence,
             scipy.sparse.linalg.ArpackError) as exc:
         raise NonConverged(f"Lanczos for sigma_min failed at size {N}: {exc}") from exc
-    # sigma_min = top^(-1/2); the Frobenius norm of S is the 2-norm of its
-    # stored entries
+    # sigma_min = scale / sqrt(top); the Frobenius norm of S is that of its band
     if not (np.isfinite(top) and top > 0.0 and
-            1.0 / np.sqrt(top) > 1e-12 * max(1.0, float(np.linalg.norm(disc.S.data)))):
+            scale > 1e-12 * max(1.0, float(np.linalg.norm(disc.band))) * float(np.sqrt(top))):
         raise NearSpectrum(f"z = {z} is numerically on the discrete spectrum")
-    return float(np.sqrt(top))
+    return float(np.sqrt(top) / scale)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pytest
 
 from specmat import CMatrix2
 from specmat.mat2 import EigKind
+from specmat.oracle import _KU, _interleaved
 
 # the worked complex example: eigenvalues 1 and 1/4, eigenvectors (1,1), (2i,1)
 EXAMPLE = CMatrix2(0.4 + 0.3j, 0.6 - 0.3j, 0.15 + 0.3j, 0.85 - 0.3j)
@@ -27,6 +28,20 @@ def gauge_to(S, V_ref) -> complex:
         j = int(np.argmax(np.abs(V_ref[:, col])))
         ratios.append(V[j, col] / V_ref[j, col])
     return (ratios[0] * ratios[1]) ** 2
+
+
+def dense_matrix(disc) -> np.ndarray:
+    """The discretization's matrix in the original unknown order, unpacked
+    from its band storage: entry (i, j) of the interleaved matrix sits at
+    ``band[_KU + i - j, j]``."""
+    N = disc.size
+    r, j = np.indices(disc.band.shape)
+    i = r - _KU + j
+    inside = (i >= 0) & (i < N)
+    M = np.zeros((N, N), dtype=complex)
+    M[i[inside], j[inside]] = disc.band[inside]
+    pos = _interleaved(disc.n)
+    return M[np.ix_(pos, pos)]
 
 
 def a4(a, d):

@@ -12,7 +12,7 @@ from specmat import (CMatrix2, Rect, SweepSpec, build, cheb_spectrum,
                      discretize, growth_probe, lambda_curve, oracle_spectrum,
                      perturbation_coeffs, run_sweep, spectrum, winding_count)
 from specmat.rootfind import _OriginDeflated
-from conftest import EXAMPLE, a4, corpus30, gauge_to
+from conftest import EXAMPLE, a4, corpus30, dense_matrix, gauge_to
 
 import scipy.linalg
 
@@ -146,8 +146,8 @@ class TestAcceptance:
         ratio_ok = True
         for A in (CMatrix2.real(1, 0, 0, 4), CMatrix2.real(1, 0, 1, 4),
                   CMatrix2.real(2.5, 0, 0, -1.5)):
-            evc = scipy.linalg.eigvals(discretize(A, 100).S.toarray())
-            evf = scipy.linalg.eigvals(discretize(A, 200).S.toarray())
+            evc = scipy.linalg.eigvals(dense_matrix(discretize(A, 100)))
+            evf = scipy.linalg.eigvals(dense_matrix(discretize(A, 200)))
             exact = sorted({c * k * k * np.pi**2 for c in (A.a.real, A.d.real)
                             for k in range(12)}, key=abs)
             for target in exact[1:7]:

@@ -193,6 +193,16 @@ class TestPredict:
                         [2 * v for v in sorted(v.real for v in base.locus.values)[:8]],
                         rtol=1e-9, atol=1e-9)
 
+    def test_canonical_entries_past_entry_max(self):
+        # alpha = 1e-60 puts the canonical (a, d) past ENTRY_MAX: the R6 line
+        # is judged on the scaled family matrix, R3 needs nothing more, and
+        # R5 builds the canonical secular function, which refuses (exit 2).
+        # R1 cannot occur there: floats that large are never 2 apart.
+        assert predict(CMatrix2.real(1e50, -1e-60, 1e-60, 2e50)).region.tag is RegionTag.R3
+        assert classify_region(2.0 ** 400, -(2.0 ** -400)).tag is RegionTag.R6
+        with pytest.raises(InvalidInput, match="exceeds"):
+            predict(CMatrix2.real(1e50, -1e-60, 1e-60, 1e50))
+
 
 class TestPerturbationCoeffs:
     def test_identity(self):

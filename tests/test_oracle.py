@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,7 @@ from specmat import (CMatrix2, InvalidInput, NearSpectrum, NonConverged,
                      oracle_spectrum, resolvent_norm, spectrum)
 from specmat import oracle
 from specmat.oracle import _band_lu, _canonical_order
-from conftest import EXAMPLE, a4, corpus30
+from conftest import EXAMPLE, a4, corpus30, dense_matrix
 
 import scipy.linalg
 import scipy.sparse.linalg
@@ -61,10 +63,10 @@ def dense_low_end(A, n):
     the +-delta average, paired greedily over the whole spectrum."""
     scale = 1.0 + A.norm()
     if abs(A.d) > 1e-9 * scale:
-        ev = scipy.linalg.eigvals(discretize(A, n).S.toarray())
+        ev = scipy.linalg.eigvals(dense_matrix(discretize(A, n)))
     else:
         delta = 1e-3 * scale
-        up, dn = (scipy.linalg.eigvals(discretize(CMatrix2(A.a, A.b, A.c, d), n).S.toarray())
+        up, dn = (scipy.linalg.eigvals(dense_matrix(discretize(CMatrix2(A.a, A.b, A.c, d), n)))
                   for d in (A.d + delta, A.d - delta))
         up = up[np.argsort(np.abs(up))]
         ev = np.empty_like(up)
@@ -105,14 +107,14 @@ def spy_band_lu(monkeypatch):
 class TestDiscretize:
     def test_diagonal_low_eigenvalues(self):
         disc = discretize(CMatrix2.real(1, 0, 0, 1), 200)
-        ev = np.sort(np.abs(scipy.linalg.eigvals(disc.S.toarray())))
+        ev = np.sort(np.abs(scipy.linalg.eigvals(dense_matrix(disc))))
         targets = [0, np.pi**2, np.pi**2, 4 * np.pi**2, 4 * np.pi**2]
         for got, want in zip(ev[:5], targets):
             assert abs(got - want) <= 1e-3 * (1 + want)
 
     def test_triangular_lattice(self):
         disc = discretize(CMatrix2.real(1, 0, 1, 4), 200)
-        ev = scipy.linalg.eigvals(disc.S.toarray())
+        ev = scipy.linalg.eigvals(dense_matrix(disc))
         ev = np.sort_complex(ev[np.argsort(np.abs(ev))][:8])
         for got in ev:
             err = min(abs(got - want) for want in lattice((1, 4)))
@@ -126,8 +128,8 @@ class TestDiscretize:
         # by ~4 when the grid is refined 2x
         coarse = discretize(A, 100)
         fine = discretize(A, 200)
-        evc = scipy.linalg.eigvals(coarse.S.toarray())
-        evf = scipy.linalg.eigvals(fine.S.toarray())
+        evc = scipy.linalg.eigvals(dense_matrix(coarse))
+        evf = scipy.linalg.eigvals(dense_matrix(fine))
         evc = evc[np.argsort(np.abs(evc))]
         evf = evf[np.argsort(np.abs(evf))]
         exact = lattice((A.a.real, A.d.real))
@@ -143,7 +145,7 @@ class TestDiscretize:
     def test_assembly_matches_loop_reference(self, A, n):
         disc = discretize(A, n)
         ref = loop_assembly(A, n)
-        assert np.array_equal(disc.S.toarray(), ref)
+        assert np.array_equal(dense_matrix(disc), ref)
 
     @pytest.mark.parametrize("n", [8, 37])
     @pytest.mark.parametrize("A", [EXAMPLE, CMatrix2.real(0.8, 1, 0, -2),
@@ -153,12 +155,32 @@ class TestDiscretize:
         # position off by one drops a stored entry from the band
         disc = discretize(A, n)
         shift = 30 + 1j
-        T = disc.S.toarray() - shift * np.eye(disc.size)
+        T = dense_matrix(disc) - shift * np.eye(disc.size)
         solve = _band_lu(disc, shift)
         rng = np.random.default_rng(n)
         b = rng.standard_normal(disc.size) + 1j * rng.standard_normal(disc.size)
         for trans, op in ((0, T), (2, T.conj().T)):
             assert np.linalg.norm(op @ solve(b, trans) - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_band_is_read_only(self):
+        disc = discretize(EXAMPLE, 20)
+        with pytest.raises(ValueError, match="read-only"):
+            disc.band[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            disc.band = np.zeros_like(disc.band)
+
+    def test_factoring_leaves_the_band_unchanged(self):
+        # the shifts of test_invit_factors_once, on one discretization
+        A = CMatrix2.real(1, 0, 1, 1)
+        disc = discretize(A, 150)
+        band = disc.band.copy()
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal(disc.size) + 1j * rng.standard_normal(disc.size)
+        for z in (30 + 1j, -4.0, 60.0 + 2j):
+            solve, fresh = _band_lu(disc, z), _band_lu(discretize(A, 150), z)
+            assert np.array_equal(disc.band, band)
+            for trans in (0, 2):
+                assert np.array_equal(solve(b, trans), fresh(b, trans))
 
     def test_resolution_floor(self):
         with pytest.raises(ResolutionTooLow):
@@ -265,12 +287,12 @@ class TestOracleSpectrum:
         sp = oracle_spectrum(discretize(A, 40), 6)
         assert np.all(sp.values() == 0)
         assert any("not-closed" in n for n in sp.notes)
-        M = discretize(A, 40).S.toarray()
+        M = dense_matrix(discretize(A, 40))
         ev = np.sort(np.abs(scipy.linalg.eigvals(M)))
         assert ev[39] <= 1e-8 * np.linalg.norm(M)
 
     def test_conjugate_symmetry_real_matrix(self):
-        M = discretize(a4(0.0, 2.5), 100).S.toarray()
+        M = dense_matrix(discretize(a4(0.0, 2.5), 100))
         ev = scipy.linalg.eigvals(M)
         scale = np.linalg.norm(M, ord="fro")
         for v in ev[np.argsort(np.abs(ev))][:20]:
@@ -302,7 +324,7 @@ class TestShiftInvertAgainstDense:
             ref = dense_low_end(A, n)
             # a defective zero is resolved only to O(sqrt(eps ||M||)) by
             # either solver; those values are compared against that floor
-            zero = 10.0 * np.sqrt(np.finfo(float).eps * np.linalg.norm(disc.S.toarray()))
+            zero = 10.0 * np.sqrt(np.finfo(float).eps * np.linalg.norm(dense_matrix(disc)))
             for k in (6, disc.size // 4):
                 got = oracle_spectrum(disc, k).values()
                 want = ref[:k]
@@ -356,7 +378,7 @@ class TestResolventNorm:
     def test_invit_matches_svd(self):
         disc = discretize(CMatrix2.real(1, 0, 1, 1), 150)
         z = 30 + 1j
-        n_svd = 1.0 / scipy.linalg.svdvals(disc.S.toarray() - z * np.eye(disc.size))[-1]
+        n_svd = 1.0 / scipy.linalg.svdvals(dense_matrix(disc) - z * np.eye(disc.size))[-1]
         assert_allclose(resolvent_norm(disc, z), n_svd, rtol=1e-6)
 
     def test_invit_factors_once(self, monkeypatch):
@@ -366,19 +388,16 @@ class TestResolventNorm:
             resolvent_norm(disc, z)
         assert factored == [disc.size] * 3
 
-    def test_sparse_paths_leave_dense_matrix_unbuilt(self, monkeypatch):
-        disc = discretize(EXAMPLE, 120)
-        dense = []
-        for cls in type(disc.S).__mro__:
-            if "toarray" in vars(cls):
-                monkeypatch.setattr(cls, "toarray", lambda self, *a, **kw: dense.append(self))
-        oracle_spectrum(disc, 6)
-        resolvent_norm(disc, 30 + 1j)
-        assert dense == []
+    @pytest.mark.parametrize("z", [1e200, 1e300])
+    def test_far_probe_point(self, z):
+        # sigma_min(S - z I) = |z| to ||S|| / |z|, while sigma_min^-2 would
+        # underflow without the power-of-two scaling of the solves
+        disc = discretize(CMatrix2.real(1, 0, 0, 1), 29)
+        assert resolvent_norm(disc, z) == pytest.approx(1.0 / z, rel=1e-12)
 
     def test_near_spectrum_guard(self):
         disc = discretize(CMatrix2.real(1, 0, 0, 1), 100)
-        ev = scipy.linalg.eigvals(disc.S.toarray())
+        ev = scipy.linalg.eigvals(dense_matrix(disc))
         ev = ev[np.argsort(np.abs(ev))]
         with pytest.raises(NearSpectrum):
             resolvent_norm(disc, complex(ev[1]) + 1e-13)
@@ -432,7 +451,7 @@ class TestGrowthProbe:
             disc = discretize(A, n)
             for row in probe.rows:
                 z = disc.lattice_value(1.0, 2 * row.r) + 1j
-                ref = 1.0 / scipy.linalg.svdvals(disc.S.toarray() - z * np.eye(disc.size))[-1]
+                ref = 1.0 / scipy.linalg.svdvals(dense_matrix(disc) - z * np.eye(disc.size))[-1]
                 assert_allclose(getattr(row, attr), ref, rtol=1e-9)
 
     def test_continuum_anchor_available(self):
